@@ -260,17 +260,15 @@ def prop710_check(a: Sequence[int], gens: Sequence[Sequence[int]]) -> bool:
 
     Left: the Arf closure of <a, a+g_1, ..., a+g_n>. Right: the Arf closure
     of <a, g_1, ..., g_n>, shifted by a with 0 adjoined. Both sides are
-    compared through their full gap sets; the right side has a finite gap
-    set only in dimension one (in higher dimension the points not above a
-    already form an infinite complement, while the left side is cofinite,
-    so the sides differ).
+    compared through their full gap sets, so the check is for dimension
+    one. In higher dimension every generator of the left side lies above a
+    and so is positive wherever a is; the other axes get no pure generator
+    and ``from_generators`` raises NotFullCone.
     """
     a = tuple(a)
     gens = _check_chain_hypotheses(a, gens)
     left, _ = arf_closure(from_generators([a] + [lattice.add(a, g) for g in gens]))
     right_base, _ = arf_closure(from_generators([a] + gens))
-    if len(a) != 1:
-        return False
     offset = a[0]
     right_gaps = {(v,) for v in range(1, offset)}
     right_gaps.update((offset + h[0],) for h in right_base.gaps)

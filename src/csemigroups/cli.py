@@ -83,11 +83,16 @@ def _input_source(args):
         pts = parse_point_list(args.gaps)
         return "gaps", pts, len(pts[0])
     data = _load_file(args.file)
-    d = data["d"]
-    if "gens" in data:
-        return "gens", [tuple(p) for p in data["gens"]], d
-    if "gaps" in data:
-        return "gaps", [tuple(p) for p in data["gaps"]], d
+    if not isinstance(data, dict) or type(data.get("d")) is not int:
+        raise ValueError(f"{args.file}: expected an object with an integer 'd'")
+    for kind in ("gens", "gaps"):
+        if kind in data:
+            pts = data[kind]
+            if not isinstance(pts, list) or not all(
+                isinstance(p, list) and all(type(v) is int for v in p) for p in pts
+            ):
+                raise ValueError(f"{args.file}: '{kind}' must be a list of integer points")
+            return kind, [tuple(p) for p in pts], data["d"]
     raise ValueError(f"{args.file}: expected a 'gens' or 'gaps' key")
 
 
@@ -281,13 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=default,
             help="gap-scan budget: max slice levels per axis and total work units",
         )
-    for target, default in ((parser, 1), (common, argparse.SUPPRESS)):
-        target.add_argument(
-            "--threads",
-            type=int,
-            default=default,
-            help="reserved; computations currently run single-threaded",
-        )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_parser(name, **kwargs):
@@ -395,8 +393,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse has printed its message
         return int(exc.code or 0)
-    if args.threads < 1:
-        print("usage error: --threads must be at least 1", file=sys.stderr)
+    if args.budget is not None and args.budget < 1:
+        print("usage error: --budget must be positive", file=sys.stderr)
         return 2
     try:
         payload = args.handler(args)

@@ -9,6 +9,7 @@ gap-count identity used by the Wilf report.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Optional, Sequence
 
 from . import lattice
@@ -19,7 +20,7 @@ from .errors import (
     InfiniteApery,
     NotNatural,
 )
-from .gapsemigroup import GapSemigroup
+from .gapsemigroup import GapSemigroup, _Box
 from .lattice import GRLEX, Point, TermOrder
 
 
@@ -31,12 +32,16 @@ def pseudo_frobenius(gs: GapSemigroup) -> tuple[Point, ...]:
     """Gaps f with f + a in S for every Hilbert-basis element a.
 
     Checking the basis suffices: any nonzero member is a basis element plus a
-    member, and S is closed under addition.
+    member, and S is closed under addition. The basis lies in [0, 2c), so in
+    that box the gaps f with f + a a gap are the gap mask shifted down by a.
     """
-    basis = gs.hilbert_basis
-    return _sorted_points(
-        f for f in gs.gaps if all(gs.contains(lattice.add(f, a)) for a in basis)
-    )
+    if not gs.gaps:
+        return ()
+    box = _Box(tuple(2 * c for c in gs.conductor))
+    gaps = pf = box.mask(gs.gaps)
+    for a in gs.hilbert_basis:
+        pf &= ~(gaps >> box.index(a))
+    return _sorted_points(box.points(pf))
 
 
 def betti_type(gs: GapSemigroup) -> int:
@@ -152,7 +157,7 @@ def apery(gs: GapSemigroup, witnesses: Sequence[Sequence[int]]) -> tuple[Point, 
     such a multiple m_j * e_j forces b_j < m_j or b - m_j*e_j to be a gap, so
     b_j < max(a_j) + conductor_j; without one, members far along axis j stay
     in the set. The criterion is checked first and the finite case is a box
-    scan under that exclusive bound.
+    scan under that exclusive bound, one shift of the member mask per a.
     """
     E = [tuple(a) for a in witnesses]
     if not E:
@@ -166,17 +171,11 @@ def apery(gs: GapSemigroup, witnesses: Sequence[Sequence[int]]) -> tuple[Point, 
     for j in range(d):
         if not any(a[j] > 0 and all(v == 0 for i, v in enumerate(a) if i != j) for a in E):
             raise InfiniteApery(j)
-    hi = tuple(max(a[j] for a in E) + gs.conductor[j] - 1 for j in range(d))
-    out = []
-    for b in lattice.enumerate_box(lattice.zero(d), hi):
-        if not gs.contains(b):
-            continue
-        if all(
-            not (lattice.is_natural(diff := lattice.sub(b, a)) and gs.contains(diff))
-            for a in E
-        ):
-            out.append(b)
-    return _sorted_points(out)
+    box = _Box(tuple(max(a[j] for a in E) + gs.conductor[j] for j in range(d)))
+    members = out = box.full & ~box.mask(gs.gaps)
+    for a in E:
+        out &= ~(members << box.index(a))
+    return _sorted_points(box.points(out))
 
 
 @dataclass(frozen=True)
@@ -243,11 +242,8 @@ def pf_via_ideal(gs: GapSemigroup) -> tuple[Point, ...]:
 def cardinality_identity(gs: GapSemigroup, order: TermOrder = GRLEX) -> tuple[int, int]:
     """(gaps outside PF', members coordinatewise below F) as a countable pair."""
     F = frobenius_element(gs, order)
-    pf_prime = classify(gs, order).pf_prime  # always a subset of the gaps
+    pf_prime = [f for f in pseudo_frobenius(gs) if f != F]
     lhs = gs.genus - len(pf_prime)
-    rhs = sum(
-        1
-        for p in lattice.enumerate_box(lattice.zero(gs.dimension), F)
-        if gs.contains(p)
-    )
+    # the box [0, F] minus the gaps inside it
+    rhs = prod(v + 1 for v in F) - sum(1 for g in gs.gaps if lattice.partial_leq(g, F))
     return lhs, rhs

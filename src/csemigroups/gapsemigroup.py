@@ -2,19 +2,22 @@
 
 A GapSemigroup stores the complement H(S) of a cofinite submonoid S of N^d,
 together with a canonical conductor c (componentwise one above the gap
-maxima; every p >= c is a member) and a lazily computed Hilbert basis.
+maxima; every p >= c is a member) and its Hilbert basis.
 
-Construction is either from an explicit gap set, validated for complement
-closure, or from generators via a per-axis slice scan that either returns
-the exact gap set, certifies that it is infinite, or reports an exhausted
-budget.
+Construction is either from an explicit gap set or from generators via a
+per-axis slice scan that either returns the exact gap set, certifies that it
+is infinite, or reports an exhausted budget. Either way the gap set goes
+through one closure pass over the conductor box, held as a bitmask, which
+validates complement closure and finds the Hilbert basis together.
 """
 
 from __future__ import annotations
 
 import heapq
+import re
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from . import lattice
@@ -53,8 +56,58 @@ class _WorkMeter:
             raise BudgetExceeded("membership-work budget exhausted during the gap scan")
 
 
+class _Box:
+    """The points of the box [0, e) as the bits of one int.
+
+    Coordinates are laid out last fastest and each row is 2e_i wide, so for
+    x, y < e the bit index(x) + index(y) is the point x + y: adding a point
+    to a whole set of points is one left shift that never carries into
+    another row. Every extent must be positive.
+    """
+
+    __slots__ = ("strides", "full")
+
+    def __init__(self, extent: Sequence[int]):
+        strides = []
+        step = full = 1
+        for e in reversed(extent):
+            strides.append(step)
+            # the bits of [0, e) along this coordinate: a geometric series
+            full *= ((1 << (e * step)) - 1) // ((1 << step) - 1)
+            step *= 2 * e
+        self.strides = strides[::-1]
+        self.full = full
+
+    def index(self, p: Sequence[int]) -> int:
+        return sum(map(mul, p, self.strides))
+
+    def point(self, i: int) -> Point:
+        p = []
+        for s in self.strides:
+            v, i = divmod(i, s)
+            p.append(v)
+        return tuple(p)
+
+    def mask(self, points: Iterable[Sequence[int]]) -> int:
+        """The bits of the given points, each inside the box."""
+        buf = bytearray((self.full.bit_length() + 7) >> 3)
+        strides = self.strides
+        for p in points:
+            i = sum(map(mul, p, strides))
+            buf[i >> 3] |= 1 << (i & 7)
+        return int.from_bytes(buf, "little")
+
+    def points(self, mask: int) -> list[Point]:
+        """The points of the set bits, in index (row-major) order."""
+        return [self.point(m.start()) for m in re.finditer("1", bin(mask)[:1:-1])]
+
+
 class GapSemigroup:
-    """Cofinite submonoid of N^d stored as its finite gap set."""
+    """Cofinite submonoid of N^d stored as its finite gap set.
+
+    Construction runs the closure pass, which rejects a gap set whose
+    complement is not a monoid and finds the Hilbert basis.
+    """
 
     __slots__ = ("dimension", "gaps", "conductor", "_basis")
 
@@ -62,7 +115,7 @@ class GapSemigroup:
         self.dimension = dimension
         self.gaps = gaps
         self.conductor = conductor
-        self._basis: Optional[tuple[Point, ...]] = None
+        self._basis = _closure_pass(dimension, gaps, conductor)
 
     def __repr__(self):
         return f"GapSemigroup(d={self.dimension}, gaps={sorted(self.gaps, key=GRLEX.key)})"
@@ -93,43 +146,8 @@ class GapSemigroup:
 
     @property
     def hilbert_basis(self) -> tuple[Point, ...]:
-        """Minimal generating set; computed on first use.
-
-        A nonzero member is a generator iff it is not a sum of two nonzero
-        members. Any member s with s_i >= 2c_i splits off c_i * e_i (both
-        parts clear every gap coordinate), so the search box [0, 2c-1] is
-        exhaustive.
-        """
-        if self._basis is None:
-            d = self.dimension
-            if not self.gaps:
-                basis = tuple(sorted((lattice.unit(d, i) for i in range(d)), key=GRLEX.key))
-            else:
-                hi = tuple(2 * c - 1 for c in self.conductor)
-                basis = tuple(
-                    sorted(
-                        (
-                            s
-                            for s in lattice.enumerate_box(lattice.zero(d), hi)
-                            if not lattice.is_zero(s)
-                            and s not in self.gaps
-                            and not self._decomposes(s)
-                        ),
-                        key=GRLEX.key,
-                    )
-                )
-            self._basis = basis
+        """Minimal generating set, found by the closure pass on construction."""
         return self._basis
-
-    def _decomposes(self, s: Point) -> bool:
-        zero = lattice.zero(self.dimension)
-        for x in lattice.enumerate_box(zero, s):
-            if x == zero or x == s or x in self.gaps:
-                continue
-            rest = lattice.sub(s, x)
-            if rest not in self.gaps:
-                return True
-        return False
 
     def to_json(self) -> dict:
         return {
@@ -138,25 +156,38 @@ class GapSemigroup:
         }
 
 
-def genus(gs: GapSemigroup) -> int:
-    return gs.genus
+def _closure_pass(dimension: int, gaps: frozenset[Point], conductor: Point) -> tuple[Point, ...]:
+    """The Hilbert basis of N^d minus gaps; NotClosed unless that is a monoid.
 
-
-def validate_complement_closed(dimension: int, gaps: frozenset[Point]) -> None:
-    """Raise NotClosed unless N^d minus gaps is a monoid.
-
-    The complement fails to be closed under addition exactly when some gap
-    splits into two nonzero non-gaps; every candidate part lies in [0, gap].
+    Generators are the nonzero members that are no sum of two, and lie in
+    [0, 2c) with c at least 1: a member s with s_i >= 2c_i splits off
+    c_i * e_i. Points below x have smaller indices, so by induction on the
+    index the lowest nonzero member not reached as b + member for a found
+    generator b is the next generator, and S is closed iff no b + member is
+    a gap.
     """
     zero = lattice.zero(dimension)
     if zero in gaps:
         raise NotClosed(zero, zero)
-    for g in gaps:
-        for x in lattice.enumerate_box(zero, g):
-            if x == zero or x == g or x in gaps:
-                continue
-            if lattice.sub(g, x) not in gaps:
-                raise NotClosed(g, x)
+    box = _Box(tuple(2 * max(c, 1) for c in conductor))
+    gap_mask = box.mask(gaps)
+    members = box.full & ~gap_mask
+    left = members & ~1
+    basis = []
+    while left:
+        i = (left & -left).bit_length() - 1
+        sums = members << i
+        clash = sums & gap_mask
+        if clash:
+            raise NotClosed(box.point((clash & -clash).bit_length() - 1), box.point(i))
+        basis.append(box.point(i))
+        left &= ~sums
+    return tuple(sorted(basis, key=GRLEX.key))
+
+
+def validate_complement_closed(dimension: int, gaps: frozenset[Point]) -> None:
+    """Raise NotClosed unless N^d minus gaps is a monoid."""
+    _closure_pass(dimension, gaps, _conductor(dimension, gaps))
 
 
 def _conductor(dimension: int, gaps: frozenset[Point]) -> Point:
@@ -173,7 +204,6 @@ def from_gaps(dimension: int, gaps: Iterable[Sequence[int]]) -> GapSemigroup:
             raise DimensionMismatch(f"gap {g} in dimension {dimension}")
         if any(v < 0 for v in g):
             raise NotNatural(g)
-    validate_complement_closed(dimension, gapset)
     return GapSemigroup(dimension, gapset, _conductor(dimension, gapset))
 
 
@@ -258,7 +288,8 @@ def _scan_axis(
         coordinate k has a shift supported only on k (possibly 0); a missing
         coordinate yields an infinite strip of gaps;
       * when finite, the complement lies in the box with exclusive bound
-        max(shift_k) + conductor_k, scanned directly.
+        max(shift_k) + conductor_k, and is that box minus the union of the
+        shifted face-member masks.
     """
     d = sem.dimension
     face_gens = [g[:axis] + g[axis + 1 :] for g in sem.generators if g[axis] == 0]
@@ -269,7 +300,6 @@ def _scan_axis(
     except InfiniteGaps:
         raise InfiniteGaps(axis, 0, detail="the axis-free face already has infinitely many gaps")
     face_dim = d - 1
-    face_zero = lattice.zero(face_dim)
     table = _ShiftTable(sem, axis, budget=budget.max_work)
     insert = lambda t, y: y[:axis] + (t,) + y[axis:]
 
@@ -293,19 +323,14 @@ def _scan_axis(
         )
         complement = []
         if all(b > 0 for b in bound):
-            volume = 1
-            for b in bound:
-                volume *= b
+            volume = prod(bound)
             meter.spend(volume)
-            hi = tuple(b - 1 for b in bound)
-            for y in lattice.enumerate_box(face_zero, hi):
-                covered = any(
-                    all(a >= b for a, b in zip(y, s))
-                    and lattice.sub(y, s) not in face.gaps
-                    for s in shifts
-                )
-                if not covered:
-                    complement.append(y)
+            box = _Box(bound)
+            face_members = box.full & ~box.mask(face.gaps)
+            covered = 0
+            for s in shifts:
+                covered |= face_members << box.index(s)
+            complement = box.points(box.full & ~covered)
         if complement:
             clean_run = 0
             gaps.extend(insert(t, y) for y in complement)

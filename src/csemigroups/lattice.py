@@ -112,6 +112,7 @@ class TermOrder:
         return base if self.kind == "lex" else (sum(p),) + base
 
     def cmp(self, p: Point, q: Point) -> int:
+        """-1, 0 or 1 as p precedes, equals or follows q under the order."""
         check_same_dimension(p, q)
         kp, kq = self.key(p), self.key(q)
         return LESS if kp < kq else GREATER if kp > kq else EQUAL
@@ -136,11 +137,6 @@ class TermOrder:
 
 GRLEX = TermOrder("grlex")
 LEX = TermOrder("lex")
-
-
-def order_cmp(order: TermOrder, p: Point, q: Point) -> int:
-    """-1, 0 or 1 as p precedes, equals or follows q under the order."""
-    return order.cmp(p, q)
 
 
 def enumerate_preceding(order: TermOrder, p: Point) -> Iterator[Point]:

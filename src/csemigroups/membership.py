@@ -98,12 +98,6 @@ class AffineSemigroup:
     def __contains__(self, p) -> bool:
         return self.is_member(p)
 
-    def minimalized(self) -> "AffineSemigroup":
-        return minimalize(self.generators, self.dimension)
-
-    def multiplicity(self) -> tuple[Point, bool]:
-        return multiplicity(self)
-
     def to_json(self) -> dict:
         return {"d": self.dimension, "gens": [list(g) for g in self.generators]}
 

@@ -252,6 +252,12 @@ class TestShiftedClosureEquality:
     def test_three_generator_instance(self):
         assert prop710_check((5,), [(2,), (3,), (4,)])
 
+    @pytest.mark.parametrize("a", [(1, 0), (2, 1), (0, 3), (1, 1, 1)])
+    def test_higher_dimension_is_not_full_cone(self, a):
+        # every generator a + g of the left side is positive wherever a is
+        with pytest.raises(NotFullCone):
+            prop710_check(a, [a])
+
     def test_hypothesis_violation(self):
         with pytest.raises(HypothesisFailed):
             prop710_check((4,), [(2,), (4,), (6,)])

@@ -145,6 +145,12 @@ class TestGoldenOutputs:
         assert code == 0
         assert data["generators"] == [[6], [10], [14], [21]]
 
+    def test_large_numerical_pf(self, capsys):
+        # genus 510048: the conductor box holds about two million points
+        code, out = run(capsys, "--json", "pf", "--gens", "1009;1013")
+        assert code == 0
+        assert out == '{"betti_type":1,"pf":[[1020095]]}\n'
+
     def test_file_input_gaps(self, capsys, tmp_path):
         f = tmp_path / "gs.json"
         f.write_text(json.dumps({"d": 2, "gaps": [[1, 0], [1, 1]]}))
@@ -202,16 +208,31 @@ class TestErrors:
         assert code == 1
         assert data["error"] == "BudgetExceeded"
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"gaps": [[1], [2], [3]]},
+            {"d": 1, "gaps": [[1.5]]},
+            {"d": 2, "gaps": [[1, "a"]]},
+            {"d": "2", "gaps": [[1, 0]]},
+            {"d": 2, "gens": [[1, 0], [0, True]]},
+        ],
+    )
+    def test_malformed_file_is_usage_error(self, capsys, tmp_path, data):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(data))
+        assert main(["gaps", "--file", str(f)]) == 2
+        assert capsys.readouterr().err.startswith("usage error:")
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_non_positive_budget_is_usage_error(self, capsys, budget):
+        assert main(["--budget", budget, "gaps", "--gens", S2]) == 2
+        assert capsys.readouterr().err.startswith("usage error:")
+
     def test_empty_gap_error(self, capsys):
         code, data = run_json(capsys, "frobenius", "--gens", "(1,0);(0,1)")
         assert code == 1
         assert data["error"] == "EmptyGapSet"
-
-    def test_threads_flag(self, capsys):
-        code, data = run_json(capsys, "--threads", "2", "pf", "--gens", S2)
-        assert code == 0 and data["betti_type"] == 2
-        assert main(["--threads", "0", "pf", "--gens", S2]) == 2
-        capsys.readouterr()
 
 
 class TestTextMode:

@@ -2,6 +2,9 @@ import pytest
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from conftest import (
     ALL_PAPER_GENS,
     GENS_S2,
@@ -19,6 +22,7 @@ from csemigroups.errors import (
     NotFullCone,
     NotNatural,
 )
+from csemigroups.frobenius import apery, pseudo_frobenius
 from csemigroups.gapsemigroup import (
     Budget,
     from_gaps,
@@ -86,6 +90,84 @@ class TestFromGaps:
         regenerated = closure_in_box(gs.hilbert_basis, (9, 9))
         for p in box_points((6, 6)):
             assert (p in regenerated) == gs.contains(p)
+
+
+def _brute_basis_and_pf(d, gaps):
+    """Hilbert basis and PF set straight from their definitions.
+
+    Generators are the nonzero members that are no sum of two nonzero
+    members, searched in [0, 2c); PF holds the gaps f with f + s a member for
+    every nonzero member s, and s beyond c adds a coordinate past every gap.
+    """
+    c = tuple(max([1] + [g[i] + 1 for g in gaps]) for i in range(d))
+    member = lambda p: p not in gaps
+
+    def decomposes(s):
+        return any(
+            any(x) and x != s and member(x) and member(tuple(a - b for a, b in zip(s, x)))
+            for x in box_points(s)
+        )
+
+    basis = {
+        s for s in box_points(tuple(2 * v - 1 for v in c))
+        if any(s) and member(s) and not decomposes(s)
+    }
+    small = [s for s in box_points(tuple(v - 1 for v in c)) if any(s) and member(s)]
+    pf = {f for f in gaps if all(member(tuple(a + b for a, b in zip(f, s))) for s in small)}
+    return basis, pf
+
+
+class TestClosurePass:
+    @pytest.mark.parametrize("bound", [(3, 3), (1, 1, 1), (10,)])
+    def test_whole_universe(self, bound):
+        # every subset of the box is accepted iff it is marked valid; the
+        # rest fail with a genuine decomposition of one of their gaps
+        points, valid = gap_universe(bound)
+        valid = set(valid)
+        d = len(bound)
+        for mask in range(1 << len(points)):
+            gaps = mask_to_points(points, mask)
+            if mask in valid:
+                gs = from_gaps(d, gaps)
+                validate_complement_closed(d, gaps)
+                basis, pf = _brute_basis_and_pf(d, gaps)
+                assert set(gs.hilbert_basis) == basis, sorted(gaps)
+                assert set(pseudo_frobenius(gs)) == pf, sorted(gaps)
+                continue
+            with pytest.raises(NotClosed) as err:
+                from_gaps(d, gaps)
+            gap, part = err.value.gap, err.value.part
+            rest = tuple(a - b for a, b in zip(gap, part))
+            assert gap in gaps
+            for x in (part, rest):
+                assert any(x) and min(x) >= 0 and x not in gaps
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_padded_generators_match_closure_oracle(self, data):
+        bound = data.draw(st.sampled_from([(3, 3), (1, 1, 1), (2, 1, 1)]))
+        points, valid = gap_universe(bound)
+        gaps = mask_to_points(points, data.draw(st.sampled_from(valid)))
+        d = len(bound)
+        basis, _ = _brute_basis_and_pf(d, gaps)
+        c = tuple(max([1] + [g[i] + 1 for g in gaps]) for i in range(d))
+        window = tuple(2 * v for v in c)
+        members = [p for p in box_points(window) if any(p) and p not in gaps]
+        padding = data.draw(st.lists(st.sampled_from(members), max_size=6))
+        gens = data.draw(st.permutations(sorted(basis) + padding))
+        gs = from_generators(gens)
+        closure = closure_in_box(gens, window)
+        assert gs.gaps == {p for p in box_points(window) if p not in closure}
+        rays = [b for b in basis if sum(1 for v in b if v) == 1]
+        witnesses = rays + data.draw(st.lists(st.sampled_from(members), max_size=2))
+        hi = tuple(max(a[j] for a in witnesses) + c[j] + 2 for j in range(d))
+        member = lambda p: min(p) >= 0 and p not in gaps
+        brute = {
+            b for b in box_points(hi)
+            if member(b)
+            and not any(member(tuple(x - y for x, y in zip(b, a))) for a in witnesses)
+        }
+        assert set(apery(gs, witnesses)) == brute
 
 
 class TestFromGenerators:
