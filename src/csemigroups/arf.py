@@ -8,47 +8,52 @@ gap set until the closure is reached.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from . import lattice
 from .errors import HypothesisFailed, NotPI
-from .gapsemigroup import GapSemigroup, from_gaps, from_generators
+from .gapsemigroup import GapSemigroup, _Box, from_gaps, from_generators
 from .lattice import Point
-from .membership import AffineSemigroup, minimalize
+from .membership import AffineSemigroup, minimalize, multiplicity
 
 
-def _has_chain_witness(member, g: Point) -> bool:
-    """Is g = y + z - x for members x <= y <= z?
+def _chain_sums(box: _Box, members: int, top: Sequence[int]) -> Iterator[int]:
+    """Per shift u, the mask of z + u over member chains x <= x + u <= z.
 
-    Such a witness forces z = g + x - y <= g and hence x, y, z all inside
-    the box [0, g], so searching that box is complete.
+    The ends y = x + u are members & (members << u), and z runs over the
+    members above one of them. As z >= y >= u, a sum z + u <= top needs
+    u <= top / 2, and only those u are taken. The caller's box must hold
+    members << u and z + u within its rows.
     """
-    zero = lattice.zero(len(g))
-    pts = [p for p in lattice.enumerate_box(zero, g) if member(p)]
-    for x in pts:
-        for y in pts:
-            if not lattice.partial_leq(x, y):
-                continue
-            z = tuple(gi + xi - yi for gi, xi, yi in zip(g, x, y))
-            if all(v >= 0 for v in z) and lattice.partial_leq(y, z) and member(z):
-                return True
-    return False
+    for u in itertools.product(*(range(t // 2 + 1) for t in top)):
+        i = box.index(u)
+        yield (members & box.up(members & (members << i))) << i
 
 
 def arf_derived(gs: GapSemigroup) -> GapSemigroup:
     """The derived monoid: adjoin y + z - x for all member chains x <= y <= z.
 
-    Members always stay (take x = y = 0), so only gaps can disappear; a gap
-    survives iff it has no chain witness.
+    Members always stay (take x = y = 0), so only gaps can disappear. A gap
+    g goes iff g = z + u with u = y - x for such a chain, and then
+    z = g + x - y <= g puts x, y, z and u in [0, g], inside [0, c). So with
+    M the members of the conductor box the gaps that go are those in the
+    union over u in [0, c) of (M & up(M & (M << u))) << u, and z + u < 3c
+    stays within the 4c-wide rows of that box.
     """
-    gaps = frozenset(g for g in gs.gaps if not _has_chain_witness(gs.contains, g))
-    return from_gaps(gs.dimension, gaps)
+    box, gaps = gs.box, gs.gap_mask
+    left = gaps
+    for sums in _chain_sums(box, box.full & ~gaps, [c - 1 for c in gs.conductor]):
+        left &= ~sums
+    return from_gaps(gs.dimension, box.points(left))
 
 
 def is_arf(gs: GapSemigroup) -> bool:
     """True iff the derived monoid adds nothing."""
-    return not any(_has_chain_witness(gs.contains, g) for g in gs.gaps)
+    box, gaps = gs.box, gs.gap_mask
+    sums = _chain_sums(box, box.full & ~gaps, [c - 1 for c in gs.conductor])
+    return not any(reached & gaps for reached in sums)
 
 
 def arf_closure(gs: GapSemigroup) -> tuple[GapSemigroup, int]:
@@ -86,20 +91,15 @@ class PIMonoid:
         object.__setattr__(self, "offset", tuple(self.offset))
         if lattice.is_zero(self.offset) or not lattice.is_natural(self.offset):
             raise ValueError("offset must be a nonzero point of N^d")
-        if not self._base_contains(self.offset):
+        if self.offset not in self.base:
             raise ValueError("offset must belong to the base monoid")
-
-    def _base_contains(self, p: Point) -> bool:
-        if isinstance(self.base, GapSemigroup):
-            return self.base.contains(p)
-        return self.base.is_member(p)
 
     def contains(self, p: Sequence[int]) -> bool:
         p = tuple(p)
         if lattice.is_zero(p):
             return True
         diff = lattice.sub(p, self.offset)
-        return lattice.is_natural(diff) and self._base_contains(diff)
+        return lattice.is_natural(diff) and diff in self.base
 
     def __contains__(self, p) -> bool:
         return self.contains(p)
@@ -132,22 +132,15 @@ def is_pi(sem: Union[AffineSemigroup, GapSemigroup]) -> PIStatus:
     every instance to a pair. When the multiplicity is not attained the
     criterion does not apply and the result is None.
     """
-    if isinstance(sem, GapSemigroup):
-        gens = sem.hilbert_basis
-        member = sem.contains
-    else:
-        gens = sem.generators
-        member = sem.is_member
-    d = len(gens[0])
-    m = tuple(min(g[i] for g in gens) for i in range(d))
-    attained = not lattice.is_zero(m) and member(m)
+    m, attained = multiplicity(sem)
     if not attained:
         return PIStatus(m, False, None)
+    gens = sem.generators if isinstance(sem, AffineSemigroup) else sem.hilbert_basis
     for i, g in enumerate(gens):
         for h in gens[i:]:
             # g, h >= m componentwise, so the combination stays in N^d and
             # has positive coordinate sum; only membership can fail.
-            if not member(lattice.sub(lattice.add(g, h), m)):
+            if lattice.sub(lattice.add(g, h), m) not in sem:
                 return PIStatus(m, True, False)
     return PIStatus(m, True, True)
 
@@ -173,16 +166,14 @@ def pi_decompose(sem: Union[AffineSemigroup, GapSemigroup]) -> PIMonoid:
                 base_gaps.add(q)
         base: Union[GapSemigroup, AffineSemigroup] = from_gaps(sem.dimension, base_gaps)
         window = lattice.add(lattice.add(m, sem.conductor), (3,) * sem.dimension)
-        member = sem.contains
     else:
         shifted = [lattice.sub(g, m) for g in sem.generators if g != m]
         base = minimalize(shifted + [m], sem.dimension)
         top = tuple(max(g[i] for g in sem.generators) for i in range(sem.dimension))
         window = lattice.add(lattice.add(m, top), (3,) * sem.dimension)
-        member = sem.is_member
     pim = PIMonoid(m, base)
     for p in lattice.enumerate_box(lattice.zero(len(m)), window):
-        if member(p) != pim.contains(p):
+        if (p in sem) != (p in pim):
             raise RuntimeError(f"decomposition failed to reproduce membership at {p}")
     return pim
 
@@ -235,24 +226,18 @@ def prop79_check(
     else:
         window = tuple(window)
     base = AffineSemigroup(d, [a] + gens)
-    zero = lattice.zero(d)
-    stage = {p for p in lattice.enumerate_box(zero, window) if base.is_member(p)}
+    members = [p for p in lattice.enumerate_box(lattice.zero(d), window) if p in base]
+    # rows 2(w + 1) wide hold every z + u with z, u <= w
+    box = _Box(tuple(w + 1 for w in window))
+    stage = box.mask(members)
     for _ in range(k):
-        new = set(stage)
-        pts = sorted(stage)
-        for x in pts:
-            above_x = [y for y in pts if lattice.partial_leq(x, y)]
-            for y in above_x:
-                for z in above_x:
-                    if not lattice.partial_leq(y, z):
-                        continue
-                    v = tuple(yi + zi - xi for yi, zi, xi in zip(y, z, x))
-                    if all(vi <= wi for vi, wi in zip(v, window)):
-                        new.add(v)
+        new = stage
+        for sums in _chain_sums(box, stage, window):
+            new |= sums & box.full
         if new == stage:
             break
         stage = new
-    return all(closure.contains(lattice.add(a, s)) for s in stage)
+    return all(lattice.add(a, s) in closure for s in box.points(stage))
 
 
 def prop710_check(a: Sequence[int], gens: Sequence[Sequence[int]]) -> bool:

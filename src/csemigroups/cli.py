@@ -69,9 +69,26 @@ def _budget(args) -> Budget:
     return Budget(max_levels_per_axis=args.budget, max_work=args.budget)
 
 
-def _load_file(path: str):
+def _load_file(path: str, kinds=("gens", "gaps")):
+    """(kind, points, d) from a JSON file.
+
+    The file must hold an object with an integer "d" and, under the first of
+    ``kinds`` it has, a list of integer points; anything else is a
+    ValueError, which ``main`` reports as a usage error.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict) or type(data.get("d")) is not int:
+        raise ValueError(f"{path}: expected an object with an integer 'd'")
+    for kind in kinds:
+        if kind in data:
+            pts = data[kind]
+            if not isinstance(pts, list) or not all(
+                isinstance(p, list) and all(type(v) is int for v in p) for p in pts
+            ):
+                raise ValueError(f"{path}: '{kind}' must be a list of integer points")
+            return kind, [tuple(p) for p in pts], data["d"]
+    raise ValueError(f"{path}: expected a " + " or ".join(f"'{k}'" for k in kinds) + " key")
 
 
 def _input_source(args):
@@ -82,18 +99,7 @@ def _input_source(args):
     if getattr(args, "gaps", None) is not None:
         pts = parse_point_list(args.gaps)
         return "gaps", pts, len(pts[0])
-    data = _load_file(args.file)
-    if not isinstance(data, dict) or type(data.get("d")) is not int:
-        raise ValueError(f"{args.file}: expected an object with an integer 'd'")
-    for kind in ("gens", "gaps"):
-        if kind in data:
-            pts = data[kind]
-            if not isinstance(pts, list) or not all(
-                isinstance(p, list) and all(type(v) is int for v in p) for p in pts
-            ):
-                raise ValueError(f"{args.file}: '{kind}' must be a list of integer points")
-            return kind, [tuple(p) for p in pts], data["d"]
-    raise ValueError(f"{args.file}: expected a 'gens' or 'gaps' key")
+    return _load_file(args.file)
 
 
 def _gap_semigroup(args) -> GapSemigroup:
@@ -174,8 +180,9 @@ def _run_buchsbaum(args):
 
 
 def _run_glue(args):
-    s1 = AffineSemigroup.from_json(_load_file(args.s1))
-    s2 = AffineSemigroup.from_json(_load_file(args.s2))
+    _, pts1, d1 = _load_file(args.s1, ("gens",))
+    _, pts2, d2 = _load_file(args.s2, ("gens",))
+    s1, s2 = AffineSemigroup(d1, pts1), AffineSemigroup(d2, pts2)
     s = parse_point(args.s)
     glued = cons.glue(cons.GluingSpec(s1, s2, s))
     return {"d": glued.dimension, "generators": _points_json(glued.generators), "s": list(s)}

@@ -12,21 +12,13 @@ of two distinct extremal rays.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import lattice
 from .errors import DimensionOne, EmptyGapSet, NotFullCone, OrderNotPredecessorFinite
 from .frobenius import frobenius_element, pseudo_frobenius
-from .gapsemigroup import GapSemigroup
-from .lattice import (
-    GRLEX,
-    Point,
-    TermOrder,
-    enumerate_preceding,
-    lattice_from,
-    lattice_member,
-)
+from .gapsemigroup import GapSemigroup, _axis_multiples
+from .lattice import GRLEX, Point, TermOrder, enumerate_preceding
 
 
 @dataclass(frozen=True)
@@ -50,13 +42,17 @@ class WilfReport:
 
 
 def wilf_report(gs: GapSemigroup, order: TermOrder = GRLEX) -> WilfReport:
-    """Count sporadic members by degree shells and evaluate the inequality."""
+    """Count the members preceding F and evaluate the inequality.
+
+    F is the order-maximum gap, so the other genus - 1 gaps all precede it,
+    and the sporadic members are the rest of F's predecessors.
+    """
     if not gs.gaps:
         raise EmptyGapSet("the Wilf report needs at least one gap")
     if not order.is_predecessor_finite(gs.dimension):
         raise OrderNotPredecessorFinite(f"{order.kind} in dimension {gs.dimension}")
     F = frobenius_element(gs, order)
-    sporadic = sum(1 for q in enumerate_preceding(order, F) if gs.contains(q))
+    sporadic = sum(1 for _ in enumerate_preceding(order, F)) - (gs.genus - 1)
     e = len(gs.hilbert_basis)
     n_frobenius = gs.genus + sporadic
     return WilfReport(
@@ -85,55 +81,37 @@ class BuchsbaumReport:
         }
 
 
-def _extremal_rays(gs: GapSemigroup) -> tuple[Point, ...]:
-    """Minimal pure axis multiples in the Hilbert basis, one per axis.
-
-    A cofinite submonoid of N^d contains large multiples of every axis, and
-    the least one per axis is indecomposable, so these always exist here.
-    """
-    rays = [None] * gs.dimension
-    for b in gs.hilbert_basis:
-        support = [i for i, v in enumerate(b) if v != 0]
-        if len(support) == 1:
-            i = support[0]
-            if rays[i] is None or b[i] < rays[i][i]:
-                rays[i] = b
-    for i, r in enumerate(rays):
-        if r is None:
-            raise NotFullCone(i)
-    return tuple(rays)
-
-
 def buchsbaum_report(gs: GapSemigroup) -> BuchsbaumReport:
     """Test whether the doubled-ray translate set equals the PF set.
 
-    A candidate gap g qualifies when it lies in the group generated by S and
-    g + 2r_i and g + 2r_j are members for two distinct rays. Restricting
-    candidates to gaps is sound: the two shift conditions force every
-    coordinate of a qualifying group element to be nonnegative, and members
-    are excluded by definition.
+    The extremal rays are the least pure axis multiples r_i in S. A point g
+    qualifies when it lies in the group generated by S and g + 2r_i and
+    g + 2r_j are members for two distinct rays. That group is all of Z^d,
+    since c and c + e_i are members; the two shift conditions force g into
+    N^d, and members are excluded by definition, so only gaps are
+    candidates. With r_i <= c_i * e_i, a gap g has g + 2r_i < 3c inside the
+    4c-wide rows of the conductor box, so hit_i = G & ~(G >> 2r_i) holds
+    the gaps that 2r_i takes into S, and D is the gaps in two or more.
     """
     if gs.dimension < 2:
         raise DimensionOne("the Buchsbaum test needs ambient dimension >= 2")
     if not gs.gaps:
         raise EmptyGapSet("the Buchsbaum test needs at least one gap")
-    rays = _extremal_rays(gs)
-    group = lattice_from(gs.hilbert_basis, gs.dimension)
-    doubled = [lattice.scale(2, r) for r in rays]
-    d_set = []
-    for g in sorted(gs.gaps, key=GRLEX.key):
-        if not lattice_member(group, g):
-            continue
-        shifted_in = [gs.contains(lattice.add(g, t)) for t in doubled]
-        if any(
-            shifted_in[i] and shifted_in[j]
-            for i, j in itertools.combinations(range(len(rays)), 2)
-        ):
-            d_set.append(g)
+    mult = _axis_multiples(gs.hilbert_basis, gs.dimension)
+    if 0 in mult:
+        raise NotFullCone(mult.index(0))
+    rays = tuple(lattice.scale(m, lattice.unit(gs.dimension, i)) for i, m in enumerate(mult))
+    box, gaps = gs.box, gs.gap_mask
+    once = twice = 0
+    for r in rays:
+        hit = gaps & ~(gaps >> box.index(lattice.scale(2, r)))
+        twice |= once & hit
+        once |= hit
+    d_set = tuple(sorted(box.points(twice), key=GRLEX.key))
     pf = pseudo_frobenius(gs)
     return BuchsbaumReport(
-        d_set=tuple(d_set),
+        d_set=d_set,
         pf=pf,
-        is_buchsbaum=tuple(d_set) == pf,
+        is_buchsbaum=d_set == pf,
         extremal_rays=rays,
     )

@@ -20,7 +20,7 @@ from .errors import (
     InfiniteApery,
     NotNatural,
 )
-from .gapsemigroup import GapSemigroup, _Box
+from .gapsemigroup import GapSemigroup, _axis_multiples, _Box
 from .lattice import GRLEX, Point, TermOrder
 
 
@@ -32,13 +32,12 @@ def pseudo_frobenius(gs: GapSemigroup) -> tuple[Point, ...]:
     """Gaps f with f + a in S for every Hilbert-basis element a.
 
     Checking the basis suffices: any nonzero member is a basis element plus a
-    member, and S is closed under addition. The basis lies in [0, 2c), so in
-    that box the gaps f with f + a a gap are the gap mask shifted down by a.
+    member, and S is closed under addition. The basis lies in the conductor
+    box [0, 2c), so in it the gaps f with f + a a gap are the gap mask
+    shifted down by a: f < c and a < 2c, so f + a never leaves its row.
     """
-    if not gs.gaps:
-        return ()
-    box = _Box(tuple(2 * c for c in gs.conductor))
-    gaps = pf = box.mask(gs.gaps)
+    box = gs.box
+    gaps = pf = gs.gap_mask
     for a in gs.hilbert_basis:
         pf &= ~(gaps >> box.index(a))
     return _sorted_points(box.points(pf))
@@ -168,9 +167,9 @@ def apery(gs: GapSemigroup, witnesses: Sequence[Sequence[int]]) -> tuple[Point, 
             raise DimensionMismatch(f"witness {a} in dimension {d}")
         if lattice.is_zero(a) or not gs.contains(a):
             raise ValueError(f"witness {a} is not a nonzero member")
-    for j in range(d):
-        if not any(a[j] > 0 and all(v == 0 for i, v in enumerate(a) if i != j) for a in E):
-            raise InfiniteApery(j)
+    mult = _axis_multiples(E, d)
+    if 0 in mult:
+        raise InfiniteApery(mult.index(0))
     box = _Box(tuple(max(a[j] for a in E) + gs.conductor[j] for j in range(d)))
     members = out = box.full & ~box.mask(gs.gaps)
     for a in E:

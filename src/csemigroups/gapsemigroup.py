@@ -65,9 +65,10 @@ class _Box:
     another row. Every extent must be positive.
     """
 
-    __slots__ = ("strides", "full")
+    __slots__ = ("extent", "strides", "full")
 
     def __init__(self, extent: Sequence[int]):
+        self.extent = tuple(extent)
         strides = []
         step = full = 1
         for e in reversed(extent):
@@ -101,21 +102,40 @@ class _Box:
         """The points of the set bits, in index (row-major) order."""
         return [self.point(m.start()) for m in re.finditer("1", bin(mask)[:1:-1])]
 
+    def up(self, mask: int) -> int:
+        """The points of the box above some point of the mask.
+
+        A prefix OR by doubling along each coordinate. The AND after every
+        shift drops the bits pushed past the extent before a longer shift
+        can carry them into the next row.
+        """
+        full = self.full
+        for e, s in zip(self.extent, self.strides):
+            k = 1
+            while k < e:
+                mask |= (mask << (k * s)) & full
+                k *= 2
+        return mask
+
 
 class GapSemigroup:
     """Cofinite submonoid of N^d stored as its finite gap set.
 
-    Construction runs the closure pass, which rejects a gap set whose
-    complement is not a monoid and finds the Hilbert basis.
+    ``box`` is the conductor box [0, 2c), c at least 1, and ``gap_mask`` the
+    gaps in it; the members of the box are the rest. Construction runs the
+    closure pass on that mask, which rejects a gap set whose complement is
+    not a monoid and finds the Hilbert basis.
     """
 
-    __slots__ = ("dimension", "gaps", "conductor", "_basis")
+    __slots__ = ("dimension", "gaps", "conductor", "box", "gap_mask", "_basis")
 
     def __init__(self, dimension: int, gaps: frozenset[Point], conductor: Point):
         self.dimension = dimension
         self.gaps = gaps
         self.conductor = conductor
-        self._basis = _closure_pass(dimension, gaps, conductor)
+        self.box = _Box(tuple(2 * max(c, 1) for c in conductor))
+        self.gap_mask = self.box.mask(gaps)
+        self._basis = _closure_pass(self.box, self.gap_mask)
 
     def __repr__(self):
         return f"GapSemigroup(d={self.dimension}, gaps={sorted(self.gaps, key=GRLEX.key)})"
@@ -156,21 +176,18 @@ class GapSemigroup:
         }
 
 
-def _closure_pass(dimension: int, gaps: frozenset[Point], conductor: Point) -> tuple[Point, ...]:
+def _closure_pass(box: _Box, gap_mask: int) -> tuple[Point, ...]:
     """The Hilbert basis of N^d minus gaps; NotClosed unless that is a monoid.
 
     Generators are the nonzero members that are no sum of two, and lie in
-    [0, 2c) with c at least 1: a member s with s_i >= 2c_i splits off
-    c_i * e_i. Points below x have smaller indices, so by induction on the
-    index the lowest nonzero member not reached as b + member for a found
-    generator b is the next generator, and S is closed iff no b + member is
-    a gap.
+    the conductor box [0, 2c) with c at least 1: a member s with
+    s_i >= 2c_i splits off c_i * e_i. Points below x have smaller indices,
+    so by induction on the index the lowest nonzero member not reached as
+    b + member for a found generator b is the next generator, and S is
+    closed iff no b + member is a gap.
     """
-    zero = lattice.zero(dimension)
-    if zero in gaps:
-        raise NotClosed(zero, zero)
-    box = _Box(tuple(2 * max(c, 1) for c in conductor))
-    gap_mask = box.mask(gaps)
+    if gap_mask & 1:
+        raise NotClosed(box.point(0), box.point(0))
     members = box.full & ~gap_mask
     left = members & ~1
     basis = []
@@ -187,7 +204,7 @@ def _closure_pass(dimension: int, gaps: frozenset[Point], conductor: Point) -> t
 
 def validate_complement_closed(dimension: int, gaps: frozenset[Point]) -> None:
     """Raise NotClosed unless N^d minus gaps is a monoid."""
-    _closure_pass(dimension, gaps, _conductor(dimension, gaps))
+    GapSemigroup(dimension, gaps, _conductor(dimension, gaps))
 
 
 def _conductor(dimension: int, gaps: frozenset[Point]) -> Point:
@@ -212,22 +229,19 @@ def from_gaps(dimension: int, gaps: Iterable[Sequence[int]]) -> GapSemigroup:
 # ---------------------------------------------------------------------------
 
 
-def _axis_multiples(sem: AffineSemigroup) -> list[int]:
-    """Smallest positive multiple of each axis among the generators, or NotFullCone.
+def _axis_multiples(points: Iterable[Point], dimension: int) -> list[int]:
+    """Least positive multiple of each axis among the points; 0 where none is.
 
-    The nonnegative cone of the generators is the whole orthant iff it
+    The nonnegative cone of a generating set is the whole orthant iff it
     contains every unit vector, which forces a pure axis generator per axis.
     """
-    mult = [0] * sem.dimension
-    for g in sem.generators:
+    mult = [0] * dimension
+    for g in points:
         support = [i for i, v in enumerate(g) if v != 0]
         if len(support) == 1:
             i = support[0]
             if mult[i] == 0 or g[i] < mult[i]:
                 mult[i] = g[i]
-    for i, m in enumerate(mult):
-        if m == 0:
-            raise NotFullCone(i)
     return mult
 
 
@@ -363,7 +377,9 @@ def from_generators(
     sem = source
     budget = budget or DEFAULT_BUDGET
     meter = _meter or _WorkMeter(budget.max_work)
-    mult = _axis_multiples(sem)
+    mult = _axis_multiples(sem.generators, sem.dimension)
+    if 0 in mult:
+        raise NotFullCone(mult.index(0))
     if sem.dimension == 1:
         gaps = _numerical_gaps([g[0] for g in sem.generators])
         return from_gaps(1, [(x,) for x in gaps])

@@ -101,10 +101,6 @@ class AffineSemigroup:
     def to_json(self) -> dict:
         return {"d": self.dimension, "gens": [list(g) for g in self.generators]}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "AffineSemigroup":
-        return cls(data["d"], [tuple(g) for g in data["gens"]])
-
 
 def minimalize(generators: Iterable[Sequence[int]], dimension: Optional[int] = None) -> AffineSemigroup:
     """The unique minimal generating system of the monoid the inputs generate.
@@ -127,16 +123,18 @@ def minimalize(generators: Iterable[Sequence[int]], dimension: Optional[int] = N
     return AffineSemigroup(dimension, kept)
 
 
-def multiplicity(sem: AffineSemigroup) -> tuple[Point, bool]:
+def multiplicity(sem) -> tuple[Point, bool]:
     """Coordinatewise infimum of S minus 0, and whether S attains it.
 
     Each coordinate of a nonempty sum of generators is at least the minimum
     of that coordinate over the generators, and a generator attains each
     minimum, so the infimum is the componentwise generator minimum. It need
-    not itself be a nonzero member; ``attained`` reports that.
+    not itself be a nonzero member; ``attained`` reports that. A
+    GapSemigroup is read through its Hilbert basis.
     """
-    m = tuple(min(g[i] for g in sem.generators) for i in range(sem.dimension))
-    attained = not lattice.is_zero(m) and sem.is_member(m)
+    gens = sem.generators if isinstance(sem, AffineSemigroup) else sem.hilbert_basis
+    m = tuple(min(g[i] for g in gens) for i in range(sem.dimension))
+    attained = not lattice.is_zero(m) and m in sem
     return m, attained
 
 

@@ -224,6 +224,23 @@ class TestErrors:
         assert main(["gaps", "--file", str(f)]) == 2
         assert capsys.readouterr().err.startswith("usage error:")
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"gens": [[6], [10]]},
+            {"d": 1, "gens": [[7.5], [9]]},
+            {"d": 1, "gaps": [[1]]},
+        ],
+    )
+    def test_malformed_glue_factor_is_usage_error(self, capsys, tmp_path, data):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps({"d": 1, "gens": [[14], [21]]}))
+        for s1, s2 in ((bad, good), (good, bad)):
+            assert main(["glue", "--s1", str(s1), "--s2", str(s2), "--s", "[14]"]) == 2
+            assert capsys.readouterr().err.startswith("usage error:")
+
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_non_positive_budget_is_usage_error(self, capsys, budget):
         assert main(["--budget", budget, "gaps", "--gens", S2]) == 2

@@ -15,6 +15,8 @@ from conftest import (
     gap_universe,
     mask_to_points,
 )
+from csemigroups.arf import arf_derived, is_arf
+from csemigroups.conjectures import buchsbaum_report, wilf_report
 from csemigroups.errors import (
     BudgetExceeded,
     InfiniteGaps,
@@ -117,6 +119,43 @@ def _brute_basis_and_pf(d, gaps):
     return basis, pf
 
 
+def _brute_derived_dset_sporadic(d, gaps):
+    """Derived-monoid gaps, Buchsbaum D-set and grlex sporadic count straight
+    from their definitions.
+
+    A gap g leaves the derived monoid when g = y + z - x for members
+    x <= y <= z, and then all three lie in [0, g]. The D-set holds the gaps
+    g with g + 2r a member for two least pure axis members r. The sporadic
+    members precede the grlex-largest gap F, so their degree is at most F's.
+    """
+    c = tuple(max([1] + [g[i] + 1 for g in gaps]) for i in range(d))
+    member = lambda p: p not in gaps
+    leq = lambda p, q: all(a <= b for a, b in zip(p, q))
+    pts = [p for p in box_points(tuple(v - 1 for v in c)) if member(p)]
+    reached = {
+        tuple(b + e - a for a, b, e in zip(x, y, z))
+        for x in pts for y in pts if leq(x, y) for z in pts if leq(y, z)
+    }
+    rays = []
+    for i in range(d):
+        k = 1
+        while not member(tuple(k if j == i else 0 for j in range(d))):
+            k += 1
+        rays.append(tuple(2 * k if j == i else 0 for j in range(d)))
+    d_set = {
+        g for g in gaps
+        if sum(member(tuple(a + b for a, b in zip(g, r))) for r in rays) >= 2
+    }
+    if not gaps:
+        return gaps, d_set, None
+    key = lambda p: (sum(p), p)
+    F = max(gaps, key=key)
+    sporadic = sum(
+        1 for q in box_points((sum(F),) * d) if key(q) < key(F) and member(q)
+    )
+    return gaps - reached, d_set, sporadic
+
+
 class TestClosurePass:
     @pytest.mark.parametrize("bound", [(3, 3), (1, 1, 1), (10,)])
     def test_whole_universe(self, bound):
@@ -133,6 +172,13 @@ class TestClosurePass:
                 basis, pf = _brute_basis_and_pf(d, gaps)
                 assert set(gs.hilbert_basis) == basis, sorted(gaps)
                 assert set(pseudo_frobenius(gs)) == pf, sorted(gaps)
+                derived, d_set, sporadic = _brute_derived_dset_sporadic(d, gaps)
+                assert arf_derived(gs).gaps == derived, sorted(gaps)
+                assert is_arf(gs) == (derived == gaps), sorted(gaps)
+                if gaps:
+                    assert wilf_report(gs).sporadic == sporadic, sorted(gaps)
+                if gaps and d >= 2:
+                    assert set(buchsbaum_report(gs).d_set) == d_set, sorted(gaps)
                 continue
             with pytest.raises(NotClosed) as err:
                 from_gaps(d, gaps)
