@@ -14,8 +14,8 @@ from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from . import lattice
 from .errors import HypothesisFailed, NotPI
-from .gapsemigroup import GapSemigroup, _Box, from_gaps, from_generators
-from .lattice import Point
+from .gapsemigroup import GapSemigroup, from_gaps, from_generators
+from .lattice import Point, _Box, _generated
 from .membership import AffineSemigroup, minimalize, multiplicity
 
 
@@ -172,7 +172,8 @@ def pi_decompose(sem: Union[AffineSemigroup, GapSemigroup]) -> PIMonoid:
         top = tuple(max(g[i] for g in sem.generators) for i in range(sem.dimension))
         window = lattice.add(lattice.add(m, top), (3,) * sem.dimension)
     pim = PIMonoid(m, base)
-    for p in lattice.enumerate_box(lattice.zero(len(m)), window):
+    # far corner first, so each membership box is built once for the window
+    for p in reversed(list(lattice.enumerate_box(lattice.zero(len(m)), window))):
         if (p in sem) != (p in pim):
             raise RuntimeError(f"decomposition failed to reproduce membership at {p}")
     return pim
@@ -225,11 +226,10 @@ def prop79_check(
         window = (big,) * d
     else:
         window = tuple(window)
-    base = AffineSemigroup(d, [a] + gens)
-    members = [p for p in lattice.enumerate_box(lattice.zero(d), window) if p in base]
+    base = AffineSemigroup(d, [a] + gens)  # validates the input
     # rows 2(w + 1) wide hold every z + u with z, u <= w
     box = _Box(tuple(w + 1 for w in window))
-    stage = box.mask(members)
+    stage = _generated(box, base.generators)
     for _ in range(k):
         new = stage
         for sums in _chain_sums(box, stage, window):

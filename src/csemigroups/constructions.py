@@ -135,8 +135,11 @@ def verify_delta_pf(a: int, p: int) -> DeltaVerification:
     q = a**p
     r = a ** (p - 1) * (a + 2)
     g1, g2, g3, g4 = _family_generators(a, p)
+    deltas = delta_set(a, p)
+    # the far corner of every f + g, so the membership box is built once
+    sem.cover([max(f[i] for f in deltas) + max(g[i] for g in sem.generators) for i in (0, 1)])
     witnesses = []
-    for l, f in enumerate(delta_set(a, p)):
+    for l, f in enumerate(deltas):
         outside = not sem.is_member(f)
         shifts = tuple(sem.is_member(lattice.add(f, g)) for g in (g1, g2, g3, g4))
         forms = (
@@ -185,6 +188,8 @@ def apery_sap_window(a: int, p: int, window: Sequence[int]) -> AperyWindowReport
                 return False
         return True
 
+    # the far corner of the formula side and the window, so the box is built once
+    sem.cover((max((q - 1) * (a + 2), window[0]), max((q - 1) * (q + 2), window[1])))
     formula = []
     formula_verified = True
     for alpha in range(q):

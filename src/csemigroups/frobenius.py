@@ -20,8 +20,8 @@ from .errors import (
     InfiniteApery,
     NotNatural,
 )
-from .gapsemigroup import GapSemigroup, _axis_multiples, _Box
-from .lattice import GRLEX, Point, TermOrder
+from .gapsemigroup import GapSemigroup, _axis_multiples
+from .lattice import GRLEX, Point, TermOrder, _Box
 
 
 def _sorted_points(points) -> tuple[Point, ...]:

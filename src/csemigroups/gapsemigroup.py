@@ -14,10 +14,8 @@ validates complement closure and finds the Hilbert basis together.
 from __future__ import annotations
 
 import heapq
-import re
 from dataclasses import dataclass
 from math import gcd, prod
-from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from . import lattice
@@ -25,11 +23,10 @@ from .errors import (
     BudgetExceeded,
     DimensionMismatch,
     InfiniteGaps,
-    NotClosed,
     NotFullCone,
     NotNatural,
 )
-from .lattice import GRLEX, Point
+from .lattice import GRLEX, Point, _Box, _closure_pass
 from .membership import AffineSemigroup, _ShiftTable
 
 
@@ -54,68 +51,6 @@ class _WorkMeter:
         self.remaining -= amount
         if self.remaining < 0:
             raise BudgetExceeded("membership-work budget exhausted during the gap scan")
-
-
-class _Box:
-    """The points of the box [0, e) as the bits of one int.
-
-    Coordinates are laid out last fastest and each row is 2e_i wide, so for
-    x, y < e the bit index(x) + index(y) is the point x + y: adding a point
-    to a whole set of points is one left shift that never carries into
-    another row. Every extent must be positive.
-    """
-
-    __slots__ = ("extent", "strides", "full")
-
-    def __init__(self, extent: Sequence[int]):
-        self.extent = tuple(extent)
-        strides = []
-        step = full = 1
-        for e in reversed(extent):
-            strides.append(step)
-            # the bits of [0, e) along this coordinate: a geometric series
-            full *= ((1 << (e * step)) - 1) // ((1 << step) - 1)
-            step *= 2 * e
-        self.strides = strides[::-1]
-        self.full = full
-
-    def index(self, p: Sequence[int]) -> int:
-        return sum(map(mul, p, self.strides))
-
-    def point(self, i: int) -> Point:
-        p = []
-        for s in self.strides:
-            v, i = divmod(i, s)
-            p.append(v)
-        return tuple(p)
-
-    def mask(self, points: Iterable[Sequence[int]]) -> int:
-        """The bits of the given points, each inside the box."""
-        buf = bytearray((self.full.bit_length() + 7) >> 3)
-        strides = self.strides
-        for p in points:
-            i = sum(map(mul, p, strides))
-            buf[i >> 3] |= 1 << (i & 7)
-        return int.from_bytes(buf, "little")
-
-    def points(self, mask: int) -> list[Point]:
-        """The points of the set bits, in index (row-major) order."""
-        return [self.point(m.start()) for m in re.finditer("1", bin(mask)[:1:-1])]
-
-    def up(self, mask: int) -> int:
-        """The points of the box above some point of the mask.
-
-        A prefix OR by doubling along each coordinate. The AND after every
-        shift drops the bits pushed past the extent before a longer shift
-        can carry them into the next row.
-        """
-        full = self.full
-        for e, s in zip(self.extent, self.strides):
-            k = 1
-            while k < e:
-                mask |= (mask << (k * s)) & full
-                k *= 2
-        return mask
 
 
 class GapSemigroup:
@@ -174,32 +109,6 @@ class GapSemigroup:
             "d": self.dimension,
             "gaps": [list(g) for g in sorted(self.gaps, key=GRLEX.key)],
         }
-
-
-def _closure_pass(box: _Box, gap_mask: int) -> tuple[Point, ...]:
-    """The Hilbert basis of N^d minus gaps; NotClosed unless that is a monoid.
-
-    Generators are the nonzero members that are no sum of two, and lie in
-    the conductor box [0, 2c) with c at least 1: a member s with
-    s_i >= 2c_i splits off c_i * e_i. Points below x have smaller indices,
-    so by induction on the index the lowest nonzero member not reached as
-    b + member for a found generator b is the next generator, and S is
-    closed iff no b + member is a gap.
-    """
-    if gap_mask & 1:
-        raise NotClosed(box.point(0), box.point(0))
-    members = box.full & ~gap_mask
-    left = members & ~1
-    basis = []
-    while left:
-        i = (left & -left).bit_length() - 1
-        sums = members << i
-        clash = sums & gap_mask
-        if clash:
-            raise NotClosed(box.point((clash & -clash).bit_length() - 1), box.point(i))
-        basis.append(box.point(i))
-        left &= ~sums
-    return tuple(sorted(basis, key=GRLEX.key))
 
 
 def validate_complement_closed(dimension: int, gaps: frozenset[Point]) -> None:

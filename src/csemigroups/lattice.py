@@ -2,17 +2,21 @@
 
 Points are plain tuples of Python ints, so all arithmetic is exact at any
 size. The module provides the coordinatewise partial order, the lex and
-graded-lex term orders, box and predecessor enumeration, and Hermite normal
-form for subgroup membership and intersection.
+graded-lex term orders, box and predecessor enumeration, boxes held as the
+bits of one int (with the closure pass and the generated-monoid kernel that
+both semigroup kinds run on them), and Hermite normal form for subgroup
+membership and intersection.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from operator import mul
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import DimensionMismatch, OrderNotPredecessorFinite
+from .errors import DimensionMismatch, NotClosed, OrderNotPredecessorFinite
 
 Point = tuple[int, ...]
 
@@ -162,6 +166,125 @@ def enumerate_preceding(order: TermOrder, p: Point) -> Iterator[Point]:
                     yield q
 
     return generate()
+
+
+# ---------------------------------------------------------------------------
+# Boxes as bitmasks
+# ---------------------------------------------------------------------------
+
+
+class _Box:
+    """The points of the box [0, e) as the bits of one int.
+
+    Coordinates are laid out last fastest and each row is 2e_i wide, so for
+    x, y < e the bit index(x) + index(y) is the point x + y: adding a point
+    to a whole set of points is one left shift that never carries into
+    another row. Every extent must be positive.
+    """
+
+    __slots__ = ("extent", "strides", "full")
+
+    def __init__(self, extent: Sequence[int]):
+        self.extent = tuple(extent)
+        strides = []
+        step = full = 1
+        for e in reversed(self.extent):
+            strides.append(step)
+            # e copies of the inner box, one per row, by doubling
+            k = 1
+            while k < e:
+                full |= full << (k * step)
+                k *= 2
+            full &= (1 << (e * step)) - 1
+            step *= 2 * e
+        self.strides = strides[::-1]
+        self.full = full
+
+    def index(self, p: Sequence[int]) -> int:
+        return sum(map(mul, p, self.strides))
+
+    def point(self, i: int) -> Point:
+        p = []
+        for s in self.strides:
+            v, i = divmod(i, s)
+            p.append(v)
+        return tuple(p)
+
+    def mask(self, points: Iterable[Sequence[int]]) -> int:
+        """The bits of the given points, each inside the box."""
+        buf = bytearray((self.full.bit_length() + 7) >> 3)
+        strides = self.strides
+        for p in points:
+            i = sum(map(mul, p, strides))
+            buf[i >> 3] |= 1 << (i & 7)
+        return int.from_bytes(buf, "little")
+
+    def points(self, mask: int) -> list[Point]:
+        """The points of the set bits, in index (row-major) order."""
+        return [self.point(m.start()) for m in re.finditer("1", bin(mask)[:1:-1])]
+
+    def up(self, mask: int) -> int:
+        """The points of the box above some point of the mask.
+
+        A prefix OR by doubling along each coordinate. The AND after every
+        shift drops the bits pushed past the extent before a longer shift
+        can carry them into the next row.
+        """
+        full = self.full
+        for e, s in zip(self.extent, self.strides):
+            k = 1
+            while k < e:
+                mask |= (mask << (k * s)) & full
+                k *= 2
+        return mask
+
+
+def _generated(box: _Box, gens: Iterable[Sequence[int]]) -> int:
+    """The mask of the generator sums that lie in the box, 0 included.
+
+    Per generator g, M |= (M << k*g) & box for k = 1, 2, 4, ... while k*g is
+    in the box, so M gains every multiple of g that fits. Coordinates only
+    grow along a sum, so its partial sums lie in the box whenever it does,
+    and dropping what leaves the box loses no sum inside it. Generators
+    must be nonzero; those outside the box add nothing.
+    """
+    full = box.full
+    mask = 1
+    for g in gens:
+        i = box.index(g)
+        k = 1
+        while all(k * v < e for v, e in zip(g, box.extent)):
+            mask |= (mask << (k * i)) & full
+            k *= 2
+    return mask
+
+
+def _closure_pass(box: _Box, gap_mask: int) -> tuple[Point, ...]:
+    """The indecomposable members of the box; NotClosed unless they close.
+
+    The members are the box minus the gaps, and they close when every sum
+    of two that stays in the box is a member. Points below x have smaller
+    indices, so by induction on the index the lowest nonzero member not
+    reached as b + member for a found indecomposable b is the next
+    indecomposable, and the members are closed iff no b + member is a gap.
+    On the conductor box [0, 2c) of a gap set (c at least 1) these are the
+    Hilbert basis and complement closure: a member s with s_i >= 2c_i
+    splits off c_i * e_i.
+    """
+    if gap_mask & 1:
+        raise NotClosed(box.point(0), box.point(0))
+    members = box.full & ~gap_mask
+    left = members & ~1
+    basis = []
+    while left:
+        i = (left & -left).bit_length() - 1
+        sums = members << i
+        clash = sums & gap_mask
+        if clash:
+            raise NotClosed(box.point((clash & -clash).bit_length() - 1), box.point(i))
+        basis.append(box.point(i))
+        left &= ~sums
+    return tuple(sorted(basis, key=GRLEX.key))
 
 
 # ---------------------------------------------------------------------------

@@ -1,30 +1,46 @@
 """Generator-list affine semigroups with exact membership.
 
 An AffineSemigroup is a finitely generated submonoid of N^d given by its
-generators. Membership is decided by memoized descent: p belongs to the
-semigroup iff p = 0 or p - a belongs for some generator a. Coordinates only
-decrease, so the search stays inside the box [0, p] and terminates.
+generators. Membership reads one bitmask: the generator sums that lie in a
+box [0, e) holding the point, built by a shift-and-OR per generator
+(``lattice._generated``). Coordinates only grow along a sum, so the sums in
+the box are exactly the members there. The box costs about 2^d * prod(e_i)
+bits, so it grows only up to ``MEMBER_BOX_BITS``. A point past that is
+decided by descent: p is a member iff p - g is one for some generator g,
+down to the box, where the mask answers. ``minimalize`` reads the same
+kernel, one generator at a time, each in its own box.
 """
 
 from __future__ import annotations
 
+from math import prod
+from operator import lt, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import lattice
 from .errors import BudgetExceeded, DimensionMismatch, DimensionOne
-from .lattice import GRLEX, Point
+from .lattice import GRLEX, Point, _Box, _generated
 
 SLICE_SHIFT_BUDGET = 10**6
+MEMBER_BOX_BITS = 1 << 26
 
 
 class AffineSemigroup:
     """Submonoid of N^d generated by a finite set of nonzero points.
 
-    Values are immutable after construction. The membership cache only ever
-    stores final answers, so concurrent callers at worst duplicate work.
+    Values are immutable after construction. Membership reads a cached
+    ``(box, bits)`` pair: the generator sums in the box [0, e), as bytes so
+    that a lookup is O(1). A point outside the box replaces the pair by one
+    with extent max(p_i + 1, e_i) per coordinate, unless that box would take
+    more than MEMBER_BOX_BITS bits; such a point is decided by a search down
+    into the cached box, whose points seen live for one call. The pair is
+    one tuple, read and swapped whole, so a concurrent reader never pairs a
+    new box with old bits; at worst two callers build the same pair. The
+    cache takes about 2^d * prod(p_i + 1) bits while it is built, p the
+    coordinatewise maximum of the points asked, and keeps nothing per point.
     """
 
-    __slots__ = ("dimension", "generators", "_memo")
+    __slots__ = ("dimension", "generators", "_cache")
 
     def __init__(self, dimension: int, generators: Iterable[Sequence[int]]):
         gens = sorted({tuple(g) for g in generators}, key=GRLEX.key)
@@ -41,7 +57,7 @@ class AffineSemigroup:
             raise ValueError("the zero point is not allowed as a generator")
         self.dimension = dimension
         self.generators = tuple(gens)
-        self._memo: dict[Point, bool] = {lattice.zero(dimension): True}
+        self._cache = (_Box((1,) * dimension), b"\x01")
 
     def __repr__(self):
         return f"AffineSemigroup(d={self.dimension}, gens={list(self.generators)})"
@@ -61,39 +77,25 @@ class AffineSemigroup:
         p = tuple(p)
         if len(p) != self.dimension:
             raise DimensionMismatch(f"point {p} in dimension {self.dimension}")
-        if any(v < 0 for v in p):
+        if min(p) < 0:
             return False
-        memo = self._memo
-        if p in memo:
-            return memo[p]
-        gens = self.generators
-        stack = [p]
-        while stack:
-            q = stack[-1]
-            if q in memo:
-                stack.pop()
-                continue
-            reached = False
-            unknown = []
-            for g in gens:
-                r = tuple(a - b for a, b in zip(q, g))
-                if any(v < 0 for v in r):
-                    continue
-                known = memo.get(r)
-                if known:
-                    reached = True
-                    break
-                if known is None:
-                    unknown.append(r)
-            if reached:
-                memo[q] = True
-                stack.pop()
-            elif unknown:
-                stack.extend(unknown)
-            else:
-                memo[q] = False
-                stack.pop()
-        return memo[p]
+        return _member(self.generators, p, *self.cover(p))
+
+    def cover(self, p: Sequence[int]) -> tuple[_Box, bytes]:
+        """The cached (box, bits) pair, first grown to hold p if the budget allows.
+
+        A scan below p that covers its far corner first builds the box once.
+        """
+        box, bits = self._cache
+        if not all(map(lt, p, box.extent)):
+            if len(p) != self.dimension:
+                raise DimensionMismatch(f"point {tuple(p)} in dimension {self.dimension}")
+            extent = tuple(max(v + 1, e) for v, e in zip(p, box.extent))
+            if _box_bits(extent) <= MEMBER_BOX_BITS:
+                box = _Box(extent)
+                bits = _sums(box, self.generators)
+                self._cache = (box, bits)
+        return box, bits
 
     def __contains__(self, p) -> bool:
         return self.is_member(p)
@@ -102,24 +104,71 @@ class AffineSemigroup:
         return {"d": self.dimension, "gens": [list(g) for g in self.generators]}
 
 
+def _box_bits(extent: Sequence[int]) -> int:
+    """About the bits of the box [0, extent) and of the shifts that build it."""
+    return prod(2 * e for e in extent)
+
+
+def _sums(box: _Box, gens: Sequence[Point]) -> bytes:
+    """The generator sums in the box, bit index(x) of the bytes set for each."""
+    return _generated(box, gens).to_bytes((box.full.bit_length() + 7) >> 3, "little")
+
+
+def _member(gens: Sequence[Point], p: Point, box: _Box, bits: bytes) -> bool:
+    """Whether p is a sum of gens, given ``bits``, their sums in ``box``.
+
+    Inside the box this is one bit. Outside, p is a sum iff subtracting
+    generators, without leaving N^d, reaches a sum in the box: along a
+    decomposition of p the first point in the box is a partial sum. The
+    points seen are kept for this call only. The search takes a path of
+    about |p| points to a far member, but walks the whole coset below a
+    far non-member.
+    """
+    extent = box.extent
+    if all(map(lt, p, extent)):
+        i = box.index(p)
+        return bits[i >> 3] >> (i & 7) & 1 == 1
+    seen = {p}
+    stack = [p]
+    while stack:
+        q = stack.pop()
+        for g in gens:
+            r = tuple(map(sub, q, g))
+            if min(r) < 0 or r in seen:
+                continue
+            if all(map(lt, r, extent)):
+                i = box.index(r)
+                if bits[i >> 3] >> (i & 7) & 1:
+                    return True
+            else:
+                seen.add(r)
+                stack.append(r)
+    return False
+
+
 def minimalize(generators: Iterable[Sequence[int]], dimension: Optional[int] = None) -> AffineSemigroup:
     """The unique minimal generating system of the monoid the inputs generate.
 
-    A generator is redundant iff it is a combination of the others; removing
-    redundant ones in any order reaches the same minimal set because the
-    minimal system of a reduced monoid is exactly S* minus (S* + S*).
+    The minimal system of a reduced monoid is exactly S* minus (S* + S*):
+    the inputs g that are no sum of the other inputs. Each g is tested in
+    its own box [0, g], so the cost is the sum of the generators' volumes,
+    not the volume of their coordinatewise maximum.
     """
     gens = [tuple(g) for g in generators]
     if dimension is None:
         if not gens:
             raise ValueError("dimension required for an empty generator list")
         dimension = len(gens[0])
-    probe = AffineSemigroup(dimension, gens)  # validates the input
-    kept = list(probe.generators)
-    for g in sorted(kept, key=GRLEX.key, reverse=True):
-        rest = [h for h in kept if h != g]
-        if rest and AffineSemigroup(dimension, rest).is_member(g):
-            kept = rest
+    gens = AffineSemigroup(dimension, gens).generators  # validates the input
+    kept = []
+    for g in gens:
+        below = [h for h in gens if h != g and all(a <= b for a, b in zip(h, g))]
+        if below:
+            extent = tuple(v + 1 for v in g)
+            box = _Box(extent if _box_bits(extent) <= MEMBER_BOX_BITS else (1,) * dimension)
+            if _member(below, g, box, _sums(box, below)):
+                continue
+        kept.append(g)
     return AffineSemigroup(dimension, kept)
 
 

@@ -68,6 +68,14 @@ class TestGoldenOutputs:
         code, data = run_json(capsys, "member", "--gens", S2, "--point", "(2,7)")
         assert code == 0 and data["member"] is True
 
+    def test_member_far_from_origin(self, capsys):
+        # far from the origin: the answer must not walk the points below it
+        sap = "(3,0);(0,3);(5,2);(2,5)"
+        code, out = run(capsys, "--json", "member", "--gens", sap, "--point", "(3000,3001)")
+        assert code == 0 and out == '{"member":false,"point":[3000,3001]}\n'
+        code, out = run(capsys, "--json", "member", "--gens", sap, "--point", "(3000,3003)")
+        assert code == 0 and out == '{"member":true,"point":[3000,3003]}\n'
+
     def test_classify(self, capsys):
         code, data = run_json(capsys, "classify", "--gens", S2)
         assert code == 0

@@ -13,6 +13,7 @@ from csemigroups.lattice import (
     GREATER,
     LESS,
     TermOrder,
+    _Box,
     enumerate_box,
     enumerate_preceding,
     lattice_from,
@@ -198,3 +199,12 @@ class TestLattice:
     def test_intersection_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             lattice_intersect(lattice_from([(2,)]), lattice_from([(1, 0)]))
+
+
+class TestBox:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_full_is_every_point(self, d):
+        for extent in itertools.product(range(1, 5), repeat=d):
+            box = _Box(extent)
+            every = itertools.product(*(range(e) for e in extent))
+            assert box.full == box.mask(every), extent

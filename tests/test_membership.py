@@ -1,10 +1,15 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ALL_PAPER_GENS, GENS_PI, GENS_S2, GENS_S5, GENS_SAP31, closure_in_box, box_points
+from csemigroups import membership
 from csemigroups.errors import BudgetExceeded, DimensionOne
 from csemigroups.membership import (
+    MEMBER_BOX_BITS,
     AffineSemigroup,
     minimalize,
     multiplicity,
@@ -54,6 +59,30 @@ class TestIsMember:
             p, q = rng.choice(members), rng.choice(members)
             assert sem.is_member(tuple(a + b for a, b in zip(p, q)))
 
+    def test_far_members_past_the_box_budget(self):
+        # the box [0, p] would take 1.6e9 and 6.4e10 bits; the descent
+        # reaches the cached box in about |p| steps and the cache stays small
+        for d, top in ((2, 20000), (3, 2000)):
+            sem = AffineSemigroup(d, [tuple(int(i == j) for j in range(d)) for i in range(d)])
+            assert sem.is_member((top,) * d)
+            assert sem.is_member((top, 1) + (0,) * (d - 2))
+            assert sem.is_member((1,) * d)
+            assert membership._box_bits(sem.cover((0,) * d)[0].extent) <= MEMBER_BOX_BITS
+        sap = AffineSemigroup(2, [(3, 0), (0, 3), (5, 2), (2, 5)])
+        assert sap.is_member((20000, 20003))
+
+    @pytest.mark.parametrize("name", sorted(ALL_PAPER_GENS))
+    def test_descent_into_a_partial_box(self, name):
+        gens = ALL_PAPER_GENS[name]
+        oracle = closure_in_box(gens, (40, 40))
+        sem = AffineSemigroup(2, gens)
+        with mock.patch.object(membership, "MEMBER_BOX_BITS", 256):
+            sem.is_member((5, 2))  # grows the box to (6, 3); (13, 13) is over budget
+            assert sem.cover((0, 0))[0].extent == (6, 3)
+            for p in box_points((12, 12)):
+                assert sem.is_member(p) == (p in oracle), p
+        assert membership._box_bits(sem.cover((0, 0))[0].extent) <= 256
+
     def test_rejects_zero_generator(self):
         with pytest.raises(ValueError):
             AffineSemigroup(2, [(0, 0), (1, 0)])
@@ -81,6 +110,11 @@ class TestMinimalize:
         sem = minimalize([(1, 1), (1, 1), (2, 2)])
         assert sem.generators == ((1, 1),)
 
+    def test_sparse_generators_cost_their_own_boxes(self):
+        # one box over [0, max g] would take 2e11 bits here
+        gens = [(3000, 0, 0), (0, 3000, 0), (0, 0, 3000), (1, 1, 1), (3001, 1, 1)]
+        assert set(minimalize(gens).generators) == set(gens[:4])
+
     def test_order_independent(self):
         gens = [(4,), (6,), (9,), (10,), (13,), (15,)]
         rng = random.Random(5)
@@ -99,6 +133,66 @@ class TestMinimalize:
                     continue
                 rest = tuple(a - b for a, b in zip(g, x))
                 assert not (sem.is_member(x) and sem.is_member(rest)), (g, x)
+
+
+@st.composite
+def generator_lists(draw):
+    """Generator lists in d = 1..3: free ones, points on one ray (no full
+    cone, like GENS_PI), and free ones with a coordinate none of them uses."""
+    d = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["free", "ray", "unused"]))
+    vector = st.tuples(*[st.integers(0, 5)] * d)
+    if kind == "ray":
+        v = draw(vector.filter(any))
+        multiples = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+        gens = [tuple(n * a for a in v) for n in multiples]
+    else:
+        gens = draw(st.lists(vector, min_size=1, max_size=6))
+        if kind == "unused":
+            j = draw(st.integers(0, d - 1))
+            gens = [g[:j] + (0,) + g[j + 1 :] for g in gens]
+        gens = [g for g in gens if any(g)] or [(1,) * d]
+    return d, gens
+
+
+# the default budget, and ones so small that most points are decided by
+# descent into a box grown only part of the way
+BOX_BUDGETS = st.sampled_from([MEMBER_BOX_BITS, 8, 64, 256])
+
+
+class TestRandomizedOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(generator_lists(), st.randoms(use_true_random=False), BOX_BUDGETS)
+    def test_shared_semigroup_matches_closure(self, case, rng, budget):
+        d, gens = case
+        hi = ((12, 9, 5)[d - 1],) * d
+        oracle = closure_in_box(gens, hi)
+        sem = AffineSemigroup(d, gens)
+        points = list(box_points(hi))
+        # random order: a far point often grows the box before near ones
+        rng.shuffle(points)
+        with mock.patch.object(membership, "MEMBER_BOX_BITS", budget):
+            for p in points:
+                assert sem.is_member(p) == (p in oracle), p
+
+    @settings(max_examples=80, deadline=None)
+    @given(generator_lists(), BOX_BUDGETS)
+    def test_minimalize_is_the_indecomposables(self, case, budget):
+        d, gens = case
+        members = closure_in_box(gens, tuple(max(g[i] for g in gens) for i in range(d)))
+        zero = (0,) * d
+
+        def splits(g):
+            return any(
+                x not in (zero, g)
+                and all(a <= b for a, b in zip(x, g))
+                and tuple(b - a for a, b in zip(x, g)) in members
+                for x in members
+            )
+
+        expected = {g for g in gens if not splits(g)}
+        with mock.patch.object(membership, "MEMBER_BOX_BITS", budget):
+            assert set(minimalize(gens, d).generators) == expected
 
 
 class TestMultiplicity:
