@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--budget",
             type=int,
             default=default,
-            help="gap-scan budget: max slice levels per axis and total work units",
+            help="gap-set box budget: at most N axis-generator multiples per axis, N points",
         )
     sub = parser.add_subparsers(dest="command", required=True)
 

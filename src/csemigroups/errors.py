@@ -61,7 +61,7 @@ class InfiniteGaps(SemigroupError):
 
 
 class BudgetExceeded(SemigroupError):
-    """A scan passed its work budget without certifying termination."""
+    """A computation reached its budget before it could give an exact answer."""
 
 
 class EmptyGapSet(SemigroupError):

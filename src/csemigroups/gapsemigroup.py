@@ -4,16 +4,18 @@ A GapSemigroup stores the complement H(S) of a cofinite submonoid S of N^d,
 together with a canonical conductor c (componentwise one above the gap
 maxima; every p >= c is a member) and its Hilbert basis.
 
-Construction is either from an explicit gap set or from generators via a
-per-axis slice scan that either returns the exact gap set, certifies that it
-is infinite, or reports an exhausted budget. Either way the gap set goes
-through one closure pass over the conductor box, held as a bitmask, which
-validates complement closure and finds the Hilbert basis together.
+Construction is either from an explicit gap set or from generators. From
+generators, the Apery set Ap(S, E) of S with respect to its least pure axis
+generators E decides everything: per axis, one box mask of generator sums
+holds its points near that axis, and these either certify that the gap set
+is infinite or bound a box whose non-members are exactly the gaps; a box
+past the budget gives BudgetExceeded. Either way the gap set goes through
+one closure pass over the conductor box, held as a bitmask, which validates
+complement closure and finds the Hilbert basis together.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from math import gcd, prod
 from typing import Iterable, Optional, Sequence
@@ -26,31 +28,24 @@ from .errors import (
     NotFullCone,
     NotNatural,
 )
-from .lattice import GRLEX, Point, _Box, _closure_pass
-from .membership import AffineSemigroup, _ShiftTable
+from .lattice import GRLEX, Point, _Box, _closure_pass, _generated
+from .membership import AffineSemigroup
 
 
 @dataclass(frozen=True)
 class Budget:
-    """Work limits for the gap scan."""
+    """Limits on every box that ``from_generators`` builds.
+
+    ``max_levels_per_axis`` caps extent_i / m_i, a box's extent on axis i
+    in multiples of the least pure generator m_i e_i there, and
+    ``max_work`` caps a box's point count, the product of its extents.
+    """
 
     max_levels_per_axis: int = 10**5
     max_work: int = 10**7
 
 
 DEFAULT_BUDGET = Budget()
-
-
-class _WorkMeter:
-    __slots__ = ("remaining",)
-
-    def __init__(self, limit: int):
-        self.remaining = limit
-
-    def spend(self, amount: int) -> None:
-        self.remaining -= amount
-        if self.remaining < 0:
-            raise BudgetExceeded("membership-work budget exhausted during the gap scan")
 
 
 class GapSemigroup:
@@ -154,151 +149,129 @@ def _axis_multiples(points: Iterable[Point], dimension: int) -> list[int]:
     return mult
 
 
-def _numerical_gaps(values: Sequence[int]) -> list[int]:
-    """Gaps of a numerical semigroup via least-member-per-residue (Dijkstra).
-
-    Requires gcd(values) = 1; otherwise the gap set inside N is infinite.
-    ap[r] is the least member congruent to r modulo the smallest generator,
-    so x is a member iff x >= ap[x mod m].
-    """
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-    if g != 1:
-        raise InfiniteGaps(axis=0, level=None, detail=f"generator gcd is {g}")
-    m = min(values)
-    ap = [None] * m
-    ap[0] = 0
-    heap = [(0, 0)]
-    while heap:
-        dist, r = heapq.heappop(heap)
-        if ap[r] is not None and dist > ap[r]:
-            continue
-        for v in values:
-            nr = (r + v) % m
-            nd = dist + v
-            if ap[nr] is None or nd < ap[nr]:
-                ap[nr] = nd
-                heapq.heappush(heap, (nd, nr))
-    gaps = []
-    for r in range(1, m):
-        gaps.extend(range(r, ap[r], m))
-    return sorted(gaps)
-
-
-class _AxisGiveUp(Exception):
-    """Internal: this axis exhausted its level budget; try another."""
-
-
-def _scan_axis(
-    sem: AffineSemigroup,
-    axis: int,
-    step: int,
-    budget: Budget,
-    meter: _WorkMeter,
+def _tube_apery(
+    gens: Sequence[Point], extent: Sequence[int], i: int, budget: Budget
 ) -> list[Point]:
-    """Exact gaps by scanning slices {x_axis = t} for t = 0, 1, 2, ...
+    """The points of Ap(S, E) in the tube {x : x_j < extent_j for every j != i}.
 
-    Each slice is a finite union of face-translates shift + F where F is the
-    face semigroup of axis-free generators (analyzed recursively, so its gap
-    set and conductor are exact). Adding the pure axis generator maps slice t
-    into slice t + step, so once ``step`` consecutive slices are gap-free all
-    later ones are too and the scan is complete.
-
-    Per-slice analysis is exact:
-      * no shifts at level t means the whole slice misses S (infinite gaps);
-      * the complement of the translate union is finite iff every face
-        coordinate k has a shift supported only on k (possibly 0); a missing
-        coordinate yields an infinite strip of gaps;
-      * when finite, the complement lies in the box with exclusive bound
-        max(shift_k) + conductor_k, and is that box minus the union of the
-        shifted face-member masks.
+    Ap(S, E) is the members s with s - m_j e_j outside S for every axis j.
+    ``extent`` holds m = m_i on axis i and at most m_j on the others, so
+    s - m_j e_j leaves N^d for j != i. Only the generators inside the tube
+    can add up to a point of it, so the rest are dropped. In the box W that
+    cuts the tube along axis i, the generated mask M is exactly S cut to W,
+    and the tube's Ap points in W are M minus M + m e_i. They are
+    prefix-closed: if w + g is one for a member w, so is w, and w lies in
+    the tube too. So once every such w in W has w_i + g_i inside W for
+    every generator g left, no decomposition of a tube Ap point can leave
+    W, and W holds them all. W's extent on axis i doubles from
+    max(2m, max g_i + 1) until then, clipped to max_levels_per_axis * m and
+    to max_work points for W; BudgetExceeded when the largest W allowed
+    fails the test.
     """
-    d = sem.dimension
-    face_gens = [g[:axis] + g[axis + 1 :] for g in sem.generators if g[axis] == 0]
-    try:
-        face = from_generators(
-            AffineSemigroup(d - 1, face_gens), budget=budget, _meter=meter
-        )
-    except InfiniteGaps:
-        raise InfiniteGaps(axis, 0, detail="the axis-free face already has infinitely many gaps")
-    face_dim = d - 1
-    table = _ShiftTable(sem, axis, budget=budget.max_work)
-    insert = lambda t, y: y[:axis] + (t,) + y[axis:]
+    m = extent[i]
+    off = [j for j in range(len(extent)) if j != i]
+    gens = [g for g in gens if all(g[j] < extent[j] for j in off)]
+    reach = max(g[i] for g in gens)
+    extent = list(extent)
+    extent[i] = 1
+    top = min(budget.max_levels_per_axis * m, budget.max_work // prod(extent))
+    e, built = max(2 * m, reach + 1), reach  # no extent up to reach can pass
+    while (e := min(e, top)) > built:
+        extent[i] = e
+        box = _Box(extent)
+        members = _generated(box, gens)
+        ap = box.points(members & ~(members << m * box.strides[i]))
+        if max(w[i] for w in ap) + reach < e:
+            return ap
+        built, e = e, 2 * e
+    raise BudgetExceeded(
+        f"the Apery set along axis {i} outgrows the largest box the budget allows"
+    )
 
-    gaps: list[Point] = []
-    clean_run = 0
-    t = 0
-    while clean_run < step:
-        if t >= budget.max_levels_per_axis:
-            raise _AxisGiveUp
-        shifts = table.level(t)
-        meter.spend(len(shifts) + 1)
-        if not shifts:
-            raise InfiniteGaps(axis, t, detail="no generator combination reaches this slice")
-        for k in range(face_dim):
-            if not any(all(v == 0 for j, v in enumerate(s) if j != k) for s in shifts):
-                raise InfiniteGaps(
-                    axis, t, detail=f"no shift is supported on face coordinate {k} alone"
-                )
-        bound = tuple(
-            max(s[k] for s in shifts) + face.conductor[k] for k in range(face_dim)
-        )
-        complement = []
-        if all(b > 0 for b in bound):
-            volume = prod(bound)
-            meter.spend(volume)
-            box = _Box(bound)
-            face_members = box.full & ~box.mask(face.gaps)
-            covered = 0
-            for s in shifts:
-                covered |= face_members << box.index(s)
-            complement = box.points(box.full & ~covered)
-        if complement:
-            clean_run = 0
-            gaps.extend(insert(t, y) for y in complement)
-        else:
-            clean_run += 1
-        t += 1
-    return gaps
+
+def _check_finite(gens: Sequence[Point], mult: Sequence[int], budget: Budget) -> None:
+    """Raise InfiniteGaps, naming a slice with infinitely many gaps, unless
+    the gap set is finite.
+
+    In the residue class rho mod m, S is the up-set that the class's points
+    of Ap(S, E) generate on the grid rho + m N^d. Its complement is finite
+    iff for every axis i some such point w has w_j = rho_j, that is
+    w_j < m_j, for all j != i: a point of the tube along i, which holds at
+    most one Ap point per class. Otherwise the whole line rho + N m_i e_i is
+    gaps, and it lies in the slice {x_a = rho_a} for every a != i.
+
+    For a = 0, then a = 1, the first slices {x_a = t} are tested: t = 0,
+    the face semigroup of the generators with g_a = 0, by the same test in
+    d - 1 dimensions, and t = 1 (when m_a > 1) by the tubes cut to
+    x_a <= 1. Nothing further is needed. If both are finite, the slice t = 1
+    holds, for each face coordinate k, a member on the axes a and k alone,
+    and t times it in slice t gives slice t finitely many gaps too; so no
+    line runs off axis a. A line in a slice is thus found at the least a it
+    runs off (0, unless every line runs along axis 0) and the least level t
+    on it. In d = 1 a residue class is empty iff the generators' gcd
+    exceeds 1.
+    """
+    d = len(mult)
+    if d == 1:
+        if (g := gcd(*(v for v, in gens))) != 1:
+            raise InfiniteGaps(axis=0, level=None, detail=f"generator gcd is {g}")
+        return
+    for a in (0, 1):
+        face = [j for j in range(d) if j != a]
+        try:
+            _check_finite(
+                [tuple(g[j] for j in face) for g in gens if g[a] == 0],
+                [mult[j] for j in face],
+                budget,
+            )
+        except InfiniteGaps:
+            detail = "the axis-free face already has infinitely many gaps"
+            raise InfiniteGaps(a, 0, detail=detail) from None
+        if mult[a] == 1:
+            continue
+        cut = [2 if j == a else m for j, m in enumerate(mult)]
+        level = [
+            [w for w in _tube_apery(gens, cut, j, budget) if w[a] == 1] for j in face
+        ]
+        if all(len(points) == prod(mult) // mult[a] for points in level):
+            continue
+        if not any(g[a] == 1 for g in gens):
+            raise InfiniteGaps(a, 1, detail="no generator combination reaches this slice")
+        for k, j in enumerate(face):
+            if not any(sum(w) == 1 + w[j] for w in level[k]):
+                detail = f"no shift is supported on face coordinate {k} alone"
+                raise InfiniteGaps(a, 1, detail=detail)
 
 
 def from_generators(
     source: AffineSemigroup | Iterable[Sequence[int]],
     budget: Optional[Budget] = None,
-    _meter: Optional[_WorkMeter] = None,
 ) -> GapSemigroup:
-    """Exact gap set of the semigroup generated by ``source``.
+    """Exact gap set of the semigroup S generated by ``source``.
 
-    Requires the full orthant cone (a pure axis generator per axis). Scans
-    axes in order and returns as soon as one scan certifies completion; a
-    completed scan already holds every gap, because all slices beyond its
-    stopping level are gap-free. Later axes are only tried when an earlier
-    one exhausts its level budget (their stopping levels differ with the gap
-    geometry). Raises InfiniteGaps with a slice certificate, or
-    BudgetExceeded when no axis certified within the budget.
+    Requires the full orthant cone, a pure generator on every axis; m_i e_i
+    is the least one on axis i and E the set of them. Every member is a
+    point of the Apery set Ap(S, E) plus a sum of E. Either some residue
+    class mod m misses an axis, and InfiniteGaps names a slice with
+    infinitely many gaps (``_check_finite``), or every class meets every
+    axis: then each gap x has x_i below the largest coordinate i of the Ap
+    points in the tube along axis i (``_tube_apery``), and the gaps are the
+    non-members of the box those coordinates bound. In d = 1 the tube is N
+    and its Ap points are the Kunz table. Raises BudgetExceeded when a box
+    would pass the limits of ``budget``.
     """
     if not isinstance(source, AffineSemigroup):
         gens = [tuple(g) for g in source]
-        if not gens:
-            raise ValueError("at least one generator is required")
-        source = AffineSemigroup(len(gens[0]), gens)
-    sem = source
+        source = AffineSemigroup(len(gens[0]) if gens else 1, gens)
+    d, gens = source.dimension, source.generators
     budget = budget or DEFAULT_BUDGET
-    meter = _meter or _WorkMeter(budget.max_work)
-    mult = _axis_multiples(sem.generators, sem.dimension)
+    mult = _axis_multiples(gens, d)
     if 0 in mult:
         raise NotFullCone(mult.index(0))
-    if sem.dimension == 1:
-        gaps = _numerical_gaps([g[0] for g in sem.generators])
-        return from_gaps(1, [(x,) for x in gaps])
-    gave_up = 0
-    for axis in range(sem.dimension):
-        try:
-            return from_gaps(sem.dimension, _scan_axis(sem, axis, mult[axis], budget, meter))
-        except _AxisGiveUp:
-            gave_up += 1
-    raise BudgetExceeded(
-        f"no axis scan certified termination within {budget.max_levels_per_axis} levels"
-        f" ({gave_up} axes tried)"
-    )
+    _check_finite(gens, mult, budget)
+    tubes = [_tube_apery(gens, mult, i, budget) for i in range(d)]
+    extent = [max(1, *(w[i] for w in ap)) for i, ap in enumerate(tubes)]
+    if prod(extent) > budget.max_work:
+        raise BudgetExceeded(f"the gap box {tuple(extent)} passes the budget")
+    box = _Box(extent)
+    return from_gaps(d, box.points(box.full & ~_generated(box, gens)))

@@ -14,7 +14,7 @@ kernel, one generator at a time, each in its own box.
 from __future__ import annotations
 
 from math import prod
-from operator import lt, sub
+from operator import add, lt, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import lattice
@@ -200,49 +200,35 @@ class SliceDecomposition(NamedTuple):
     face: Optional[AffineSemigroup]
 
 
-class _ShiftTable:
-    """Incremental per-level shift sets for one axis of one semigroup.
-
-    Level t holds the face parts of all multiset sums of positive-axis
-    generators whose axis coordinates add up to exactly t, deduplicated.
-    """
-
-    def __init__(self, sem: AffineSemigroup, axis: int, budget: int = SLICE_SHIFT_BUDGET):
-        if not 0 <= axis < sem.dimension:
-            raise ValueError(f"axis {axis} out of range for dimension {sem.dimension}")
-        drop = lambda g: g[:axis] + g[axis + 1 :]
-        self.pos = [(g[axis], drop(g)) for g in sem.generators if g[axis] > 0]
-        self.face_gens = [drop(g) for g in sem.generators if g[axis] == 0]
-        self.levels: list[frozenset[Point]] = [frozenset({(0,) * (sem.dimension - 1)})]
-        self.budget = budget
-        self.stored = 1
-
-    def level(self, t: int) -> frozenset[Point]:
-        while len(self.levels) <= t:
-            u = len(self.levels)
-            shifts = set()
-            for w, v in self.pos:
-                if w <= u:
-                    for s in self.levels[u - w]:
-                        shifts.add(tuple(a + b for a, b in zip(s, v)))
-            self.stored += len(shifts)
-            if self.stored > self.budget:
-                raise BudgetExceeded(
-                    f"slice shift family exceeded {self.budget} stored shifts at level {u}"
-                )
-            self.levels.append(frozenset(shifts))
-        return self.levels[t]
-
-
 def slice_decomposition(
     sem: AffineSemigroup, axis: int, level: int, budget: int = SLICE_SHIFT_BUDGET
 ) -> SliceDecomposition:
-    """Decompose S intersected with {x_axis = level} into face-translates."""
+    """Decompose S intersected with {x_axis = level} into face-translates.
+
+    Level u holds the face parts of all multiset sums of positive-axis
+    generators whose axis coordinates add up to exactly u, deduplicated,
+    built from the levels below; ``budget`` caps the shifts stored over all
+    levels up to ``level``.
+    """
     if sem.dimension < 2:
         raise DimensionOne("slice decomposition needs ambient dimension >= 2")
     if level < 0:
         raise ValueError("level must be nonnegative")
-    table = _ShiftTable(sem, axis, budget)
-    shifts = tuple(sorted(table.level(level), key=GRLEX.key))
-    face = AffineSemigroup(sem.dimension - 1, table.face_gens) if table.face_gens else None
+    if not 0 <= axis < sem.dimension:
+        raise ValueError(f"axis {axis} out of range for dimension {sem.dimension}")
+    drop = lambda g: g[:axis] + g[axis + 1 :]
+    pos = [(g[axis], drop(g)) for g in sem.generators if g[axis] > 0]
+    face_gens = [drop(g) for g in sem.generators if g[axis] == 0]
+    levels = [{lattice.zero(sem.dimension - 1)}]
+    stored = 1
+    for u in range(1, level + 1):
+        shifts = {tuple(map(add, s, v)) for w, v in pos if w <= u for s in levels[u - w]}
+        stored += len(shifts)
+        if stored > budget:
+            raise BudgetExceeded(
+                f"slice shift family exceeded {budget} stored shifts at level {u}"
+            )
+        levels.append(shifts)
+    shifts = tuple(sorted(levels[level], key=GRLEX.key))
+    face = AffineSemigroup(sem.dimension - 1, face_gens) if face_gens else None
     return SliceDecomposition(shifts, face)

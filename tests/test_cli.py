@@ -76,6 +76,17 @@ class TestGoldenOutputs:
         code, out = run(capsys, "--json", "member", "--gens", sap, "--point", "(3000,3003)")
         assert code == 0 and out == '{"member":true,"point":[3000,3003]}\n'
 
+    @pytest.mark.parametrize("gens", ["(6,0);(0,1);(1,2);(1,7)", "(3,0);(0,1);(1,1)"])
+    def test_gap_line_along_axis_zero(self, capsys, gens):
+        # row y = 0 holds only multiples of the axis generator, so the gap
+        # lines run along axis 0 and the slice named lies on axis 1
+        code, out = run(capsys, "--json", "gaps", "--gens", gens)
+        assert code == 1
+        assert out == (
+            '{"detail":"gap set is infinite (axis 1, level 0): the axis-free face'
+            ' already has infinitely many gaps","error":"InfiniteGaps"}\n'
+        )
+
     def test_classify(self, capsys):
         code, data = run_json(capsys, "classify", "--gens", S2)
         assert code == 0
@@ -213,6 +224,11 @@ class TestErrors:
 
     def test_budget_flag_respected(self, capsys):
         code, data = run_json(capsys, "--budget", "2", "gaps", "--gens", S2)
+        assert code == 1
+        assert data["error"] == "BudgetExceeded"
+
+    def test_budget_bounds_numerical_gaps(self, capsys):
+        code, data = run_json(capsys, "--budget", "1000", "gaps", "--gens", "1009;1013")
         assert code == 1
         assert data["error"] == "BudgetExceeded"
 

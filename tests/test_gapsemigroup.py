@@ -1,5 +1,6 @@
 import pytest
 
+import math
 import random
 
 from hypothesis import given, settings
@@ -278,6 +279,125 @@ class TestFromGenerators:
         # the even sublattice plus one diagonal leaves whole parity classes out
         with pytest.raises(InfiniteGaps):
             from_generators(AffineSemigroup(3, [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1)]))
+
+    FACE = "the axis-free face already has infinitely many gaps"
+
+    @pytest.mark.parametrize(
+        "gens,axis,level,detail",
+        [
+            ([(0, 5), (1, 0), (7, 0)], 0, 0, FACE),
+            # row y = 0 holds only multiples of 6: the gap line runs along axis 0
+            ([(6, 0), (0, 1), (1, 2), (1, 7)], 1, 0, FACE),
+            # lines along axis 1 at x_0 = 0 and along axis 2 at x_0 = 1: the lower wins
+            ([(0, 0, 2), (0, 0, 3), (0, 1, 0), (7, 0, 0)], 0, 0, FACE),
+            ([(0, 1), (4, 0)], 0, 1, "no generator combination reaches this slice"),
+            # the whole tube along axis 1 would pass the default budget; the
+            # slice x_0 = 1, or the face x_0 = 0, decides
+            ([(3000, 0), (0, 1), (2, 5)], 0, 1, "no generator combination reaches this slice"),
+            ([(2000, 0), (0, 2000), (1, 1), (1, 2)], 0, 0, FACE),
+            # a tube of the whole list would pass the default budget; the
+            # face x_0 = 0, and its own face, decide
+            ([(3000, 0, 0), (0, 3000, 0), (0, 0, 3000), (1, 1, 1)], 0, 0, FACE),
+            (
+                [(0, 0, 1), (0, 1, 0), (1, 1, 0), (2, 0, 2), (3, 0, 0), (4, 0, 0)],
+                0,
+                1,
+                "no shift is supported on face coordinate 1 alone",
+            ),
+            # slice x_0 = 1 is reached only from (1, 0, 2) and (1, 3, 2), so
+            # no member of it lies on the axes x_0 and x_1 alone
+            (
+                [(0, 0, 3), (0, 0, 4), (0, 1, 0), (0, 4, 0), (0, 4, 1), (1, 0, 2)]
+                + [(1, 3, 2), (2, 0, 1), (3, 0, 0), (4, 0, 0), (4, 0, 3)],
+                0,
+                1,
+                "no shift is supported on face coordinate 0 alone",
+            ),
+        ],
+    )
+    def test_infinite_gaps_witness(self, gens, axis, level, detail):
+        with pytest.raises(InfiniteGaps) as err:
+            from_generators(gens)
+        assert (err.value.axis, err.value.level) == (axis, level)
+        assert str(err.value).endswith(": " + detail)
+
+    def test_budget_caps_the_box(self):
+        # the Kunz table of <101, 103> ends at 10300, so with the largest
+        # generator the box needs 10404 points: just over 103 multiples of 101
+        gens = [(101,), (103,)]
+        for tight in (Budget(max_levels_per_axis=103), Budget(max_work=10403)):
+            with pytest.raises(BudgetExceeded):
+                from_generators(gens, budget=tight)
+        # doubling from 202 would reach 12928; the cap clips it to what fits
+        for enough in (Budget(max_levels_per_axis=104), Budget(max_work=10404)):
+            assert from_generators(gens, budget=enough).genus == 5100
+
+    def test_budget_caps_the_gap_box(self):
+        # each tube box takes 10 * 160 points, the gap box 108 * 108
+        gens = [(10, 0), (11, 0), (0, 10), (0, 11), (1, 1)]
+        with pytest.raises(BudgetExceeded):
+            from_generators(gens, budget=Budget(max_work=10**4))
+        assert from_generators(gens, budget=Budget(max_work=108 * 108)).genus == 1980
+
+
+@st.composite
+def full_cone_lists(draw):
+    """Full-cone generator lists in d = 1..3 with small entries. In d >= 2 a
+    third keep every generator but the pure axis-0 ones off the row x_1 = 0
+    and give those a common factor, so a gap line runs along axis 0."""
+    d = draw(st.integers(1, 3))
+    if d == 1:
+        return d, [(v,) for v in draw(st.lists(st.integers(1, 12), min_size=1, max_size=4))]
+    top = 4 if d == 2 else 3
+    line = draw(st.integers(0, 2)) == 0
+    gens = []
+    for i in range(d):
+        factor = 2 if line and i == 0 else 1
+        for v in draw(st.lists(st.integers(1, top), min_size=1, max_size=3)):
+            gens.append(tuple(factor * v if j == i else 0 for j in range(d)))
+    mixed = draw(st.lists(st.tuples(*[st.integers(0, top)] * d), max_size=2 * d))
+    if line:
+        # unit generators off axis 0 and a step of 1 along it leave, most
+        # often, only the lines along axis 0
+        gens += [tuple(int(j == i) for j in range(d)) for i in range(1, d)]
+        mixed = [(1,) + mixed[0][1:]] + mixed[1:] if mixed else []
+        mixed = [g[:1] + (max(g[1], 1),) + g[2:] for g in mixed]
+    return d, gens + [g for g in mixed if any(g)]
+
+
+class TestAperyKernelOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(full_cone_lists())
+    def test_gaps_match_closure(self, case):
+        d, gens = case
+        try:
+            gs = from_generators(gens)
+        except InfiniteGaps as err:
+            if d == 1:
+                assert err.level is None
+                assert math.gcd(*(v for v, in gens)) > 1
+                return
+            a, t = err.axis, err.level
+            hi = ((15, 9)[d - 2],) * d
+            assert 0 <= t <= hi[a]
+            members = closure_in_box(gens, hi)
+            mult = [min(g[i] for g in gens if sum(g) == g[i]) for i in range(d)]
+            # a line of non-members in the slice {x_a = t}, parallel to an
+            # axis i != a, from its residue to the edge of the window
+            assert any(
+                all(
+                    q[:i] + (v,) + q[i + 1 :] not in members
+                    for v in range(q[i], hi[i] + 1, mult[i])
+                )
+                for i in range(d)
+                if i != a
+                for q in box_points(hi)
+                if q[a] == t and q[i] < mult[i]
+            )
+            return
+        hi = tuple(2 * max(c, 1) for c in gs.conductor)
+        members = closure_in_box(gens, hi)
+        assert gs.gaps == {p for p in box_points(hi) if p not in members}
 
 
 class TestContains:
