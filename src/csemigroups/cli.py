@@ -291,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--budget",
             type=int,
             default=default,
-            help="gap-set box budget: at most N axis-generator multiples per axis, N points",
+            help="gap-set box budget: at most N points, and in d >= 2 at most N"
+            " axis-generator multiples per axis",
         )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, prod
+from operator import mod
 from typing import Iterable, Optional, Sequence
 
 from . import lattice
@@ -36,9 +37,10 @@ from .membership import AffineSemigroup
 class Budget:
     """Limits on every box that ``from_generators`` builds.
 
-    ``max_levels_per_axis`` caps extent_i / m_i, a box's extent on axis i
-    in multiples of the least pure generator m_i e_i there, and
-    ``max_work`` caps a box's point count, the product of its extents.
+    ``max_work`` caps a box's point count, the product of its extents, and
+    in d >= 2 ``max_levels_per_axis`` caps extent_i / m_i, a box's extent
+    on axis i in multiples of the least pure generator m_i e_i there. In
+    d = 1 the extent is the point count, so ``max_work`` alone caps it.
     """
 
     max_levels_per_axis: int = 10**5
@@ -159,29 +161,35 @@ def _tube_apery(
     s - m_j e_j leaves N^d for j != i. Only the generators inside the tube
     can add up to a point of it, so the rest are dropped. In the box W that
     cuts the tube along axis i, the generated mask M is exactly S cut to W,
-    and the tube's Ap points in W are M minus M + m e_i. They are
-    prefix-closed: if w + g is one for a member w, so is w, and w lies in
-    the tube too. So once every such w in W has w_i + g_i inside W for
-    every generator g left, no decomposition of a tube Ap point can leave
-    W, and W holds them all. W's extent on axis i doubles from
-    max(2m, max g_i + 1) until then, clipped to max_levels_per_axis * m and
-    to max_work points for W; BudgetExceeded when the largest W allowed
-    fails the test.
+    and the tube's Ap points in W are M minus M + m e_i. Two points of the
+    tube lie in one class mod m iff they agree mod ``extent``, and then
+    differ by a multiple of m e_i, so a class holds at most one Ap point,
+    its least member. Ap points are closed under
+    summands: if w + g is one, so are w and g. A generator is thus a step
+    between Ap points only if it is the Ap point of its class, or its class
+    has none in W yet; any other lies m e_i or more above that point. So
+    once every Ap point w in W has w_i + g_i inside W for every such step g,
+    no decomposition of a tube Ap point can leave W, and W holds them all.
+    W's extent on axis i doubles from 2m until then, clipped to max_work
+    points for W and, in d >= 2, to max_levels_per_axis * m; BudgetExceeded
+    when the largest W allowed fails the test.
     """
-    m = extent[i]
-    off = [j for j in range(len(extent)) if j != i]
-    gens = [g for g in gens if all(g[j] < extent[j] for j in off)]
-    reach = max(g[i] for g in gens)
+    m, tube = extent[i], extent
+    gens = [g for g in gens if all(v < x for j, (v, x) in enumerate(zip(g, tube)) if j != i)]
     extent = list(extent)
     extent[i] = 1
-    top = min(budget.max_levels_per_axis * m, budget.max_work // prod(extent))
-    e, built = max(2 * m, reach + 1), reach  # no extent up to reach can pass
+    top = budget.max_work // prod(extent)
+    if len(extent) > 1:
+        top = min(top, budget.max_levels_per_axis * m)
+    e, built = 2 * m, 0
     while (e := min(e, top)) > built:
         extent[i] = e
         box = _Box(extent)
         members = _generated(box, gens)
         ap = box.points(members & ~(members << m * box.strides[i]))
-        if max(w[i] for w in ap) + reach < e:
+        least = {tuple(map(mod, w, tube)): w[i] for w in ap}
+        steps = [g[i] for g in gens if least.get(tuple(map(mod, g, tube)), g[i]) == g[i]]
+        if max(w[i] for w in ap) + max(steps, default=0) < e:
             return ap
         built, e = e, 2 * e
     raise BudgetExceeded(

@@ -325,12 +325,34 @@ class TestFromGenerators:
         # the Kunz table of <101, 103> ends at 10300, so with the largest
         # generator the box needs 10404 points: just over 103 multiples of 101
         gens = [(101,), (103,)]
-        for tight in (Budget(max_levels_per_axis=103), Budget(max_work=10403)):
-            with pytest.raises(BudgetExceeded):
-                from_generators(gens, budget=tight)
+        with pytest.raises(BudgetExceeded):
+            from_generators(gens, budget=Budget(max_work=10403))
         # doubling from 202 would reach 12928; the cap clips it to what fits
-        for enough in (Budget(max_levels_per_axis=104), Budget(max_work=10404)):
-            assert from_generators(gens, budget=enough).genus == 5100
+        assert from_generators(gens, budget=Budget(max_work=10404)).genus == 5100
+        # in d = 1 the point count is the only cap
+        assert from_generators(gens, budget=Budget(max_levels_per_axis=1)).genus == 5100
+        # in d = 2 the tube along axis 0 is the same Kunz table, and the cap
+        # on its multiples of 101 applies too
+        gens = [(101, 0), (103, 0), (0, 1), (1, 1)]
+        with pytest.raises(BudgetExceeded):
+            from_generators(gens, budget=Budget(max_levels_per_axis=103))
+        assert from_generators(gens, budget=Budget(max_levels_per_axis=104)).genus == 89675
+
+    @pytest.mark.parametrize(
+        "gens,gaps",
+        [
+            # a redundant generator far out is the Apery point of its class
+            # plus multiples of the axis generator, so no tube has to reach it
+            ([(2,), (3,), (200001,)], {(1,)}),
+            ([(2, 0), (3, 0), (0, 1), (1, 1), (400001, 0)], {(1, 0)}),
+            ([(2, 0), (3, 0), (0, 1), (1, 1), (1, 400001)], {(1, 0)}),
+            # the Kunz table of <2, 200001> ends past 10^5 multiples of 2; at
+            # the default budget only the point count caps the box in d = 1
+            ([(2,), (200001,)], {(x,) for x in range(1, 200000, 2)}),
+        ],
+    )
+    def test_far_generator(self, gens, gaps):
+        assert from_generators(gens).gaps == frozenset(gaps)
 
     def test_budget_caps_the_gap_box(self):
         # each tube box takes 10 * 160 points, the gap box 108 * 108
@@ -344,7 +366,8 @@ class TestFromGenerators:
 def full_cone_lists(draw):
     """Full-cone generator lists in d = 1..3 with small entries. In d >= 2 a
     third keep every generator but the pure axis-0 ones off the row x_1 = 0
-    and give those a common factor, so a gap line runs along axis 0."""
+    and give those a common factor, so a gap line runs along axis 0. Half
+    get one more generator, redundant and far out."""
     d = draw(st.integers(1, 3))
     if d == 1:
         return d, [(v,) for v in draw(st.lists(st.integers(1, 12), min_size=1, max_size=4))]
@@ -362,7 +385,15 @@ def full_cone_lists(draw):
         gens += [tuple(int(j == i) for j in range(d)) for i in range(1, d)]
         mixed = [(1,) + mixed[0][1:]] + mixed[1:] if mixed else []
         mixed = [g[:1] + (max(g[1], 1),) + g[2:] for g in mixed]
-    return d, gens + [g for g in mixed if any(g)]
+    gens += [g for g in mixed if any(g)]
+    if draw(st.booleans()):
+        # a redundant generator far out: one of them plus many copies of a
+        # pure one
+        g = draw(st.sampled_from(gens))
+        h = draw(st.sampled_from([h for h in gens if sum(h) == max(h)]))
+        big = draw(st.integers(10**3, 10**5))
+        gens.append(tuple(a + big * b for a, b in zip(g, h)))
+    return d, gens
 
 
 class TestAperyKernelOracle:
