@@ -11,6 +11,7 @@ with code 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -275,6 +276,7 @@ def _add_common(sp, order_flag=False):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the ``csg`` command line; ``main`` shares one."""
     parser = argparse.ArgumentParser(
         prog="csg",
         description="Exact invariants of finite-gap semigroups in N^d.",
@@ -395,10 +397,20 @@ def _render_text(payload, indent=0) -> list[str]:
     return lines
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call and not on import.
+
+    Parsing leaves the parser as it was, and argparse looks up sys.stdout,
+    sys.stderr and the terminal width only when it prints, so one parser
+    serves every call of the process.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse has printed its message
         return int(exc.code or 0)
     if args.budget is not None and args.budget < 1:

@@ -4,6 +4,11 @@ Covers the pseudo-Frobenius set and Betti-type, the term-order Frobenius
 element, gap cover certificates, the ideal-quotient route to the same set,
 Apery sets for finite witness sets, the symmetry classifier, and the
 gap-count identity used by the Wilf report.
+
+PF, the ideal quotient, the Frobenius ideal's extra gaps and the count of
+members below F read the gap mask of the conductor box: each is a few
+shifts, a bit reversal or a popcount of one int, not a loop over the gaps.
+``RelativeIdeal`` and ``ideal_difference_member`` decide one point at a time.
 """
 
 from __future__ import annotations
@@ -73,15 +78,17 @@ def omega_extra(gs: GapSemigroup, order: TermOrder = GRLEX) -> tuple[Point, ...]
 
     Every member z belongs to that ideal (else F would be a member), so the
     ideal is S plus exactly these gaps; points with F - z outside N^d count
-    as F - z not in S.
+    as F - z not in S. On the mask: for g <= F, index(F - g) = index(F) -
+    index(g), so reversing the member bits at or below index(F) puts the
+    bit of F - g at index(g). Those g, kept to the down-set of F, are the
+    gaps that leave; every other gap is in the output.
     """
     F = frobenius_element(gs, order)
-    out = []
-    for g in gs.gaps:
-        diff = lattice.sub(F, g)
-        if not (lattice.is_natural(diff) and gs.contains(diff)):
-            out.append(g)
-    return _sorted_points(out)
+    box, gaps = gs.box, gs.gap_mask
+    n = box.index(F) + 1
+    members = box.full & ~gaps & ((1 << n) - 1)
+    mirrored = int(format(members, f"0{n}b")[::-1], 2)
+    return _sorted_points(box.points(gaps & ~(mirrored & box.below(F))))
 
 
 @dataclass(frozen=True)
@@ -226,23 +233,27 @@ def pf_via_ideal(gs: GapSemigroup) -> tuple[Point, ...]:
     """The pseudo-Frobenius set computed as (S - S*) minus S.
 
     S is the ideal generated by 0 and S* the ideal generated by the Hilbert
-    basis. Any point of (S - S*) outside S is a gap, so gaps are the only
-    candidates to test.
+    basis; z is in (S - S*) iff z + g is in S for each generator g of S*,
+    as in ``ideal_difference_member``. On the conductor box that is one
+    shift of the gap mask per g: z + g never leaves its row, and bits past
+    a row's extent are members beyond the conductor. The quotient, taken
+    over the whole box, then loses its members.
     """
-    if not gs.gaps:
-        return ()
-    s_ideal = RelativeIdeal(gs, (lattice.zero(gs.dimension),))
-    star = RelativeIdeal(gs, gs.hilbert_basis)
-    return _sorted_points(
-        g for g in gs.gaps if ideal_difference_member(s_ideal, star, g)
-    )
+    box, gaps = gs.box, gs.gap_mask
+    quotient = box.full
+    for g in gs.hilbert_basis:
+        quotient &= ~(gaps >> box.index(g))
+    return _sorted_points(box.points(quotient & gaps))
 
 
 def cardinality_identity(gs: GapSemigroup, order: TermOrder = GRLEX) -> tuple[int, int]:
-    """(gaps outside PF', members coordinatewise below F) as a countable pair."""
+    """(gaps outside PF', members coordinatewise below F) as a countable pair.
+
+    The right side is the volume of [0, F] minus the popcount of the gap
+    mask in the down-set of F.
+    """
     F = frobenius_element(gs, order)
     pf_prime = [f for f in pseudo_frobenius(gs) if f != F]
     lhs = gs.genus - len(pf_prime)
-    # the box [0, F] minus the gaps inside it
-    rhs = prod(v + 1 for v in F) - sum(1 for g in gs.gaps if lattice.partial_leq(g, F))
+    rhs = prod(v + 1 for v in F) - (gs.gap_mask & gs.box.below(F)).bit_count()
     return lhs, rhs

@@ -223,6 +223,18 @@ class _Box:
         """The points of the set bits, in index (row-major) order."""
         return [self.point(m.start()) for m in re.finditer("1", bin(mask)[:1:-1])]
 
+    def below(self, p: Sequence[int]) -> int:
+        """The points of the box at or below p coordinatewise; p in the box.
+
+        Innermost coordinate first, the mask is copied p_i + 1 times, s_i
+        apart, by one multiplication with 1 + 2^s_i + ... + 2^(p_i s_i):
+        the copies so far lie below s_i, so no two of them overlap.
+        """
+        mask = 1
+        for v, s in zip(reversed(p), reversed(self.strides)):
+            mask *= ((1 << (v + 1) * s) - 1) // ((1 << s) - 1)
+        return mask
+
     def up(self, mask: int) -> int:
         """The points of the box above some point of the mask.
 

@@ -7,8 +7,9 @@ box [0, e) holding the point, built by a shift-and-OR per generator
 the box are exactly the members there. The box costs about 2^d * prod(e_i)
 bits, so it grows only up to ``MEMBER_BOX_BITS``. A point past that is
 decided by descent: p is a member iff p - g is one for some generator g,
-down to the box, where the mask answers. ``minimalize`` reads the same
-kernel, one generator at a time, each in its own box.
+down to the box, where the mask answers; a descent that sees more than
+``FAR_SEARCH_POINTS`` points raises BudgetExceeded. ``minimalize`` reads
+the same kernel, one generator at a time, each in its own box.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ from .lattice import GRLEX, Point, _Box, _generated
 
 SLICE_SHIFT_BUDGET = 10**6
 MEMBER_BOX_BITS = 1 << 26
+# points seen by one search past the box, about 100 MB of tuples in d = 2;
+# the far members the tests ask for see at most 300 000
+FAR_SEARCH_POINTS = MEMBER_BOX_BITS >> 7
 
 
 class AffineSemigroup:
@@ -122,7 +126,8 @@ def _member(gens: Sequence[Point], p: Point, box: _Box, bits: bytes) -> bool:
     decomposition of p the first point in the box is a partial sum. The
     points seen are kept for this call only. The search takes a path of
     about |p| points to a far member, but walks the whole coset below a
-    far non-member.
+    far non-member, so past FAR_SEARCH_POINTS points seen it raises
+    BudgetExceeded.
     """
     extent = box.extent
     if all(map(lt, p, extent)):
@@ -143,6 +148,10 @@ def _member(gens: Sequence[Point], p: Point, box: _Box, bits: bytes) -> bool:
             else:
                 seen.add(r)
                 stack.append(r)
+        if len(seen) > FAR_SEARCH_POINTS:
+            raise BudgetExceeded(
+                f"membership search past the box saw more than {FAR_SEARCH_POINTS} points"
+            )
     return False
 
 

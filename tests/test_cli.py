@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+from csemigroups import cli
 from csemigroups.cli import main, parse_point, parse_point_list
 
 S2 = "(0,1);(3,0);(4,0);(1,4);(5,0);(2,7)"
 S5 = "(0,1);(4,0);(5,0);(6,0);(7,0);(1,4);(2,7);(3,10)"
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(capsys, *argv):
@@ -287,3 +292,70 @@ class TestTextMode:
         code, out = run(capsys, "pf", "--gens", S2)
         assert code == 0
         assert "(1,3) (2,6)" in out
+
+
+class TestSharedParser:
+    # one interleaved sequence: JSON and text, the shared flags on both
+    # sides of the subcommand, usage errors, help and domain errors
+    SEQUENCE = [
+        (["--json", "pf", "--gens", S2], 0),
+        (["pf", "--gens", S2], 0),
+        (["--budget", "2", "gaps", "--gens", S2], 1),
+        (["gaps", "--gens", "4;6;9", "--budget", "1000", "--json"], 0),
+        (["gaps", "--gens", "4;6;9"], 0),
+        (["pf", "--gens", S2, "--frobnicate"], 2),
+        (["--help"], 0),
+        (["identity", "pf-ideal", "--gens", S2, "--json"], 0),
+        (["classify", "--help"], 0),
+        (["--json", "gaps", "--gens", "(2,0)"], 1),
+        (["member", "--gens", S2, "--point", "(2,7)"], 0),
+        (["--budget", "0", "pf", "--gens", S2], 2),
+        (["gaps", "--gens", "(2,0)"], 1),
+        (["--json", "member", "--gens", S2, "--point", "(2,6)"], 0),
+    ]
+
+    def run_sequence(self, capsys):
+        results = []
+        for argv, _ in self.SEQUENCE:
+            code = main(list(argv))
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    def test_calls_match_a_fresh_parser(self, capsys, monkeypatch):
+        shared = self.run_sequence(capsys)
+        assert cli._parser() is cli._parser()
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = self.run_sequence(capsys)
+        assert [code for code, _, _ in shared] == [code for _, code in self.SEQUENCE]
+        for argv_code, a, b in zip(self.SEQUENCE, shared, fresh):
+            assert a == b, argv_code[0]
+
+    def test_import_builds_no_parser(self):
+        script = (
+            "import argparse, contextlib, io\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counted(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "import csemigroups.cli\n"
+            "counts = [len(built)]\n"
+            "for _ in range(2):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        csemigroups.cli.main(['pf', '--gens', '4;6;9'])\n"
+            "    counts.append(len(built))\n"
+            "print(counts)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        before, first, second = json.loads(proc.stdout)
+        assert before == 0
+        assert first == second > 0

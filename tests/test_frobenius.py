@@ -1,8 +1,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import box_points
+from conftest import box_points, full_cone_lists
 from csemigroups.errors import (
     DimensionMismatch,
     EmptyGapSet,
@@ -22,7 +24,7 @@ from csemigroups.frobenius import (
     pseudo_frobenius,
 )
 from csemigroups.gapsemigroup import from_gaps, from_generators
-from csemigroups.lattice import GRLEX, TermOrder
+from csemigroups.lattice import GRLEX, TermOrder, partial_leq
 
 
 class TestPseudoFrobenius:
@@ -266,3 +268,58 @@ class TestCardinalityIdentity:
             if s5.contains(p)
         )
         assert rhs == count
+
+
+@st.composite
+def finite_gap_sets(draw):
+    """Gap sets in d = 1..3: a drawn full-cone list plus every point of total
+    degree m..2m-1. Each point of degree at least m is then a sum of those,
+    so the gaps are finite and lie below degree m; the drawn list shapes
+    them."""
+    d, gens = draw(full_cone_lists())
+    m = draw(st.integers(2, (16, 8, 5)[d - 1]))
+    band = [p for p in box_points((2 * m - 1,) * d) if m <= sum(p) < 2 * m]
+    return from_generators(gens + band)
+
+
+class TestMaskPortsOracle:
+    """The mask routes against their per-point definitions."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(finite_gap_sets())
+    def test_pf_via_ideal(self, gs):
+        s_ideal = RelativeIdeal(gs, ((0,) * gs.dimension,))
+        star = RelativeIdeal(gs, gs.hilbert_basis)
+        expected = tuple(
+            sorted(
+                (g for g in gs.gaps if ideal_difference_member(s_ideal, star, g)),
+                key=GRLEX.key,
+            )
+        )
+        assert pf_via_ideal(gs) == expected == pseudo_frobenius(gs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(finite_gap_sets(), st.sampled_from(["lex", "grlex"]))
+    def test_omega_extra(self, gs, order):
+        if not gs.gaps:
+            return
+        order = TermOrder(order)
+        F = frobenius_element(gs, order)
+        expected = set()
+        for g in gs.gaps:
+            diff = tuple(a - b for a, b in zip(F, g))
+            if min(diff) < 0 or not gs.contains(diff):
+                expected.add(g)
+        assert omega_extra(gs, order) == tuple(sorted(expected, key=GRLEX.key))
+
+    @settings(max_examples=150, deadline=None)
+    @given(finite_gap_sets(), st.sampled_from(["lex", "grlex"]))
+    def test_cardinality_rhs(self, gs, order):
+        if not gs.gaps:
+            return
+        order = TermOrder(order)
+        F = frobenius_element(gs, order)
+        count = sum(
+            1 for x in box_points(gs.conductor) if partial_leq(x, F) and gs.contains(x)
+        )
+        assert cardinality_identity(gs, order)[1] == count

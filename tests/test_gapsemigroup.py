@@ -13,6 +13,7 @@ from conftest import (
     GENS_SAP31,
     box_points,
     closure_in_box,
+    full_cone_lists,
     gap_universe,
     mask_to_points,
 )
@@ -360,40 +361,6 @@ class TestFromGenerators:
         with pytest.raises(BudgetExceeded):
             from_generators(gens, budget=Budget(max_work=10**4))
         assert from_generators(gens, budget=Budget(max_work=108 * 108)).genus == 1980
-
-
-@st.composite
-def full_cone_lists(draw):
-    """Full-cone generator lists in d = 1..3 with small entries. In d >= 2 a
-    third keep every generator but the pure axis-0 ones off the row x_1 = 0
-    and give those a common factor, so a gap line runs along axis 0. Half
-    get one more generator, redundant and far out."""
-    d = draw(st.integers(1, 3))
-    if d == 1:
-        return d, [(v,) for v in draw(st.lists(st.integers(1, 12), min_size=1, max_size=4))]
-    top = 4 if d == 2 else 3
-    line = draw(st.integers(0, 2)) == 0
-    gens = []
-    for i in range(d):
-        factor = 2 if line and i == 0 else 1
-        for v in draw(st.lists(st.integers(1, top), min_size=1, max_size=3)):
-            gens.append(tuple(factor * v if j == i else 0 for j in range(d)))
-    mixed = draw(st.lists(st.tuples(*[st.integers(0, top)] * d), max_size=2 * d))
-    if line:
-        # unit generators off axis 0 and a step of 1 along it leave, most
-        # often, only the lines along axis 0
-        gens += [tuple(int(j == i) for j in range(d)) for i in range(1, d)]
-        mixed = [(1,) + mixed[0][1:]] + mixed[1:] if mixed else []
-        mixed = [g[:1] + (max(g[1], 1),) + g[2:] for g in mixed]
-    gens += [g for g in mixed if any(g)]
-    if draw(st.booleans()):
-        # a redundant generator far out: one of them plus many copies of a
-        # pure one
-        g = draw(st.sampled_from(gens))
-        h = draw(st.sampled_from([h for h in gens if sum(h) == max(h)]))
-        big = draw(st.integers(10**3, 10**5))
-        gens.append(tuple(a + big * b for a, b in zip(g, h)))
-    return d, gens
 
 
 class TestAperyKernelOracle:

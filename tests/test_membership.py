@@ -71,6 +71,13 @@ class TestIsMember:
         sap = AffineSemigroup(2, [(3, 0), (0, 3), (5, 2), (2, 5)])
         assert sap.is_member((20000, 20003))
 
+    def test_far_non_member_past_the_box_budget_stops(self):
+        # the box [0, p] would take 1.4e8 bits and the coset below p holds
+        # about 1.2e7 points; the search stops at FAR_SEARCH_POINTS of them
+        sap = AffineSemigroup(2, [(3, 0), (0, 3), (5, 2), (2, 5)])
+        with pytest.raises(BudgetExceeded):
+            sap.is_member((6000, 6001))
+
     @pytest.mark.parametrize("name", sorted(ALL_PAPER_GENS))
     def test_descent_into_a_partial_box(self, name):
         gens = ALL_PAPER_GENS[name]
