@@ -14,7 +14,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from . import lattice
 from .errors import HypothesisFailed, NotPI
-from .gapsemigroup import GapSemigroup, from_gaps, from_generators
+from .gapsemigroup import GapSemigroup, from_generators
 from .lattice import Point, _Box, _generated
 from .membership import AffineSemigroup, minimalize, multiplicity
 
@@ -46,7 +46,7 @@ def arf_derived(gs: GapSemigroup) -> GapSemigroup:
     left = gaps
     for sums in _chain_sums(box, box.full & ~gaps, [c - 1 for c in gs.conductor]):
         left &= ~sums
-    return from_gaps(gs.dimension, box.points(left))
+    return GapSemigroup(gs.dimension, box, left)
 
 
 def is_arf(gs: GapSemigroup) -> bool:
@@ -67,9 +67,9 @@ def arf_closure(gs: GapSemigroup) -> tuple[GapSemigroup, int]:
     steps = 0
     while True:
         nxt = arf_derived(current)
-        if nxt.gaps == current.gaps:
+        if nxt.genus == current.genus:
             return current, steps
-        if not nxt.gaps < current.gaps:
+        if nxt.genus > current.genus:
             raise RuntimeError("derived monoid failed to shrink the gap set")
         current = nxt
         steps += 1
@@ -149,22 +149,22 @@ def pi_decompose(sem: Union[AffineSemigroup, GapSemigroup]) -> PIMonoid:
     """Split a verified instance as (multiplicity + base) with 0 adjoined.
 
     Gap-form input yields a gap-form base: the base gaps are exactly the
-    nonzero q with m + q a gap of the input, a subset of the input gaps
-    shifted down by m. Generator-form input yields the base generated by the
-    down-shifted generators together with m itself. Both are revalidated by
-    reconstructing the member predicate on a window.
+    nonzero q with m + q a gap of the input, the gap mask above m shifted
+    down by index(m) (m is a member, so q = 0 is not set). Generator-form
+    input yields the base generated by the down-shifted generators together
+    with m itself. Both are revalidated by reconstructing the member
+    predicate on a window.
     """
     status = is_pi(sem)
     if status.is_pi is not True:
         raise NotPI(f"multiplicity {status.multiplicity}, attained={status.attained}")
     m = status.multiplicity
     if isinstance(sem, GapSemigroup):
-        base_gaps = set()
-        for h in sem.gaps:
-            q = lattice.sub(h, m)
-            if lattice.is_natural(q) and not lattice.is_zero(q):
-                base_gaps.add(q)
-        base: Union[GapSemigroup, AffineSemigroup] = from_gaps(sem.dimension, base_gaps)
+        box, i = sem.box, sem.box.index(m)
+        base_gaps = (sem.gap_mask & box.up(1 << i)) >> i
+        base: Union[GapSemigroup, AffineSemigroup] = GapSemigroup(
+            sem.dimension, box, base_gaps
+        )
         window = lattice.add(lattice.add(m, sem.conductor), (3,) * sem.dimension)
     else:
         shifted = [lattice.sub(g, m) for g in sem.generators if g != m]
@@ -245,8 +245,8 @@ def prop710_check(a: Sequence[int], gens: Sequence[Sequence[int]]) -> bool:
 
     Left: the Arf closure of <a, a+g_1, ..., a+g_n>. Right: the Arf closure
     of <a, g_1, ..., g_n>, shifted by a with 0 adjoined. Both sides are
-    compared through their full gap sets, so the check is for dimension
-    one. In higher dimension every generator of the left side lies above a
+    compared through their gap masks, where the bit index of a point is
+    its coordinate, so the check is for dimension one. In higher dimension every generator of the left side lies above a
     and so is positive wherever a is; the other axes get no pure generator
     and ``from_generators`` raises NotFullCone.
     """
@@ -255,6 +255,4 @@ def prop710_check(a: Sequence[int], gens: Sequence[Sequence[int]]) -> bool:
     left, _ = arf_closure(from_generators([a] + [lattice.add(a, g) for g in gens]))
     right_base, _ = arf_closure(from_generators([a] + gens))
     offset = a[0]
-    right_gaps = {(v,) for v in range(1, offset)}
-    right_gaps.update((offset + h[0],) for h in right_base.gaps)
-    return left.gaps == frozenset(right_gaps)
+    return left.gap_mask == ((1 << offset) - 2) | (right_base.gap_mask << offset)

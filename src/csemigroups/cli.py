@@ -67,7 +67,7 @@ def _points_json(points):
 def _budget(args) -> Budget:
     if getattr(args, "budget", None) is None:
         return Budget()
-    return Budget(max_levels_per_axis=args.budget, max_work=args.budget)
+    return Budget(max_work=args.budget)
 
 
 def _load_file(path: str, kinds=("gens", "gaps")):
@@ -293,8 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--budget",
             type=int,
             default=default,
-            help="gap-set box budget: at most N points, and in d >= 2 at most N"
-            " axis-generator multiples per axis",
+            help="gap-set box budget: at most N points per box",
         )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -47,7 +47,7 @@ def wilf_report(gs: GapSemigroup, order: TermOrder = GRLEX) -> WilfReport:
     F is the order-maximum gap, so the other genus - 1 gaps all precede it,
     and the sporadic members are the rest of F's predecessors.
     """
-    if not gs.gaps:
+    if not gs.gap_mask:
         raise EmptyGapSet("the Wilf report needs at least one gap")
     if not order.is_predecessor_finite(gs.dimension):
         raise OrderNotPredecessorFinite(f"{order.kind} in dimension {gs.dimension}")
@@ -95,7 +95,7 @@ def buchsbaum_report(gs: GapSemigroup) -> BuchsbaumReport:
     """
     if gs.dimension < 2:
         raise DimensionOne("the Buchsbaum test needs ambient dimension >= 2")
-    if not gs.gaps:
+    if not gs.gap_mask:
         raise EmptyGapSet("the Buchsbaum test needs at least one gap")
     mult = _axis_multiples(gs.hilbert_basis, gs.dimension)
     if 0 in mult:

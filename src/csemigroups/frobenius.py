@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from operator import rshift
 from typing import Optional, Sequence
 
 from . import lattice
@@ -53,10 +54,21 @@ def betti_type(gs: GapSemigroup) -> int:
 
 
 def frobenius_element(gs: GapSemigroup, order: TermOrder = GRLEX) -> Point:
-    """The order-maximum gap; exists whenever the gap set is nonempty."""
-    if not gs.gaps:
+    """The order-maximum gap; exists whenever the gap set is nonempty.
+
+    A gap below another gap precedes it under every term order, so the
+    maximum is a maximal gap: a gap g with no gap at or above any g + e_i,
+    that is no g + e_i in the down-set of the gaps. As g_i < c_i, g + e_i
+    stays in g's row, so that down-set shifted down by one stride per axis
+    marks it at g.
+    """
+    box, gaps = gs.box, gs.gap_mask
+    if not gaps:
         raise EmptyGapSet("no gaps, so no Frobenius element")
-    return order.max(gs.gaps)
+    below, top = box.up(gaps, rshift), gaps
+    for s in box.strides:
+        top &= ~(below >> s)
+    return order.max(box.points(top))
 
 
 def cover_witness(gs: GapSemigroup, x: Sequence[int]) -> Optional[Point]:

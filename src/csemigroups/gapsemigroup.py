@@ -1,17 +1,18 @@
 """Finite-gap (full-cone) semigroups represented by their gap set.
 
-A GapSemigroup stores the complement H(S) of a cofinite submonoid S of N^d,
-together with a canonical conductor c (componentwise one above the gap
-maxima; every p >= c is a member) and its Hilbert basis.
+A GapSemigroup stores the complement H(S) of a cofinite submonoid S of N^d
+as one bitmask of its conductor box [0, 2c), with the canonical conductor c
+(componentwise one above the gap maxima; every p >= c is a member) and the
+Hilbert basis. The gap points are decoded from the mask only when asked for.
 
 Construction is either from an explicit gap set or from generators. From
 generators, the Apery set Ap(S, E) of S with respect to its least pure axis
 generators E decides everything: per axis, one box mask of generator sums
 holds its points near that axis, and these either certify that the gap set
 is infinite or bound a box whose non-members are exactly the gaps; a box
-past the budget gives BudgetExceeded. Either way the gap set goes through
-one closure pass over the conductor box, held as a bitmask, which validates
-complement closure and finds the Hilbert basis together.
+past the budget gives BudgetExceeded. That box's mask, or the mask of an
+explicit gap set, is moved into the conductor box, where one closure pass
+validates complement closure and finds the Hilbert basis together.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from math import gcd, prod
 from operator import mod
 from typing import Iterable, Optional, Sequence
 
-from . import lattice
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -35,15 +35,11 @@ from .membership import AffineSemigroup
 
 @dataclass(frozen=True)
 class Budget:
-    """Limits on every box that ``from_generators`` builds.
+    """The limit on every box that ``from_generators`` builds.
 
-    ``max_work`` caps a box's point count, the product of its extents, and
-    in d >= 2 ``max_levels_per_axis`` caps extent_i / m_i, a box's extent
-    on axis i in multiples of the least pure generator m_i e_i there. In
-    d = 1 the extent is the point count, so ``max_work`` alone caps it.
+    ``max_work`` caps a box's point count, the product of its extents.
     """
 
-    max_levels_per_axis: int = 10**5
     max_work: int = 10**7
 
 
@@ -51,40 +47,47 @@ DEFAULT_BUDGET = Budget()
 
 
 class GapSemigroup:
-    """Cofinite submonoid of N^d stored as its finite gap set.
+    """Cofinite submonoid of N^d stored as the gap mask of its conductor box.
 
-    ``box`` is the conductor box [0, 2c), c at least 1, and ``gap_mask`` the
-    gaps in it; the members of the box are the rest. Construction runs the
-    closure pass on that mask, which rejects a gap set whose complement is
-    not a monoid and finds the Hilbert basis.
+    ``GapSemigroup(dimension, box, gap_mask)`` takes the gaps as a mask of
+    any box that holds them. ``_Box.fit`` finds the conductor c and moves
+    the mask into the conductor box [0, 2c), c at least 1, which is then
+    ``box``; the members of the box are the rest of it. The closure pass on
+    that mask rejects a gap set whose complement is not a monoid and finds
+    the Hilbert basis. Equality and the hash read (dimension, conductor,
+    gap_mask), which is canonical because the conductor fixes the box.
     """
 
-    __slots__ = ("dimension", "gaps", "conductor", "box", "gap_mask", "_basis")
+    __slots__ = ("dimension", "conductor", "box", "gap_mask", "_basis", "_gaps")
 
-    def __init__(self, dimension: int, gaps: frozenset[Point], conductor: Point):
+    def __init__(self, dimension: int, box: _Box, gap_mask: int):
         self.dimension = dimension
-        self.gaps = gaps
-        self.conductor = conductor
-        self.box = _Box(tuple(2 * max(c, 1) for c in conductor))
-        self.gap_mask = self.box.mask(gaps)
+        self.conductor, self.box, self.gap_mask = box.fit(gap_mask)
         self._basis = _closure_pass(self.box, self.gap_mask)
+        self._gaps = None
+
+    @property
+    def gaps(self) -> frozenset[Point]:
+        """The gap points, decoded from the mask on first use and kept."""
+        if self._gaps is None:
+            self._gaps = frozenset(self.box.points(self.gap_mask))
+        return self._gaps
 
     def __repr__(self):
         return f"GapSemigroup(d={self.dimension}, gaps={sorted(self.gaps, key=GRLEX.key)})"
 
     def __eq__(self, other):
-        return (
-            isinstance(other, GapSemigroup)
-            and self.dimension == other.dimension
-            and self.gaps == other.gaps
-        )
+        return isinstance(other, GapSemigroup) and self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.dimension, self.gaps))
+        return hash(self._key())
+
+    def _key(self):
+        return self.dimension, self.conductor, self.gap_mask
 
     @property
     def genus(self) -> int:
-        return len(self.gaps)
+        return self.gap_mask.bit_count()
 
     def contains(self, p: Sequence[int]) -> bool:
         """True iff p lies in N^d and is not a gap."""
@@ -110,24 +113,25 @@ class GapSemigroup:
 
 def validate_complement_closed(dimension: int, gaps: frozenset[Point]) -> None:
     """Raise NotClosed unless N^d minus gaps is a monoid."""
-    GapSemigroup(dimension, gaps, _conductor(dimension, gaps))
-
-
-def _conductor(dimension: int, gaps: frozenset[Point]) -> Point:
-    if not gaps:
-        return lattice.zero(dimension)
-    return tuple(1 + max(g[i] for g in gaps) for i in range(dimension))
+    from_gaps(dimension, gaps)
 
 
 def from_gaps(dimension: int, gaps: Iterable[Sequence[int]]) -> GapSemigroup:
-    """Build the semigroup N^d minus the given gaps, validating closure."""
+    """Build the semigroup N^d minus the given gaps, validating closure.
+
+    The mask is written straight into the conductor box, and the points
+    given are kept as the decoded ``gaps``.
+    """
     gapset = frozenset(tuple(g) for g in gaps)
     for g in gapset:
         if len(g) != dimension:
             raise DimensionMismatch(f"gap {g} in dimension {dimension}")
         if any(v < 0 for v in g):
             raise NotNatural(g)
-    return GapSemigroup(dimension, gapset, _conductor(dimension, gapset))
+    box = _Box([2 + 2 * max(col) for col in zip((0,) * dimension, *gapset)])
+    gs = GapSemigroup(dimension, box, box.mask(gapset))
+    gs._gaps = gapset
+    return gs
 
 
 # ---------------------------------------------------------------------------
@@ -171,16 +175,13 @@ def _tube_apery(
     once every Ap point w in W has w_i + g_i inside W for every such step g,
     no decomposition of a tube Ap point can leave W, and W holds them all.
     W's extent on axis i doubles from 2m until then, clipped to max_work
-    points for W and, in d >= 2, to max_levels_per_axis * m; BudgetExceeded
-    when the largest W allowed fails the test.
+    points for W; BudgetExceeded when the largest W allowed fails the test.
     """
     m, tube = extent[i], extent
     gens = [g for g in gens if all(v < x for j, (v, x) in enumerate(zip(g, tube)) if j != i)]
     extent = list(extent)
     extent[i] = 1
     top = budget.max_work // prod(extent)
-    if len(extent) > 1:
-        top = min(top, budget.max_levels_per_axis * m)
     e, built = 2 * m, 0
     while (e := min(e, top)) > built:
         extent[i] = e
@@ -282,4 +283,4 @@ def from_generators(
     if prod(extent) > budget.max_work:
         raise BudgetExceeded(f"the gap box {tuple(extent)} passes the budget")
     box = _Box(extent)
-    return from_gaps(d, box.points(box.full & ~_generated(box, gens)))
+    return GapSemigroup(d, box, box.full & ~_generated(box, gens))

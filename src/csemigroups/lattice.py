@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from operator import mul
+from operator import lshift, mul, rshift
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DimensionMismatch, NotClosed, OrderNotPredecessorFinite
@@ -219,6 +219,33 @@ class _Box:
             buf[i >> 3] |= 1 << (i & 7)
         return int.from_bytes(buf, "little")
 
+    def fit(self, mask: int) -> tuple[Point, "_Box", int]:
+        """(c, box, mask): the mask's points moved into the conductor box.
+
+        c is one above their coordinatewise maximum (0 when there are none)
+        and the box is [0, 2c), c taken at least 1. In the down-set of the
+        points, those with x_i = 0 for every i < j lie below bit s_(j-1),
+        and the top one among them has x_j = c_j - 1. A box with other
+        strides takes the mask's innermost rows as runs of one bit string,
+        so the cost is linear in its length and no point is built.
+        """
+        down, tops = self.up(mask, rshift), (self.full.bit_length(), *self.strides)
+        c = tuple(
+            ((down & ((1 << t) - 1)).bit_length() - 1) // s + 1
+            for s, t in zip(self.strides, tops)
+        )
+        extent = tuple(2 * max(v, 1) for v in c)
+        box = self if extent == self.extent else _Box(extent)
+        if box.strides == self.strides:
+            return c, box, mask
+        bits = format(mask, f"0{self.full.bit_length()}b")[::-1].encode()
+        out = bytearray(b"0" * box.full.bit_length())
+        *head, n = c
+        for x in itertools.product(*map(range, head)):
+            i, j = self.index(x), box.index(x)
+            out[j : j + n] = bits[i : i + n]
+        return c, box, int(out[::-1], 2)
+
     def points(self, mask: int) -> list[Point]:
         """The points of the set bits, in index (row-major) order."""
         return [self.point(m.start()) for m in re.finditer("1", bin(mask)[:1:-1])]
@@ -235,18 +262,19 @@ class _Box:
             mask *= ((1 << (v + 1) * s) - 1) // ((1 << s) - 1)
         return mask
 
-    def up(self, mask: int) -> int:
-        """The points of the box above some point of the mask.
+    def up(self, mask: int, shift=lshift) -> int:
+        """The points of the box above some point of the mask; with
+        ``shift=rshift``, those below one.
 
-        A prefix OR by doubling along each coordinate. The AND after every
-        shift drops the bits pushed past the extent before a longer shift
-        can carry them into the next row.
+        A prefix (suffix) OR by doubling along each coordinate. The AND
+        after every shift drops the bits pushed past the extent, or borrowed
+        from the next row, before a longer shift can carry them back in.
         """
         full = self.full
         for e, s in zip(self.extent, self.strides):
             k = 1
             while k < e:
-                mask |= (mask << (k * s)) & full
+                mask |= shift(mask, k * s) & full
                 k *= 2
         return mask
 

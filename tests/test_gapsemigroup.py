@@ -26,13 +26,19 @@ from csemigroups.errors import (
     NotFullCone,
     NotNatural,
 )
-from csemigroups.frobenius import apery, pseudo_frobenius
+from csemigroups.frobenius import (
+    apery,
+    classify,
+    frobenius_element,
+    pseudo_frobenius,
+)
 from csemigroups.gapsemigroup import (
     Budget,
     from_gaps,
     from_generators,
     validate_complement_closed,
 )
+from csemigroups.lattice import GRLEX, LEX, TermOrder
 from csemigroups.membership import AffineSemigroup, minimalize
 
 S2_GAPS = {
@@ -179,6 +185,9 @@ class TestClosurePass:
                 assert is_arf(gs) == (derived == gaps), sorted(gaps)
                 if gaps:
                     assert wilf_report(gs).sporadic == sporadic, sorted(gaps)
+                    perm = tuple(reversed(range(d)))
+                    for order in (GRLEX, LEX, TermOrder("lex", perm)):
+                        assert frobenius_element(gs, order) == order.max(gaps), sorted(gaps)
                 if gaps and d >= 2:
                     assert set(buchsbaum_report(gs).d_set) == d_set, sorted(gaps)
                 continue
@@ -258,9 +267,10 @@ class TestFromGenerators:
         assert gs.genus == 0 and gs.conductor == (0, 0)
 
     def test_budget_exceeded_is_honest(self):
-        tiny = Budget(max_levels_per_axis=2, max_work=10**6)
+        # the largest box S2 needs holds 45 points
         with pytest.raises(BudgetExceeded):
-            from_generators(AffineSemigroup(2, GENS_S2), budget=tiny)
+            from_generators(AffineSemigroup(2, GENS_S2), budget=Budget(max_work=44))
+        assert from_generators(GENS_S2, budget=Budget(max_work=45)).genus == 11
 
     def test_accepts_raw_point_list(self):
         assert from_generators(GENS_S3).genus == 2
@@ -330,14 +340,12 @@ class TestFromGenerators:
             from_generators(gens, budget=Budget(max_work=10403))
         # doubling from 202 would reach 12928; the cap clips it to what fits
         assert from_generators(gens, budget=Budget(max_work=10404)).genus == 5100
-        # in d = 1 the point count is the only cap
-        assert from_generators(gens, budget=Budget(max_levels_per_axis=1)).genus == 5100
-        # in d = 2 the tube along axis 0 is the same Kunz table, and the cap
-        # on its multiples of 101 applies too
+        # in d = 2 the tube along axis 0 is the same Kunz table, row y = 0;
+        # the gap box it bounds with the tube along axis 1 is 10300 x 100
         gens = [(101, 0), (103, 0), (0, 1), (1, 1)]
         with pytest.raises(BudgetExceeded):
-            from_generators(gens, budget=Budget(max_levels_per_axis=103))
-        assert from_generators(gens, budget=Budget(max_levels_per_axis=104)).genus == 89675
+            from_generators(gens, budget=Budget(max_work=10300 * 100 - 1))
+        assert from_generators(gens, budget=Budget(max_work=10300 * 100)).genus == 89675
 
     @pytest.mark.parametrize(
         "gens,gaps",
@@ -347,9 +355,10 @@ class TestFromGenerators:
             ([(2,), (3,), (200001,)], {(1,)}),
             ([(2, 0), (3, 0), (0, 1), (1, 1), (400001, 0)], {(1, 0)}),
             ([(2, 0), (3, 0), (0, 1), (1, 1), (1, 400001)], {(1, 0)}),
-            # the Kunz table of <2, 200001> ends past 10^5 multiples of 2; at
-            # the default budget only the point count caps the box in d = 1
+            # the Kunz table of <2, 200001> ends past 10^5 multiples of 2;
+            # only the point count caps a box, in d = 1 and in d = 2
             ([(2,), (200001,)], {(x,) for x in range(1, 200000, 2)}),
+            ([(2, 0), (0, 1), (1, 1), (200001, 0)], {(x, 0) for x in range(1, 200000, 2)}),
         ],
     )
     def test_far_generator(self, gens, gaps):
@@ -458,11 +467,24 @@ class TestInvariants:
             gs = from_gaps(2, mask_to_points(points, mask))
             rebuilt = from_generators(AffineSemigroup(2, gs.hilbert_basis))
             assert rebuilt == gs, sorted(gs.gaps)
+            assert hash(rebuilt) == hash(gs), sorted(gs.gaps)
 
     def test_equality_and_hash(self):
         a = from_gaps(2, [(1, 0), (1, 1)])
         b = from_generators(AffineSemigroup(2, [(0, 1), (1, 2), (2, 0), (3, 0)]))
         assert a == b and hash(a) == hash(b)
+
+    def test_mask_builders_decode_no_gap_points(self):
+        # 510 048 gaps: the invariants and the equality read the mask alone
+        gs = from_generators([(1009,), (1013,)])
+        pseudo_frobenius(gs)
+        classify(gs)
+        assert gs.genus == 510048
+        assert gs == from_generators([(1013,), (1009,)])
+        hash(gs)
+        assert gs._gaps is None
+        derived = arf_derived(from_generators([(13,), (17,)]))
+        assert derived._gaps is None and derived.genus == 41
 
     def test_json_round_trip(self, s2):
         data = s2.to_json()

@@ -208,3 +208,25 @@ class TestBox:
             box = _Box(extent)
             every = itertools.product(*(range(e) for e in extent))
             assert box.full == box.mask(every), extent
+
+    @staticmethod
+    def _check_fit(extent, points):
+        c, box, mask = _Box(extent).fit(_Box(extent).mask(points))
+        d = len(extent)
+        expected = tuple(1 + max(p[i] for p in points) for i in range(d)) if points else (0,) * d
+        assert c == expected
+        assert box.extent == tuple(2 * max(v, 1) for v in expected)
+        assert mask == box.mask(points)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_fit_moves_points_into_the_conductor_box(self, data):
+        d = data.draw(st.integers(1, 3))
+        extent = data.draw(st.tuples(*[st.integers(1, 7)] * d))
+        every = list(itertools.product(*(range(e) for e in extent)))
+        self._check_fit(extent, data.draw(st.sets(st.sampled_from(every))))
+
+    @pytest.mark.parametrize("extent", [(1,), (9,), (3, 1), (1, 4), (2, 5, 3), (1, 1, 1)])
+    def test_fit_empty_and_far_corner(self, extent):
+        self._check_fit(extent, set())
+        self._check_fit(extent, {tuple(e - 1 for e in extent)})
