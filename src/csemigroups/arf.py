@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from . import lattice
-from .errors import HypothesisFailed, NotPI
+from .errors import BudgetExceeded, HypothesisFailed, NotPI
 from .gapsemigroup import GapSemigroup, from_generators
 from .lattice import Point, _Box, _generated
-from .membership import AffineSemigroup, minimalize, multiplicity
+from .membership import MEMBER_BOX_BITS, AffineSemigroup, _box_bits, minimalize, multiplicity
 
 
 def _chain_sums(box: _Box, members: int, top: Sequence[int]) -> Iterator[int]:
@@ -152,8 +152,12 @@ def pi_decompose(sem: Union[AffineSemigroup, GapSemigroup]) -> PIMonoid:
     nonzero q with m + q a gap of the input, the gap mask above m shifted
     down by index(m) (m is a member, so q = 0 is not set). Generator-form
     input yields the base generated by the down-shifted generators together
-    with m itself. Both are revalidated by reconstructing the member
-    predicate on a window.
+    with m itself. Both are revalidated on the window [0, m + top + 3], top
+    the conductor or the coordinatewise generator maximum, by comparing two
+    masks of one box: the sums of the input's generators (its Hilbert
+    basis in gap form), and 0 with the base's sums shifted up by m. Rows
+    are 2e wide, so adding m never carries into another row. A window box
+    of more than ``MEMBER_BOX_BITS`` bits raises BudgetExceeded.
     """
     status = is_pi(sem)
     if status.is_pi is not True:
@@ -165,17 +169,21 @@ def pi_decompose(sem: Union[AffineSemigroup, GapSemigroup]) -> PIMonoid:
         base: Union[GapSemigroup, AffineSemigroup] = GapSemigroup(
             sem.dimension, box, base_gaps
         )
-        window = lattice.add(lattice.add(m, sem.conductor), (3,) * sem.dimension)
+        gens, base_gens, top = sem.hilbert_basis, base.hilbert_basis, sem.conductor
     else:
         shifted = [lattice.sub(g, m) for g in sem.generators if g != m]
         base = minimalize(shifted + [m], sem.dimension)
-        top = tuple(max(g[i] for g in sem.generators) for i in range(sem.dimension))
-        window = lattice.add(lattice.add(m, top), (3,) * sem.dimension)
+        gens, base_gens = sem.generators, base.generators
+        top = tuple(map(max, zip(*gens)))
+    extent = tuple(v + t + 4 for v, t in zip(m, top))
+    if _box_bits(extent) > MEMBER_BOX_BITS:
+        raise BudgetExceeded(f"the window box {extent} passes {MEMBER_BOX_BITS} bits")
     pim = PIMonoid(m, base)
-    # far corner first, so each membership box is built once for the window
-    for p in reversed(list(lattice.enumerate_box(lattice.zero(len(m)), window))):
-        if (p in sem) != (p in pim):
-            raise RuntimeError(f"decomposition failed to reproduce membership at {p}")
+    box = _Box(extent)
+    wrong = _generated(box, gens) ^ ((1 | _generated(box, base_gens) << box.index(m)) & box.full)
+    if wrong:
+        p = box.point(wrong.bit_length() - 1)
+        raise RuntimeError(f"decomposition failed to reproduce membership at {p}")
     return pim
 
 

@@ -5,6 +5,10 @@ two-parameter four-generator family with its certified pseudo-Frobenius
 subset, windowed Apery verification for that family, the glued extension of
 the family to every embedding dimension >= 4, and scaled numerical
 semigroups.
+
+The windowed Apery verification compares masks on one box
+(``lattice._generated``), not points one at a time; that box is capped by
+``MEMBER_BOX_BITS``, past which it raises BudgetExceeded.
 """
 
 from __future__ import annotations
@@ -14,11 +18,11 @@ from math import gcd
 from typing import NamedTuple, Sequence
 
 from . import lattice
-from .errors import BadParams, DimensionMismatch, EmptyPF, NotAGluing, NotMinimal
+from .errors import BadParams, BudgetExceeded, DimensionMismatch, EmptyPF, NotAGluing, NotMinimal
 from .frobenius import pseudo_frobenius
 from .gapsemigroup import from_generators
-from .lattice import GRLEX, Point, lattice_from, lattice_intersect
-from .membership import AffineSemigroup, minimalize
+from .lattice import GRLEX, Point, _Box, _generated, lattice_from, lattice_intersect
+from .membership import MEMBER_BOX_BITS, AffineSemigroup, _box_bits, minimalize
 
 
 @dataclass(frozen=True)
@@ -171,44 +175,38 @@ def apery_sap_window(a: int, p: int, window: Sequence[int]) -> AperyWindowReport
     axis-differences leave the semigroup. window_scan lists every point
     below ``window`` satisfying the Apery condition directly. The two agree
     inside the window; the formula side may extend beyond it.
+
+    Both read one box that holds the window and the formula's far corner
+    ((a^p-1)(a+2), (a^p-1)(a^p+2)). With M the generator sums in it, the
+    Apery set there is M & ~(M << (a,0)) & ~(M << (0,a^p)); the formula
+    side must lie in it and the window scan is its part below ``window``.
+    A box of more than ``MEMBER_BOX_BITS`` bits raises BudgetExceeded.
     """
-    sem = family_sap(a, p)
+    _check_family_params(a, p)
     window = tuple(window)
     if len(window) != 2:
         raise DimensionMismatch("window must be a plane point")
+    if min(window) < 0:
+        raise ValueError(f"box is empty: {(0, 0)} is not below {window}")
     q = a**p
-    g1, g2, g3, g4 = _family_generators(a, p)
-
-    def is_apery(b: Point) -> bool:
-        if not sem.is_member(b):
-            return False
-        for axis_gen in (g1, g2):
-            diff = lattice.sub(b, axis_gen)
-            if lattice.is_natural(diff) and sem.is_member(diff):
-                return False
-        return True
-
-    # the far corner of the formula side and the window, so the box is built once
-    sem.cover((max((q - 1) * (a + 2), window[0]), max((q - 1) * (q + 2), window[1])))
-    formula = []
-    formula_verified = True
-    for alpha in range(q):
-        for alpha2 in range(q - alpha):
-            b = lattice.add(lattice.scale(alpha, g3), lattice.scale(alpha2, g4))
-            formula.append(b)
-            if not is_apery(b):
-                formula_verified = False
-    formula_set = set(formula)
-    scan = [
-        b
-        for b in lattice.enumerate_box((0, 0), window)
-        if is_apery(b)
+    g1, g2, g3, g4 = gens = _family_generators(a, p)
+    extent = (max((q - 1) * (a + 2), window[0]) + 1, max((q - 1) * (q + 2), window[1]) + 1)
+    if _box_bits(extent) > MEMBER_BOX_BITS:
+        raise BudgetExceeded(f"the Apery box {extent} passes {MEMBER_BOX_BITS} bits")
+    box = _Box(extent)
+    members = _generated(box, gens)
+    ap = members & ~(members << box.index(g1)) & ~(members << box.index(g2))
+    formula = [
+        lattice.add(lattice.scale(alpha, g3), lattice.scale(alpha2, g4))
+        for alpha in range(q)
+        for alpha2 in range(q - alpha)
     ]
-    consistent = formula_verified and all(b in formula_set for b in scan)
+    formula_mask = box.mask(formula)
+    scan = ap & box.below(window)
     return AperyWindowReport(
-        formula_side=tuple(sorted(formula_set, key=GRLEX.key)),
-        window_scan=tuple(sorted(scan, key=GRLEX.key)),
-        consistent=consistent,
+        formula_side=tuple(sorted(formula, key=GRLEX.key)),
+        window_scan=tuple(sorted(box.points(scan), key=GRLEX.key)),
+        consistent=not (formula_mask & ~ap or scan & ~formula_mask),
     )
 
 

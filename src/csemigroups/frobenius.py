@@ -5,9 +5,10 @@ element, gap cover certificates, the ideal-quotient route to the same set,
 Apery sets for finite witness sets, the symmetry classifier, and the
 gap-count identity used by the Wilf report.
 
-PF, the ideal quotient, the Frobenius ideal's extra gaps and the count of
-members below F read the gap mask of the conductor box: each is a few
-shifts, a bit reversal or a popcount of one int, not a loop over the gaps.
+PF, the ideal quotient, the Frobenius ideal's extra gaps, the Apery set and
+the count of members below F read the gap mask of the conductor box: each
+is a few shifts, a bit reversal, a row move or a popcount of one int, not a
+loop over the gaps.
 ``RelativeIdeal`` and ``ideal_difference_member`` decide one point at a time.
 """
 
@@ -175,7 +176,8 @@ def apery(gs: GapSemigroup, witnesses: Sequence[Sequence[int]]) -> tuple[Point, 
     such a multiple m_j * e_j forces b_j < m_j or b - m_j*e_j to be a gap, so
     b_j < max(a_j) + conductor_j; without one, members far along axis j stay
     in the set. The criterion is checked first and the finite case is a box
-    scan under that exclusive bound, one shift of the member mask per a.
+    scan under that exclusive bound: the gap mask's rows moved into that box,
+    then one shift of the member mask per a.
     """
     E = [tuple(a) for a in witnesses]
     if not E:
@@ -190,7 +192,7 @@ def apery(gs: GapSemigroup, witnesses: Sequence[Sequence[int]]) -> tuple[Point, 
     if 0 in mult:
         raise InfiniteApery(mult.index(0))
     box = _Box(tuple(max(a[j] for a in E) + gs.conductor[j] for j in range(d)))
-    members = out = box.full & ~box.mask(gs.gaps)
+    members = out = box.full & ~gs.box.move(gs.gap_mask, box, gs.conductor)
     for a in E:
         out &= ~(members << box.index(a))
     return _sorted_points(box.points(out))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, prod
-from operator import mod
+from operator import ge, mod
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -90,11 +90,17 @@ class GapSemigroup:
         return self.gap_mask.bit_count()
 
     def contains(self, p: Sequence[int]) -> bool:
-        """True iff p lies in N^d and is not a gap."""
+        """True iff p lies in N^d and is not a gap.
+
+        A point at or past the conductor on some axis is a member; any
+        other lies in the conductor box and is a bit test on the gap mask.
+        """
         p = tuple(p)
         if len(p) != self.dimension:
             raise DimensionMismatch(f"point {p} in dimension {self.dimension}")
-        return all(v >= 0 for v in p) and p not in self.gaps
+        if min(p) < 0:
+            return False
+        return any(map(ge, p, self.conductor)) or not self.gap_mask >> self.box.index(p) & 1
 
     def __contains__(self, p) -> bool:
         return self.contains(p)

@@ -225,9 +225,7 @@ class _Box:
         c is one above their coordinatewise maximum (0 when there are none)
         and the box is [0, 2c), c taken at least 1. In the down-set of the
         points, those with x_i = 0 for every i < j lie below bit s_(j-1),
-        and the top one among them has x_j = c_j - 1. A box with other
-        strides takes the mask's innermost rows as runs of one bit string,
-        so the cost is linear in its length and no point is built.
+        and the top one among them has x_j = c_j - 1.
         """
         down, tops = self.up(mask, rshift), (self.full.bit_length(), *self.strides)
         c = tuple(
@@ -236,15 +234,24 @@ class _Box:
         )
         extent = tuple(2 * max(v, 1) for v in c)
         box = self if extent == self.extent else _Box(extent)
+        return c, box, self.move(mask, box, c)
+
+    def move(self, mask: int, box: "_Box", c: Sequence[int]) -> int:
+        """The mask's points, all in [0, c), as a mask of ``box``; both boxes hold [0, c).
+
+        A box with other strides takes the mask's innermost rows as runs of
+        one bit string, so the cost is linear in its length and no point is
+        built.
+        """
         if box.strides == self.strides:
-            return c, box, mask
+            return mask
         bits = format(mask, f"0{self.full.bit_length()}b")[::-1].encode()
         out = bytearray(b"0" * box.full.bit_length())
         *head, n = c
         for x in itertools.product(*map(range, head)):
             i, j = self.index(x), box.index(x)
             out[j : j + n] = bits[i : i + n]
-        return c, box, int(out[::-1], 2)
+        return int(out[::-1], 2)
 
     def points(self, mask: int) -> list[Point]:
         """The points of the set bits, in index (row-major) order."""

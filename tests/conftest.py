@@ -50,6 +50,19 @@ def closure_in_box(gens, hi):
     return members
 
 
+def count_member_calls(monkeypatch):
+    """Record every point handed to AffineSemigroup.is_member (``in`` too)."""
+    calls = []
+    real = AffineSemigroup.is_member
+
+    def counted(self, p):
+        calls.append(p)
+        return real(self, p)
+
+    monkeypatch.setattr(AffineSemigroup, "is_member", counted)
+    return calls
+
+
 def box_points(hi):
     return itertools.product(*[range(h + 1) for h in hi])
 

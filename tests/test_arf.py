@@ -1,8 +1,19 @@
 import random
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import GENS_PI, arf_violation, gap_universe, mask_to_points
+from conftest import (
+    GENS_PI,
+    arf_violation,
+    box_points,
+    count_member_calls,
+    gap_universe,
+    mask_to_points,
+)
+from csemigroups import arf
 from csemigroups.arf import (
     PIMonoid,
     arf_closure,
@@ -14,9 +25,9 @@ from csemigroups.arf import (
     prop79_check,
     prop710_check,
 )
-from csemigroups.errors import HypothesisFailed, NotFullCone, NotPI
+from csemigroups.errors import BudgetExceeded, HypothesisFailed, NotFullCone, NotPI
 from csemigroups.gapsemigroup import from_gaps, from_generators
-from csemigroups.membership import AffineSemigroup
+from csemigroups.membership import AffineSemigroup, minimalize
 
 S77_DERIVED_GAPS = {
     (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2), (4, 0), (4, 1), (4, 2),
@@ -218,6 +229,103 @@ class TestPIDecompose:
     def test_not_pi_rejected(self):
         with pytest.raises(NotPI):
             pi_decompose(AffineSemigroup(1, [(4,), (6,), (9,)]))
+
+    def test_window_box_past_the_member_budget(self):
+        # the window [0, (10003, 10003)] would take about 4 * 10^8 bits
+        with pytest.raises(BudgetExceeded):
+            pi_decompose(AffineSemigroup(2, [(5000, 5000)]))
+
+    def test_window_box_within_the_member_budget(self):
+        pim = pi_decompose(AffineSemigroup(2, [(1500, 1500)]))
+        assert pim.offset == (1500, 1500)
+        assert pim.base.generators == ((1500, 1500),)
+
+    def test_member_calls_do_not_grow_with_the_window(self, monkeypatch):
+        # 8 + Ap(<8, 7>, 8) on the diagonal: is_pi asks m and the 36
+        # generator pairs, PIMonoid asks m in the base; the window of
+        # 69 x 69 points adds no call
+        calls = count_member_calls(monkeypatch)
+        pi_decompose(AffineSemigroup(2, [(g, g) for g in range(8, 58, 7)]))
+        assert len(calls) <= 8 * 9 // 2 + 2
+
+    @pytest.mark.parametrize(
+        "gens,expected",
+        [
+            (GENS_PI, (19, 38)),
+            ([(3,), (4,), (5,)], (11,)),
+            ([(g, g) for g in range(8, 58, 7)], (68, 68)),
+        ],
+    )
+    def test_error_names_the_first_mismatch(self, monkeypatch, gens, expected):
+        # a base short of its largest generator other than m (the last
+        # point handed in): the error names the point the per-point walk
+        # finds first, in reversed row-major order
+        made = []
+
+        def short_base(points, dimension):
+            m = points[-1]
+            kept = list(minimalize(points, dimension).generators)
+            kept.remove([g for g in kept if g != m][-1])
+            made.append(PIMonoid(m, AffineSemigroup(dimension, kept or [m])))
+            return made[-1].base
+
+        monkeypatch.setattr(arf, "minimalize", short_base)
+        sem = AffineSemigroup(len(gens[0]), gens)
+        with pytest.raises(RuntimeError) as err:
+            pi_decompose(sem)
+        (pim,) = made
+        window = pi_window(pim.offset, tuple(map(max, zip(*gens))))
+        assert first_mismatch(sem, pim, window) == expected
+        assert str(err.value) == f"decomposition failed to reproduce membership at {expected}"
+
+
+def pi_window(m, top):
+    return tuple(a + b + 3 for a, b in zip(m, top))
+
+
+def first_mismatch(sem, pim, window):
+    """Per-point reference: the first p, far corner first, with p in sem
+    and p in pim disagreeing; None when they agree on the whole window."""
+    for p in reversed(list(box_points(window))):
+        if (p in sem) != (p in pim):
+            return p
+    return None
+
+
+@st.composite
+def numerical_pi_lists(draw):
+    """Minimal generators of {0} + (m + T), T = <m, t_1, ..., t_k>: m + w for
+    w in Ap(T, m). Each w is a sum of fewer than m of the t_i (m of them
+    hold a block whose sum is a multiple of m), so w < m * max t_i."""
+    m = draw(st.integers(2, 7))
+    tgens = {m, *draw(st.lists(st.integers(1, 10), min_size=1, max_size=3))}
+    top = m * max(tgens)
+    in_t = [True] + [False] * top
+    for x in range(1, top + 1):
+        in_t[x] = any(x >= t and in_t[x - t] for t in tgens)
+    return [m + w for w in range(top + 1) if in_t[w] and not (w >= m and in_t[w - m])]
+
+
+class TestPIDecomposeOracle:
+    """The window check of pi_decompose against the per-point walk."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(numerical_pi_lists(), st.sampled_from([(1,), (1, 1), (1, 2)]))
+    def test_generator_form(self, gens, ray):
+        sem = AffineSemigroup(len(ray), [tuple(g * v for v in ray) for g in gens])
+        pim = pi_decompose(sem)
+        assert pim.offset == tuple(gens[0] * v for v in ray)
+        window = pi_window(pim.offset, tuple(map(max, zip(*sem.generators))))
+        assert first_mismatch(sem, pim, window) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(numerical_pi_lists())
+    def test_gap_form(self, gens):
+        assume(gcd(*gens) == 1)
+        gs = from_generators([(g,) for g in gens])
+        pim = pi_decompose(gs)
+        assert pim.offset == (gens[0],)
+        assert first_mismatch(gs, pim, pi_window(pim.offset, gs.conductor)) is None
 
 
 class TestShiftedClosureContainment:

@@ -237,6 +237,11 @@ class TestErrors:
         assert code == 1
         assert data["error"] == "BudgetExceeded"
 
+    def test_window_boxes_capped_by_member_budget(self, capsys):
+        code, data = run_json(capsys, "pi", "decompose", "--gens", "(5000,5000)")
+        assert code == 1
+        assert data["error"] == "BudgetExceeded"
+
     @pytest.mark.parametrize(
         "data",
         [

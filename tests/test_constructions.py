@@ -1,5 +1,9 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import count_member_calls
+from csemigroups import lattice
 from csemigroups.arf import is_pi
 from csemigroups.constructions import (
     GluingSpec,
@@ -12,9 +16,10 @@ from csemigroups.constructions import (
     scale_numerical,
     verify_delta_pf,
 )
-from csemigroups.errors import BadParams, EmptyPF, NotAGluing, NotMinimal
+from csemigroups.errors import BadParams, BudgetExceeded, EmptyPF, NotAGluing, NotMinimal
 from csemigroups.frobenius import pseudo_frobenius
 from csemigroups.gapsemigroup import from_generators
+from csemigroups.lattice import GRLEX
 from csemigroups.membership import AffineSemigroup, minimalize
 
 
@@ -150,6 +155,73 @@ class TestAperyWindow:
         report = apery_sap_window(3, 2, (60, 60))
         assert report.consistent
         assert set(report.window_scan) <= set(report.formula_side)
+
+    def test_box_past_the_member_budget(self):
+        # the formula corner (1560, 14760) alone passes 2^26 bits
+        with pytest.raises(BudgetExceeded):
+            apery_sap_window(11, 2, (10, 10))
+
+    def test_negative_window_is_empty_box(self):
+        with pytest.raises(ValueError, match=r"box is empty: \(0, 0\) is not below \(-1, 5\)"):
+            apery_sap_window(3, 1, (-1, 5))
+
+    def test_member_calls_do_not_grow_with_the_window(self, monkeypatch):
+        counts = []
+        for window in ((39, 39), (200, 200)):
+            calls = count_member_calls(monkeypatch)
+            apery_sap_window(3, 3, window)
+            monkeypatch.undo()
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+
+@st.composite
+def family_windows(draw):
+    """(a, p, window), the window drawn up to just past the formula corner."""
+    a, p = draw(st.sampled_from([(3, 1), (3, 2), (5, 1), (3, 3)]))
+    q = a**p
+    corner = ((q - 1) * (a + 2), (q - 1) * (q + 2))
+    return a, p, tuple(draw(st.integers(0, c + 10)) for c in corner)
+
+
+class TestAperyWindowOracle:
+    """apery_sap_window against the per-point Apery test."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(family_windows())
+    @example((3, 1, (0, 20)))
+    @example((3, 2, (17, 0)))
+    @example((3, 3, (140, 760)))
+    @example((5, 1, (6, 6)))
+    def test_matches_pointwise_scan(self, case):
+        a, p, window = case
+        sem = family_sap(a, p)
+        q = a**p
+        g1, g2, g3, g4 = (a, 0), (0, q), (a + 2, 2), (2, 2 + q)
+
+        def is_apery(b):
+            if not sem.is_member(b):
+                return False
+            for g in (g1, g2):
+                diff = lattice.sub(b, g)
+                if lattice.is_natural(diff) and sem.is_member(diff):
+                    return False
+            return True
+
+        formula = sorted(
+            (
+                lattice.add(lattice.scale(i, g3), lattice.scale(j, g4))
+                for i in range(q)
+                for j in range(q - i)
+            ),
+            key=GRLEX.key,
+        )
+        scan = [b for b in lattice.enumerate_box((0, 0), window) if is_apery(b)]
+        report = apery_sap_window(a, p, window)
+        assert report.window_scan == tuple(sorted(scan, key=GRLEX.key))
+        assert report.formula_side == tuple(formula)
+        consistent = all(map(is_apery, formula)) and set(scan) <= set(formula)
+        assert report.consistent == consistent
 
 
 class TestFamilySaps:

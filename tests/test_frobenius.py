@@ -313,6 +313,37 @@ class TestMaskPortsOracle:
         assert omega_extra(gs, order) == tuple(sorted(expected, key=GRLEX.key))
 
     @settings(max_examples=150, deadline=None)
+    @given(finite_gap_sets())
+    def test_contains(self, gs):
+        gaps = gs.gaps
+        # past the conductor box [0, 2c) too
+        for p in box_points(tuple(2 * c + 2 for c in gs.conductor)):
+            assert gs.contains(p) == (p not in gaps), p
+
+    @settings(max_examples=150, deadline=None)
+    @given(finite_gap_sets(), st.data())
+    def test_apery(self, gs, data):
+        # a pure member per axis, nonzero and at or past the conductor, and
+        # maybe one more member; the box then differs from the gap box
+        d, gaps = gs.dimension, gs.gaps
+        E = [
+            tuple(max(c, 1) + data.draw(st.integers(0, 3)) if j == i else 0 for j in range(d))
+            for i, c in enumerate(gs.conductor)
+        ]
+        extra = data.draw(st.tuples(*[st.integers(0, c + 1) for c in gs.conductor]))
+        if any(extra) and extra not in gaps:
+            E.append(extra)
+        hi = tuple(max(a[j] for a in E) + c for j, c in enumerate(gs.conductor))
+        expected = []
+        for b in box_points(hi):
+            if b in gaps:
+                continue
+            diffs = (tuple(x - y for x, y in zip(b, a)) for a in E)
+            if all(min(v) < 0 or v in gaps for v in diffs):
+                expected.append(b)
+        assert apery(gs, E) == tuple(sorted(expected, key=GRLEX.key))
+
+    @settings(max_examples=150, deadline=None)
     @given(finite_gap_sets(), st.sampled_from(["lex", "grlex"]))
     def test_cardinality_rhs(self, gs, order):
         if not gs.gaps:

@@ -475,11 +475,15 @@ class TestInvariants:
         assert a == b and hash(a) == hash(b)
 
     def test_mask_builders_decode_no_gap_points(self):
-        # 510 048 gaps: the invariants and the equality read the mask alone
+        # 510 048 gaps: the invariants, membership, the Apery set and the
+        # equality read the mask alone
         gs = from_generators([(1009,), (1013,)])
         pseudo_frobenius(gs)
         classify(gs)
         assert gs.genus == 510048
+        assert gs.contains((2022,)) and not gs.contains((2021,))
+        assert gs.contains((1020096,)) and not gs.contains((1020095,))
+        assert len(apery(gs, [(1009,)])) == 1009
         assert gs == from_generators([(1013,), (1009,)])
         hash(gs)
         assert gs._gaps is None
