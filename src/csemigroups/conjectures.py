@@ -18,7 +18,7 @@ from . import lattice
 from .errors import DimensionOne, EmptyGapSet, NotFullCone, OrderNotPredecessorFinite
 from .frobenius import frobenius_element, pseudo_frobenius
 from .gapsemigroup import GapSemigroup, _axis_multiples
-from .lattice import GRLEX, Point, TermOrder, enumerate_preceding
+from .lattice import GRLEX, Point, TermOrder, count_preceding
 
 
 @dataclass(frozen=True)
@@ -45,14 +45,15 @@ def wilf_report(gs: GapSemigroup, order: TermOrder = GRLEX) -> WilfReport:
     """Count the members preceding F and evaluate the inequality.
 
     F is the order-maximum gap, so the other genus - 1 gaps all precede it,
-    and the sporadic members are the rest of F's predecessors.
+    and the sporadic members are the rest of F's predecessors, counted in
+    closed form (``count_preceding``).
     """
     if not gs.gap_mask:
         raise EmptyGapSet("the Wilf report needs at least one gap")
     if not order.is_predecessor_finite(gs.dimension):
         raise OrderNotPredecessorFinite(f"{order.kind} in dimension {gs.dimension}")
     F = frobenius_element(gs, order)
-    sporadic = sum(1 for _ in enumerate_preceding(order, F)) - (gs.genus - 1)
+    sporadic = count_preceding(order, F) - (gs.genus - 1)
     e = len(gs.hilbert_basis)
     n_frobenius = gs.genus + sporadic
     return WilfReport(

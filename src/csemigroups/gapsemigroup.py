@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, prod
-from operator import ge, mod
+from operator import ge, lt
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -163,41 +163,58 @@ def _axis_multiples(points: Iterable[Point], dimension: int) -> list[int]:
 
 def _tube_apery(
     gens: Sequence[Point], extent: Sequence[int], i: int, budget: Budget
-) -> list[Point]:
-    """The points of Ap(S, E) in the tube {x : x_j < extent_j for every j != i}.
+) -> tuple[_Box, int]:
+    """(W, mask): the points of Ap(S, E) in the tube {x : x_j < extent_j for
+    every j != i}, as a mask of a box W that cuts the tube along axis i.
 
     Ap(S, E) is the members s with s - m_j e_j outside S for every axis j.
     ``extent`` holds m = m_i on axis i and at most m_j on the others, so
     s - m_j e_j leaves N^d for j != i. Only the generators inside the tube
-    can add up to a point of it, so the rest are dropped. In the box W that
-    cuts the tube along axis i, the generated mask M is exactly S cut to W,
-    and the tube's Ap points in W are M minus M + m e_i. Two points of the
-    tube lie in one class mod m iff they agree mod ``extent``, and then
-    differ by a multiple of m e_i, so a class holds at most one Ap point,
-    its least member. Ap points are closed under
-    summands: if w + g is one, so are w and g. A generator is thus a step
-    between Ap points only if it is the Ap point of its class, or its class
-    has none in W yet; any other lies m e_i or more above that point. So
-    once every Ap point w in W has w_i + g_i inside W for every such step g,
-    no decomposition of a tube Ap point can leave W, and W holds them all.
-    W's extent on axis i doubles from 2m until then, clipped to max_work
-    points for W; BudgetExceeded when the largest W allowed fails the test.
+    can add up to a point of it, so the rest are dropped. In W the generated
+    mask M is exactly S cut to W, and the tube's Ap points in W are M minus
+    M + m e_i. Two points of the tube lie in one class mod m iff they agree
+    mod ``extent``, and then differ by a multiple of m e_i; the members of a
+    class in W are up-closed along m e_i, so a class holds at most one Ap
+    point, its least member. Ap points are closed under summands: if w + g
+    is one, so are w and g. A generator g is thus a step between Ap points
+    only if it is the Ap point of its class, or its class has none in W
+    yet; any other lies m e_i or more above that point. Inside W that is
+    g's bit of the Ap mask. Past W it is the bit of M at the top point of
+    g's class in W, x_i = e - 1 - (e - 1 - g_i) mod m, being clear (or x_i
+    below 0). So once the largest w_i of the Ap mask (``_Box.top``) plus
+    g_i stays inside W for every step g, no decomposition of a tube Ap
+    point can leave W, and W holds them all. W's extent e on axis i
+    doubles from 2m until then, clipped to max_work points for W;
+    BudgetExceeded when the largest W allowed fails the test. No Ap point
+    is decoded.
     """
-    m, tube = extent[i], extent
-    gens = [g for g in gens if all(v < x for j, (v, x) in enumerate(zip(g, tube)) if j != i)]
-    extent = list(extent)
+    m, extent = extent[i], list(extent)
+    extent[i] = 1 + max(g[i] for g in gens)  # no bound along the tube
+    gens = [g for g in gens if all(map(lt, g, extent))]
     extent[i] = 1
     top = budget.max_work // prod(extent)
     e, built = 2 * m, 0
     while (e := min(e, top)) > built:
         extent[i] = e
         box = _Box(extent)
+        s = box.strides[i]
         members = _generated(box, gens)
-        ap = box.points(members & ~(members << m * box.strides[i]))
-        least = {tuple(map(mod, w, tube)): w[i] for w in ap}
-        steps = [g[i] for g in gens if least.get(tuple(map(mod, g, tube)), g[i]) == g[i]]
-        if max(w[i] for w in ap) + max(steps, default=0) < e:
-            return ap
+        ap = members & ~(members << m * s)
+        # every step g must have g_i <= room = e - 1 - max w_i
+        room = e - box.top(ap)[i]
+        for g in gens:
+            if g[i] <= room:
+                continue
+            j = box.index(g)
+            if g[i] < e:
+                if ap >> j & 1:
+                    break
+            else:
+                x = e - 1 - (e - 1 - g[i]) % m
+                if x < 0 or not members >> j + (x - g[i]) * s & 1:
+                    break
+        else:
+            return box, ap
         built, e = e, 2 * e
     raise BudgetExceeded(
         f"the Apery set along axis {i} outgrows the largest box the budget allows"
@@ -218,13 +235,15 @@ def _check_finite(gens: Sequence[Point], mult: Sequence[int], budget: Budget) ->
     For a = 0, then a = 1, the first slices {x_a = t} are tested: t = 0,
     the face semigroup of the generators with g_a = 0, by the same test in
     d - 1 dimensions, and t = 1 (when m_a > 1) by the tubes cut to
-    x_a <= 1. Nothing further is needed. If both are finite, the slice t = 1
-    holds, for each face coordinate k, a member on the axes a and k alone,
-    and t times it in slice t gives slice t finitely many gaps too; so no
-    line runs off axis a. A line in a slice is thus found at the least a it
-    runs off (0, unless every line runs along axis 0) and the least level t
-    on it. In d = 1 a residue class is empty iff the generators' gcd
-    exceeds 1.
+    x_a <= 1, whose Ap masks without their face x_a = 0 (one
+    ``_Box.below`` mask) are read by popcount. Nothing further is needed.
+    If both are finite, the slice t = 1 holds, for each face coordinate k,
+    a member on the axes a and k alone (a bit of the Ap mask on the line
+    below (x_a = 1, x_j = e_j - 1), j the axis of k), and t times it in
+    slice t gives slice t finitely many gaps too; so no line runs off axis
+    a. A line in a slice is thus found at the least a it runs off (0,
+    unless every line runs along axis 0) and the least level t on it. In
+    d = 1 a residue class is empty iff the generators' gcd exceeds 1.
     """
     d = len(mult)
     if d == 1:
@@ -245,15 +264,20 @@ def _check_finite(gens: Sequence[Point], mult: Sequence[int], budget: Budget) ->
         if mult[a] == 1:
             continue
         cut = [2 if j == a else m for j, m in enumerate(mult)]
-        level = [
-            [w for w in _tube_apery(gens, cut, j, budget) if w[a] == 1] for j in face
-        ]
-        if all(len(points) == prod(mult) // mult[a] for points in level):
+        level = []
+        for j in face:
+            box, ap = _tube_apery(gens, cut, j, budget)
+            last = [x - 1 for x in box.extent]
+            last[a] = 0
+            level.append((box, ap & ~box.below(last)))
+        if all(ap.bit_count() == prod(mult) // mult[a] for _, ap in level):
             continue
         if not any(g[a] == 1 for g in gens):
             raise InfiniteGaps(a, 1, detail="no generator combination reaches this slice")
-        for k, j in enumerate(face):
-            if not any(sum(w) == 1 + w[j] for w in level[k]):
+        for k, (j, (box, ap)) in enumerate(zip(face, level)):
+            line = [int(l == a) for l in range(d)]
+            line[j] = box.extent[j] - 1
+            if not ap & box.below(line):
                 detail = f"no shift is supported on face coordinate {k} alone"
                 raise InfiniteGaps(a, 1, detail=detail)
 
@@ -270,10 +294,11 @@ def from_generators(
     class mod m misses an axis, and InfiniteGaps names a slice with
     infinitely many gaps (``_check_finite``), or every class meets every
     axis: then each gap x has x_i below the largest coordinate i of the Ap
-    points in the tube along axis i (``_tube_apery``), and the gaps are the
-    non-members of the box those coordinates bound. In d = 1 the tube is N
-    and its Ap points are the Kunz table. Raises BudgetExceeded when a box
-    would pass the limits of ``budget``.
+    points in the tube along axis i (``_tube_apery``), read off the tube's
+    Ap mask as ``_Box.top(mask)[i] - 1``, and the gaps are the non-members
+    of the box those coordinates bound. In d = 1 the tube is N and its Ap
+    points are the Kunz table. No point is decoded until ``gaps`` is read.
+    Raises BudgetExceeded when a box would pass the limits of ``budget``.
     """
     if not isinstance(source, AffineSemigroup):
         gens = [tuple(g) for g in source]
@@ -285,7 +310,7 @@ def from_generators(
         raise NotFullCone(mult.index(0))
     _check_finite(gens, mult, budget)
     tubes = [_tube_apery(gens, mult, i, budget) for i in range(d)]
-    extent = [max(1, *(w[i] for w in ap)) for i, ap in enumerate(tubes)]
+    extent = [max(1, box.top(ap)[i] - 1) for i, (box, ap) in enumerate(tubes)]
     if prod(extent) > budget.max_work:
         raise BudgetExceeded(f"the gap box {tuple(extent)} passes the budget")
     box = _Box(extent)

@@ -13,7 +13,8 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from operator import lshift, mul, rshift
+from math import comb
+from operator import lshift, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DimensionMismatch, NotClosed, OrderNotPredecessorFinite
@@ -168,6 +169,31 @@ def enumerate_preceding(order: TermOrder, p: Point) -> Iterator[Point]:
     return generate()
 
 
+def count_preceding(order: TermOrder, p: Point) -> int:
+    """The number of points that ``enumerate_preceding`` yields, in closed form.
+
+    In d = 1 it is p. For grlex, the points of degree below n = deg p
+    number C(n - 1 + d, d). A point q of degree n precedes p when, in the
+    permuted coordinates, it first differs at position t with q_t < p_t;
+    with r the degree left after the first t coordinates of p and
+    k = d - 1 - t coordinates after t, the choices q_t = v < p_t leave
+    sum over v of C(r - v + k - 1, k - 1) = C(r + k, k) - C(r - p_t + k, k)
+    points. The last position allows none.
+    """
+    d = len(p)
+    if not order.is_predecessor_finite(d):
+        raise OrderNotPredecessorFinite(f"{order.kind} in dimension {d}")
+    if d == 1:
+        return p[0]
+    r = sum(p)
+    count = comb(r - 1 + d, d)
+    for t, v in enumerate(order._permuted(p)[:-1]):
+        k = d - 1 - t
+        count += comb(r + k, k) - comb(r - v + k, k)
+        r -= v
+    return count
+
+
 # ---------------------------------------------------------------------------
 # Boxes as bitmasks
 # ---------------------------------------------------------------------------
@@ -219,19 +245,31 @@ class _Box:
             buf[i >> 3] |= 1 << (i & 7)
         return int.from_bytes(buf, "little")
 
+    def top(self, mask: int) -> Point:
+        """One above the coordinatewise maximum of the mask's points; 0 where
+        there are none.
+
+        The top bit gives c_0. Folding the rows of axis 0 onto row 0, halving
+        the rows in play each time, leaves the points' projections to
+        x_0 = 0, whose top bit gives c_1; and so on inward. A row of axis j
+        is s_j bits wide and its inner coordinates index below s_j, so no
+        fold carries, and the folds cost a few passes over the mask.
+        """
+        c = []
+        for e, s in zip(self.extent, self.strides):
+            c.append((mask.bit_length() - 1) // s + 1)
+            while e > 1:
+                e = (e + 1) // 2
+                mask = mask & ((1 << e * s) - 1) | mask >> e * s
+        return tuple(c)
+
     def fit(self, mask: int) -> tuple[Point, "_Box", int]:
         """(c, box, mask): the mask's points moved into the conductor box.
 
-        c is one above their coordinatewise maximum (0 when there are none)
-        and the box is [0, 2c), c taken at least 1. In the down-set of the
-        points, those with x_i = 0 for every i < j lie below bit s_(j-1),
-        and the top one among them has x_j = c_j - 1.
+        c is ``top(mask)``, one above their coordinatewise maximum, and the
+        box is [0, 2c), c taken at least 1.
         """
-        down, tops = self.up(mask, rshift), (self.full.bit_length(), *self.strides)
-        c = tuple(
-            ((down & ((1 << t) - 1)).bit_length() - 1) // s + 1
-            for s, t in zip(self.strides, tops)
-        )
+        c = self.top(mask)
         extent = tuple(2 * max(v, 1) for v in c)
         box = self if extent == self.extent else _Box(extent)
         return c, box, self.move(mask, box, c)
@@ -290,17 +328,23 @@ def _generated(box: _Box, gens: Iterable[Sequence[int]]) -> int:
     """The mask of the generator sums that lie in the box, 0 included.
 
     Per generator g, M |= (M << k*g) & box for k = 1, 2, 4, ... while k*g is
-    in the box, so M gains every multiple of g that fits. Coordinates only
-    grow along a sum, so its partial sums lie in the box whenever it does,
-    and dropping what leaves the box loses no sum inside it. Generators
-    must be nonzero; those outside the box add nothing.
+    in the box, that is k <= min((e_j - 1) // g_j) over g_j > 0, so M gains
+    every multiple of g that fits. Coordinates only grow along a sum, so
+    its partial sums lie in the box whenever it does, and dropping what
+    leaves the box loses no sum inside it. A generator whose bit is set is
+    skipped: inside the box it is a sum of earlier ones, so M + g lies in M
+    there, and outside it (where its index may alias a point of the box) it
+    adds nothing anyway. Generators must be nonzero.
     """
-    full = box.full
+    full, extent, strides = box.full, box.extent, box.strides
     mask = 1
     for g in gens:
-        i = box.index(g)
+        i = sum(map(mul, g, strides))
+        if mask >> i & 1:
+            continue
+        top = min([(e - 1) // v for v, e in zip(g, extent) if v])
         k = 1
-        while all(k * v < e for v, e in zip(g, box.extent)):
+        while k <= top:
             mask |= (mask << (k * i)) & full
             k *= 2
     return mask

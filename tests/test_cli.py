@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -364,3 +366,89 @@ class TestSharedParser:
         before, first, second = json.loads(proc.stdout)
         assert before == 0
         assert first == second > 0
+
+
+def degree_band(d, k):
+    """Generators of D_d(k): N^d minus every point of degree below k."""
+    return [p for p in itertools.product(range(2 * k), repeat=d) if k <= sum(p) <= 2 * k - 1]
+
+
+GOLDEN_GENS = {
+    **{f"D2({k})": degree_band(2, k) for k in range(2, 15)},
+    **{f"D3({k})": degree_band(3, k) for k in range(2, 6)},
+    "s2": [(0, 1), (3, 0), (4, 0), (1, 4), (5, 0), (2, 7)],
+    "s3": [(1, 0), (1, 1), (1, 2), (0, 3), (0, 4), (0, 5)],
+    "s4": [(0, 1), (3, 0), (4, 0), (1, 5), (5, 0), (2, 9)],
+    "s5": [(0, 1), (4, 0), (5, 0), (6, 0), (7, 0), (1, 4), (2, 7), (3, 10)],
+    "arf77": [(0, 1), (3, 0), (5, 0), (1, 3), (2, 3)],
+    # the InfiniteGaps witness lists of tests/test_gapsemigroup.py
+    "witness0": [(0, 5), (1, 0), (7, 0)],
+    "witness1": [(6, 0), (0, 1), (1, 2), (1, 7)],
+    "witness2": [(0, 0, 2), (0, 0, 3), (0, 1, 0), (7, 0, 0)],
+    "witness3": [(0, 1), (4, 0)],
+    "witness4": [(3000, 0), (0, 1), (2, 5)],
+    "witness5": [(2000, 0), (0, 2000), (1, 1), (1, 2)],
+    "witness6": [(3000, 0, 0), (0, 3000, 0), (0, 0, 3000), (1, 1, 1)],
+    "witness7": [(0, 0, 1), (0, 1, 0), (1, 1, 0), (2, 0, 2), (3, 0, 0), (4, 0, 0)],
+    "witness8": [(0, 0, 3), (0, 0, 4), (0, 1, 0), (0, 4, 0), (0, 4, 1)]
+    + [(1, 0, 2), (1, 3, 2), (2, 0, 1), (3, 0, 0), (4, 0, 0), (4, 0, 3)],
+    # the far-generator lists of tests/test_gapsemigroup.py
+    "far0": [(2,), (3,), (200001,)],
+    "far1": [(2, 0), (3, 0), (0, 1), (1, 1), (400001, 0)],
+    "far2": [(2, 0), (3, 0), (0, 1), (1, 1), (1, 400001)],
+    "far3": [(2,), (200001,)],
+    "far4": [(2, 0), (0, 1), (1, 1), (200001, 0)],
+}
+
+# (exit code, sha256 of stdout) of ``csg --json gaps --gens <list>``
+GOLDEN_GAPS = {
+    "D2(2)": (0, "047868200a67bd5e19cc6d70d82782eb2d279e64da30ca089454aa5d0ad2feb8"),
+    "D2(3)": (0, "06deb4e8d2d7d77ce57efb0db30029ee167cfacd225f32f43da5d9dbf68cdeb7"),
+    "D2(4)": (0, "209066c88aea87f06e1519306870e65e312c579847788b8a7873deaa76345a64"),
+    "D2(5)": (0, "d95983c8a11328042ec9ed9f163d5beda88d170b6e5ba3628effa7212c3a4515"),
+    "D2(6)": (0, "67254cda26c829eb5790098a987c5c4fe5fd25d33579e146ada32f565a5b31f4"),
+    "D2(7)": (0, "4be8be53ccb97318cecb56148443a2d1c0a732b1d67b385a7a1f147ae2d10403"),
+    "D2(8)": (0, "8f82203c5877238af12f97b615acb3e866fbeb0ca1144a9a40692f7d0af66dd8"),
+    "D2(9)": (0, "b210a5b3fa295d17b9c5aad1871d2dce18e6fc81cdee4dac1c74783aa09da75d"),
+    "D2(10)": (0, "326bb0881262728084bc014f81c8a0daf0cc35d151857e76c9141eb374dd7f46"),
+    "D2(11)": (0, "1c69b72601038f5379b1341751d22a1806341b024052e158247e40e1bc0ef975"),
+    "D2(12)": (0, "c9ee71f1272624e514fe43c8db1bd15cc93db2dba53ca901b524ef4a30fb8fe4"),
+    "D2(13)": (0, "93e802d8bcb50aba118cfac9aef5da9fa236dbda33d61a3a26bdd07f3017bfbe"),
+    "D2(14)": (0, "8d2e50e685d9bf2877a78a346aa08fa5d95e31902101e8275342cc81d0d74722"),
+    "D3(2)": (0, "4fc575150837db7975cff79a24a85ad1f6f8e2436b867486da5e2b20582344e7"),
+    "D3(3)": (0, "5a2e24f5993ff30f4bc4a2c6ab6bbf2a4a50488625632682a68291e545ab9b9d"),
+    "D3(4)": (0, "f2355938d8869e6258e85f576e40a684ed9ec5dc09bc63616b32b10936248692"),
+    "D3(5)": (0, "2761f35d76b3fa3793294514c030d71b10feae2cb62eb8696b4a50e7856ec03e"),
+    "s2": (0, "1d525c9a6cf859c338b6b702d13950a3ef8b096931ebcb75c6f4886ebd18fc11"),
+    "s3": (0, "e4460cc45888f4bfaffbf763e0797f8650b9c98283445985c9b3b7da14487528"),
+    "s4": (0, "9ea862f94a7e75e5b0f004c939f27af9a5e3e4eb5f7819ac30ef8191c24eb2ff"),
+    "s5": (0, "e94d5182dbc241073d2913599875bacfa47a5279bcbb5ad5d68143e02e1f94dc"),
+    "arf77": (0, "4718c2023c16cd311605334a5a7ff05ef5d7d6fb7c04045c9078153c81c4cb54"),
+    "witness0": (1, "240ccab3b1db9e6b97f85ff0351d8f3537d1747c0bab441444e60c2afd427ed3"),
+    "witness1": (1, "4ec85542d94a106d355917c2f0f14768623fa7931cf0b864b608367c285273cd"),
+    "witness2": (1, "240ccab3b1db9e6b97f85ff0351d8f3537d1747c0bab441444e60c2afd427ed3"),
+    "witness3": (1, "c432591988f6dd485700b8d089a237490cb7d301aed15af895455087b723b9d6"),
+    "witness4": (1, "c432591988f6dd485700b8d089a237490cb7d301aed15af895455087b723b9d6"),
+    "witness5": (1, "240ccab3b1db9e6b97f85ff0351d8f3537d1747c0bab441444e60c2afd427ed3"),
+    "witness6": (1, "240ccab3b1db9e6b97f85ff0351d8f3537d1747c0bab441444e60c2afd427ed3"),
+    "witness7": (1, "61296be7c0586516e89ca4032f7bab2a7d15617bd2380dd0ea6313b610014479"),
+    "witness8": (1, "608895b640f2c9f2636abca37ecde164a426fd67b46d69f8318504592e7092a6"),
+    "far0": (0, "86db08dc964a8c097404ab54b008d1345799d2b7bd916ce54610f018225959ab"),
+    "far1": (0, "ffa3302de0b56a0e1b53681812d0646c8c5733c7c1799a978771a999f8f42e04"),
+    "far2": (0, "ffa3302de0b56a0e1b53681812d0646c8c5733c7c1799a978771a999f8f42e04"),
+    "far3": (0, "6c5875f70fb07a9437a3f7bc72a0cd7e068e447fcc260e40bc7e4c7eaebeed29"),
+    "far4": (0, "997b69d2b1423c0971d8a4776d0e4a5362fc369d1908083ded8c250f8ce9101c"),
+}
+
+
+class TestGoldenGaps:
+    """``csg --json gaps`` stdout and exit code, pinned byte for byte, on
+    the degree bands, the paper corpus, every InfiniteGaps witness list
+    (the line along axis 0, ``(6,0);(0,1);(1,2);(1,7)``, among them) and
+    every far-generator list."""
+
+    @pytest.mark.parametrize("label", GOLDEN_GAPS)
+    def test_stdout_bytes(self, capsys, label):
+        gens = ";".join("(" + ",".join(map(str, g)) + ")" for g in GOLDEN_GENS[label])
+        code, out = run(capsys, "--json", "gaps", "--gens", gens)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN_GAPS[label]

@@ -1,6 +1,7 @@
 import pytest
 
 import math
+import operator
 import random
 
 from hypothesis import given, settings
@@ -34,11 +35,12 @@ from csemigroups.frobenius import (
 )
 from csemigroups.gapsemigroup import (
     Budget,
+    _tube_apery,
     from_gaps,
     from_generators,
     validate_complement_closed,
 )
-from csemigroups.lattice import GRLEX, LEX, TermOrder
+from csemigroups.lattice import GRLEX, LEX, TermOrder, _Box
 from csemigroups.membership import AffineSemigroup, minimalize
 
 S2_GAPS = {
@@ -364,6 +366,15 @@ class TestFromGenerators:
     def test_far_generator(self, gens, gaps):
         assert from_generators(gens).gaps == frozenset(gaps)
 
+    def test_budget_clips_the_tube_below_m(self):
+        # a box of 4 points along the axis holds no point of 9's class mod 5
+        with pytest.raises(BudgetExceeded):
+            from_generators([(5,), (9,)], budget=Budget(max_work=4))
+        # the Kunz table ends at 36, so with the step 9 the box needs 46
+        with pytest.raises(BudgetExceeded):
+            from_generators([(5,), (9,)], budget=Budget(max_work=45))
+        assert from_generators([(5,), (9,)], budget=Budget(max_work=46)).genus == 16
+
     def test_budget_caps_the_gap_box(self):
         # each tube box takes 10 * 160 points, the gap box 108 * 108
         gens = [(10, 0), (11, 0), (0, 10), (0, 11), (1, 1)]
@@ -405,6 +416,103 @@ class TestAperyKernelOracle:
         hi = tuple(2 * max(c, 1) for c in gs.conductor)
         members = closure_in_box(gens, hi)
         assert gs.gaps == {p for p in box_points(hi) if p not in members}
+
+    @staticmethod
+    def _check_tube(gens, extent, i):
+        """The tube kernel's Ap mask against the Ap points of the closure,
+        and its box against the stop test read off decoded points."""
+        box, ap = _tube_apery(gens, extent, i, Budget())
+        m = extent[i]
+
+        def apery_points(top):
+            hi = [x - 1 for x in extent]
+            hi[i] = top
+            members = closure_in_box(gens, hi)
+            return {
+                w
+                for w in box_points(hi)
+                if w in members and w[:i] + (w[i] - m,) + w[i + 1 :] not in members
+            }
+
+        # the window runs on to twice the tube box, so an Ap point the box
+        # missed would show
+        assert set(box.points(ap)) == apery_points(2 * box.extent[i])
+
+        # the box is the first doubling from 2m that passes the stop test
+        # on decoded points: per class mod the tube, its least member in the
+        # box; a tube generator is a step if it is that member or its class
+        # has none
+        def stops(e):
+            points = apery_points(e - 1)
+            least = {tuple(map(operator.mod, w, extent)): w[i] for w in points}
+            steps = [
+                g[i]
+                for g in gens
+                if all(v < x for j, (v, x) in enumerate(zip(g, extent)) if j != i)
+                and least.get(tuple(map(operator.mod, g, extent)), g[i]) == g[i]
+            ]
+            return max(w[i] for w in points) + max(steps, default=0) < e
+
+        e = 2 * m
+        while not stops(e):
+            e *= 2
+        assert box.extent[i] == e
+
+    @settings(max_examples=200, deadline=None)
+    @given(full_cone_lists().filter(lambda case: case[0] >= 2), st.data())
+    def test_tube_apery_matches_closure(self, case, data):
+        d, gens = case
+        mult = [min(g[i] for g in gens if sum(g) == g[i]) for i in range(d)]
+        i = data.draw(st.integers(0, d - 1))
+        extent = list(mult)
+        # the tubes of the finiteness test cut another axis to x_a <= 1
+        cut = [a for a in range(d) if a != i and mult[a] > 1]
+        if cut and data.draw(st.booleans()):
+            extent[data.draw(st.sampled_from(cut))] = 2
+        self._check_tube(gens, extent, i)
+
+    @pytest.mark.parametrize(
+        "gens,extent,i",
+        [
+            # the last generator lies past the box, in a class whose Ap
+            # point is in the box's top m rows: the top point of the class
+            # is a member, so it is no step
+            ([(3, 0), (0, 2), (0, 4), (1, 1), (2, 6), (3, 12)], [3, 2], 1),
+            ([(4, 0), (0, 3), (1, 1), (3, 6), (64, 3)], [4, 3], 1),
+            ([(3, 0), (0, 4), (1, 1), (6, 3), (87, 3)], [3, 4], 0),
+            ([(3, 0), (0, 5), (1, 1), (6, 3), (2, 5), (1, 5), (2, 180)], [3, 5], 0),
+        ],
+    )
+    def test_tube_past_the_box(self, gens, extent, i):
+        self._check_tube(gens, extent, i)
+
+    @pytest.mark.parametrize(
+        "gens",
+        [
+            GENS_S2,
+            [(1009,), (1013,)],
+            [(0, 0, 1), (0, 1, 1), (0, 2, 0), (0, 3, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0), (3, 0, 0)],
+            [(2, 0), (3, 0), (0, 1), (1, 1), (1, 400001)],
+            [(6, 0), (0, 1), (1, 2), (1, 7)],
+        ],
+    )
+    def test_no_ap_point_decoded(self, gens, monkeypatch):
+        calls = []
+        real = _Box.points
+
+        def counted(self, mask):
+            calls.append(mask)
+            return real(self, mask)
+
+        monkeypatch.setattr(_Box, "points", counted)
+        try:
+            gs = from_generators(gens)
+        except InfiniteGaps:
+            assert calls == []
+            return
+        assert calls == []
+        gs.gaps
+        assert calls == [gs.gap_mask]
 
 
 class TestContains:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import closure_in_box
 from csemigroups.errors import DimensionMismatch, OrderNotPredecessorFinite
 from csemigroups.lattice import (
     GRLEX,
@@ -14,6 +15,8 @@ from csemigroups.lattice import (
     LESS,
     TermOrder,
     _Box,
+    _generated,
+    count_preceding,
     enumerate_box,
     enumerate_preceding,
     lattice_from,
@@ -230,3 +233,76 @@ class TestBox:
     def test_fit_empty_and_far_corner(self, extent):
         self._check_fit(extent, set())
         self._check_fit(extent, {tuple(e - 1 for e in extent)})
+
+
+class CountingFull(int):
+    """A box's ``full`` mask that counts the ANDs taken with it: the
+    reflected AND of an int subclass runs before int's own."""
+
+    def __new__(cls, value):
+        self = super().__new__(cls, value)
+        self.ands = 0
+        return self
+
+    def __rand__(self, other):
+        self.ands += 1
+        return int(self) & other
+
+
+class TestGenerated:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_closure(self, data):
+        d = data.draw(st.integers(1, 3))
+        extent = data.draw(st.tuples(*[st.integers(1, (40, 9, 5)[d - 1])] * d))
+        # entries up to twice the extent, so some generators lie outside
+        # the box, and some rows past it would alias without the limit
+        point = st.tuples(*[st.integers(0, 2 * e) for e in extent]).filter(any)
+        gens = data.draw(st.lists(point, min_size=1, max_size=5))
+        # redundant members: sums of two listed generators
+        gens += [tuple(map(sum, zip(g, h))) for g, h in data.draw(
+            st.lists(st.tuples(st.sampled_from(gens), st.sampled_from(gens)), max_size=3)
+        )]
+        gens = data.draw(st.permutations(gens))
+        box = _Box(extent)
+        members = closure_in_box(gens, [e - 1 for e in extent])
+        assert _generated(box, gens) == box.mask(members)
+
+    def test_multiples_stop_at_the_box_edge(self):
+        # 2 * (0, 4) leaves the box; shifted onto (0, 4) it would carry
+        # into the row x_0 = 1 as (1, 2)
+        box = _Box((3, 5))
+        assert box.points(_generated(box, [(0, 4), (0, 3)])) == [(0, 0), (0, 3), (0, 4)]
+
+    @pytest.mark.parametrize(
+        "extent,gens,extra",
+        [
+            ((30,), [(4,), (7,)], (11,)),
+            ((12, 12), [(3, 0), (0, 2), (1, 1)], (4, 1)),
+            ((12, 12), [(3, 0), (0, 2), (1, 1)], (3, 0)),
+            ((5, 6, 7), [(1, 0, 0), (0, 2, 0), (0, 0, 3)], (1, 2, 3)),
+        ],
+    )
+    def test_member_generator_costs_no_shift(self, extent, gens, extra):
+        counts = []
+        for listed in (gens, gens + [extra]):
+            box = _Box(extent)
+            box.full = CountingFull(box.full)
+            counts.append((_generated(box, listed), box.full.ands))
+        assert counts[0] == counts[1] and counts[0][1] > 0
+
+
+class TestCountPreceding:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_enumeration(self, data):
+        d = data.draw(st.integers(1, 4))
+        p = data.draw(st.tuples(*[st.integers(0, (40, 12, 7, 5)[d - 1])] * d))
+        perm = data.draw(st.none() | st.permutations(range(d)))
+        for kind in ("grlex", "lex") if d == 1 else ("grlex",):
+            order = TermOrder(kind, perm)
+            assert count_preceding(order, p) == sum(1 for _ in enumerate_preceding(order, p))
+
+    def test_lex_rejected_in_dimension_two(self):
+        with pytest.raises(OrderNotPredecessorFinite):
+            count_preceding(LEX, (1, 2))
