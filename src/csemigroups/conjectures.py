@@ -108,7 +108,7 @@ def buchsbaum_report(gs: GapSemigroup) -> BuchsbaumReport:
         hit = gaps & ~(gaps >> box.index(lattice.scale(2, r)))
         twice |= once & hit
         once |= hit
-    d_set = tuple(sorted(box.points(twice), key=GRLEX.key))
+    d_set = tuple(box.grlex_points(twice))
     pf = pseudo_frobenius(gs)
     return BuchsbaumReport(
         d_set=d_set,

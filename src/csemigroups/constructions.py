@@ -21,8 +21,8 @@ from . import lattice
 from .errors import BadParams, BudgetExceeded, DimensionMismatch, EmptyPF, NotAGluing, NotMinimal
 from .frobenius import pseudo_frobenius
 from .gapsemigroup import from_generators
-from .lattice import GRLEX, Point, _Box, _generated, lattice_from, lattice_intersect
-from .membership import MEMBER_BOX_BITS, AffineSemigroup, _box_bits, minimalize
+from .lattice import Point, _Box, _generated, grlex_sorted, lattice_from, lattice_intersect
+from .membership import MEMBER_BOX_BITS, AffineSemigroup, _box_bits, _member, minimalize
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ def glued_pf(pf1: Sequence[Sequence[int]], pf2: Sequence[Sequence[int]], s: Sequ
     s = tuple(s)
     sums = {lattice.add(lattice.add(f, g), s) for f in pf1 for g in pf2}
     return GluedPF(
-        points=tuple(sorted(sums, key=GRLEX.key)),
+        points=tuple(grlex_sorted(sums)),
         collisions=len(pf1) * len(pf2) - len(sums),
     )
 
@@ -134,18 +134,26 @@ def verify_delta_pf(a: int, p: int) -> DeltaVerification:
         f + (0,a^p)     = (a^p-l-2)(a+2,2) + (l+1)(2,a^p+2)
         f + (a+2,2)     = (a^{p-1}(a+2)-l-1)(a,0) + (l+2)(0,a^p)
         f + (2,2+a^p)   = (a^{p-1}(a+2)-l-2)(a,0) + (l+3)(0,a^p)
+
+    Every flag is one bit of the membership box that holds the far corner
+    of every f + g, built once (``AffineSemigroup.cover``). A box of more
+    than ``MEMBER_BOX_BITS`` bits raises BudgetExceeded before any flag is
+    read.
     """
     sem = family_sap(a, p)
     q = a**p
     r = a ** (p - 1) * (a + 2)
-    g1, g2, g3, g4 = _family_generators(a, p)
+    g1, g2, g3, g4 = gens = _family_generators(a, p)
     deltas = delta_set(a, p)
-    # the far corner of every f + g, so the membership box is built once
-    sem.cover([max(f[i] for f in deltas) + max(g[i] for g in sem.generators) for i in (0, 1)])
+    corner = [max(f[i] for f in deltas) + max(g[i] for g in gens) for i in (0, 1)]
+    extent = tuple(v + 1 for v in corner)
+    if _box_bits(extent) > MEMBER_BOX_BITS:
+        raise BudgetExceeded(f"the membership box {extent} passes {MEMBER_BOX_BITS} bits")
+    box, bits = sem.cover(corner)
     witnesses = []
     for l, f in enumerate(deltas):
-        outside = not sem.is_member(f)
-        shifts = tuple(sem.is_member(lattice.add(f, g)) for g in (g1, g2, g3, g4))
+        outside = not _member(gens, f, box, bits)
+        shifts = tuple(_member(gens, lattice.add(f, g), box, bits) for g in gens)
         forms = (
             lattice.add(f, g1)
             == lattice.add(lattice.scale(q - l - 1, g3), lattice.scale(l, g4)),
@@ -204,8 +212,8 @@ def apery_sap_window(a: int, p: int, window: Sequence[int]) -> AperyWindowReport
     formula_mask = box.mask(formula)
     scan = ap & box.below(window)
     return AperyWindowReport(
-        formula_side=tuple(sorted(formula, key=GRLEX.key)),
-        window_scan=tuple(sorted(box.points(scan), key=GRLEX.key)),
+        formula_side=tuple(grlex_sorted(formula)),
+        window_scan=tuple(box.grlex_points(scan)),
         consistent=not (formula_mask & ~ap or scan & ~formula_mask),
     )
 

@@ -1,14 +1,14 @@
 """Pseudo-Frobenius analytics on finite-gap semigroups.
 
 Covers the pseudo-Frobenius set and Betti-type, the term-order Frobenius
-element, gap cover certificates, the ideal-quotient route to the same set,
-Apery sets for finite witness sets, the symmetry classifier, and the
-gap-count identity used by the Wilf report.
+element, gap cover certificates, the ideal-quotient description of the
+same set, Apery sets for finite witness sets, the symmetry classifier, and
+the gap-count identity used by the Wilf report.
 
-PF, the ideal quotient, the Frobenius ideal's extra gaps, the Apery set and
-the count of members below F read the gap mask of the conductor box: each
-is a few shifts, a bit reversal, a row move or a popcount of one int, not a
-loop over the gaps.
+PF, the Frobenius ideal's extra gaps, the Apery set and the count of
+members below F read the gap mask of the conductor box: each is a few
+shifts, a bit reversal, a row move or a popcount of one int, not a loop
+over the gaps.
 ``RelativeIdeal`` and ``ideal_difference_member`` decide one point at a time.
 """
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from operator import rshift
+from operator import lt, rshift
 from typing import Optional, Sequence
 
 from . import lattice
@@ -28,26 +28,26 @@ from .errors import (
     NotNatural,
 )
 from .gapsemigroup import GapSemigroup, _axis_multiples
-from .lattice import GRLEX, Point, TermOrder, _Box
-
-
-def _sorted_points(points) -> tuple[Point, ...]:
-    return tuple(sorted(points, key=GRLEX.key))
+from .lattice import GRLEX, Point, TermOrder, _Box, grlex_sorted
 
 
 def pseudo_frobenius(gs: GapSemigroup) -> tuple[Point, ...]:
     """Gaps f with f + a in S for every Hilbert-basis element a.
 
     Checking the basis suffices: any nonzero member is a basis element plus a
-    member, and S is closed under addition. The basis lies in the conductor
-    box [0, 2c), so in it the gaps f with f + a a gap are the gap mask
-    shifted down by a: f < c and a < 2c, so f + a never leaves its row.
+    member, and S is closed under addition. Only the basis elements a < c
+    coordinatewise need a shift: a gap f has f < c, so if a_i >= c_i on some
+    axis i then (f + a)_i >= c_i, past every gap, and f + a is a member. The
+    basis lies in the conductor box [0, 2c), so in it the gaps f with f + a
+    a gap are the gap mask shifted down by a: f < c and a < 2c, so f + a
+    never leaves its row.
     """
-    box = gs.box
+    box, c = gs.box, gs.conductor
     gaps = pf = gs.gap_mask
     for a in gs.hilbert_basis:
-        pf &= ~(gaps >> box.index(a))
-    return _sorted_points(box.points(pf))
+        if all(map(lt, a, c)):
+            pf &= ~(gaps >> box.index(a))
+    return tuple(box.grlex_points(pf))
 
 
 def betti_type(gs: GapSemigroup) -> int:
@@ -101,7 +101,7 @@ def omega_extra(gs: GapSemigroup, order: TermOrder = GRLEX) -> tuple[Point, ...]
     n = box.index(F) + 1
     members = box.full & ~gaps & ((1 << n) - 1)
     mirrored = int(format(members, f"0{n}b")[::-1], 2)
-    return _sorted_points(box.points(gaps & ~(mirrored & box.below(F))))
+    return tuple(box.grlex_points(gaps & ~(mirrored & box.below(F))))
 
 
 @dataclass(frozen=True)
@@ -195,7 +195,7 @@ def apery(gs: GapSemigroup, witnesses: Sequence[Sequence[int]]) -> tuple[Point, 
     members = out = box.full & ~gs.box.move(gs.gap_mask, box, gs.conductor)
     for a in E:
         out &= ~(members << box.index(a))
-    return _sorted_points(box.points(out))
+    return tuple(box.grlex_points(out))
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,7 @@ class RelativeIdeal:
     generators: tuple[Point, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "generators", _sorted_points(self.generators))
+        object.__setattr__(self, "generators", tuple(grlex_sorted(self.generators)))
         for g in self.generators:
             if len(g) != self.base.dimension:
                 raise DimensionMismatch(f"ideal generator {g}")
@@ -244,20 +244,16 @@ def ideal_difference_member(ideal: RelativeIdeal, other: RelativeIdeal, z: Seque
 
 
 def pf_via_ideal(gs: GapSemigroup) -> tuple[Point, ...]:
-    """The pseudo-Frobenius set computed as (S - S*) minus S.
+    """The pseudo-Frobenius set as (S - S*) minus S.
 
     S is the ideal generated by 0 and S* the ideal generated by the Hilbert
     basis; z is in (S - S*) iff z + g is in S for each generator g of S*,
-    as in ``ideal_difference_member``. On the conductor box that is one
-    shift of the gap mask per g: z + g never leaves its row, and bits past
-    a row's extent are members beyond the conductor. The quotient, taken
-    over the whole box, then loses its members.
+    as in ``ideal_difference_member``. The gaps among those z are exactly
+    the gaps f with f + a in S for every basis element a, which is
+    ``pseudo_frobenius``, so that set is returned. The tests check it
+    against ``ideal_difference_member`` point by point.
     """
-    box, gaps = gs.box, gs.gap_mask
-    quotient = box.full
-    for g in gs.hilbert_basis:
-        quotient &= ~(gaps >> box.index(g))
-    return _sorted_points(box.points(quotient & gaps))
+    return pseudo_frobenius(gs)
 
 
 def cardinality_identity(gs: GapSemigroup, order: TermOrder = GRLEX) -> tuple[int, int]:

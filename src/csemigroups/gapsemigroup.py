@@ -29,7 +29,7 @@ from .errors import (
     NotFullCone,
     NotNatural,
 )
-from .lattice import GRLEX, Point, _Box, _closure_pass, _generated
+from .lattice import Point, _Box, _closure_pass, _generated
 from .membership import AffineSemigroup
 
 
@@ -74,7 +74,7 @@ class GapSemigroup:
         return self._gaps
 
     def __repr__(self):
-        return f"GapSemigroup(d={self.dimension}, gaps={sorted(self.gaps, key=GRLEX.key)})"
+        return f"GapSemigroup(d={self.dimension}, gaps={self.box.grlex_points(self.gap_mask)})"
 
     def __eq__(self, other):
         return isinstance(other, GapSemigroup) and self._key() == other._key()
@@ -111,10 +111,8 @@ class GapSemigroup:
         return self._basis
 
     def to_json(self) -> dict:
-        return {
-            "d": self.dimension,
-            "gaps": [list(g) for g in sorted(self.gaps, key=GRLEX.key)],
-        }
+        gaps = self.box.grlex_points(self.gap_mask)
+        return {"d": self.dimension, "gaps": list(map(list, gaps))}
 
 
 def validate_complement_closed(dimension: int, gaps: frozenset[Point]) -> None:
@@ -126,15 +124,20 @@ def from_gaps(dimension: int, gaps: Iterable[Sequence[int]]) -> GapSemigroup:
     """Build the semigroup N^d minus the given gaps, validating closure.
 
     The mask is written straight into the conductor box, and the points
-    given are kept as the decoded ``gaps``.
+    given are kept as the decoded ``gaps``. Dimension and sign are checked
+    on the lengths and the coordinate columns; only when a check fails are
+    the points walked one by one, in the set's order, to name the first
+    bad one.
     """
-    gapset = frozenset(tuple(g) for g in gaps)
-    for g in gapset:
-        if len(g) != dimension:
-            raise DimensionMismatch(f"gap {g} in dimension {dimension}")
-        if any(v < 0 for v in g):
-            raise NotNatural(g)
-    box = _Box([2 + 2 * max(col) for col in zip((0,) * dimension, *gapset)])
+    gapset = frozenset(map(tuple, gaps))
+    columns = list(zip(*gapset))
+    if not set(map(len, gapset)) <= {dimension} or any(min(col) < 0 for col in columns):
+        for g in gapset:
+            if len(g) != dimension:
+                raise DimensionMismatch(f"gap {g} in dimension {dimension}")
+            if any(v < 0 for v in g):
+                raise NotNatural(g)
+    box = _Box([2 + 2 * max(col) for col in columns] if gapset else [2] * dimension)
     gs = GapSemigroup(dimension, box, box.mask(gapset))
     gs._gaps = gapset
     return gs

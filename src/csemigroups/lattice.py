@@ -11,10 +11,11 @@ membership and intersection.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from math import comb
-from operator import lshift, mul
+from operator import floordiv, lshift, mod, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DimensionMismatch, NotClosed, OrderNotPredecessorFinite
@@ -144,6 +145,16 @@ GRLEX = TermOrder("grlex")
 LEX = TermOrder("lex")
 
 
+def grlex_sorted(points: Iterable[Point]) -> list[Point]:
+    """The points in graded-lex order, as ``sorted(points, key=GRLEX.key)``.
+
+    A lex sort followed by a stable sort on the degree leaves each degree
+    in lex order. The points of a box mask decode in lex order already, so
+    ``_Box.grlex_points`` sorts them by degree only.
+    """
+    return sorted(sorted(points), key=sum)
+
+
 def enumerate_preceding(order: TermOrder, p: Point) -> Iterator[Point]:
     """All q in N^d with q strictly preceding p, each exactly once.
 
@@ -237,11 +248,16 @@ class _Box:
         return tuple(p)
 
     def mask(self, points: Iterable[Sequence[int]]) -> int:
-        """The bits of the given points, each inside the box."""
+        """The bits of the given points, each inside the box.
+
+        The indices are summed column by column (the last stride is 1, so
+        in d = 1 the values are the indices) and set in a byte buffer.
+        """
         buf = bytearray((self.full.bit_length() + 7) >> 3)
-        strides = self.strides
-        for p in points:
-            i = sum(map(mul, p, strides))
+        *head, indices = list(zip(*points)) or [()]
+        for column, s in zip(head, self.strides):
+            indices = map(operator.add, indices, map(mul, column, itertools.repeat(s)))
+        for i in indices:
             buf[i >> 3] |= 1 << (i & 7)
         return int.from_bytes(buf, "little")
 
@@ -293,7 +309,13 @@ class _Box:
 
     def points(self, mask: int) -> list[Point]:
         """The points of the set bits, in index (row-major) order."""
-        return [self.point(m.start()) for m in re.finditer("1", bin(mask)[:1:-1])]
+        return _decode(self.strides, mask)
+
+    def grlex_points(self, mask: int) -> list[Point]:
+        """The points of the set bits, all inside the box, in graded-lex
+        order: index order is lex order there, so a stable sort by degree
+        is enough."""
+        return sorted(self.points(mask), key=sum)
 
     def below(self, p: Sequence[int]) -> int:
         """The points of the box at or below p coordinatewise; p in the box.
@@ -322,6 +344,24 @@ class _Box:
                 mask |= shift(mask, k * s) & full
                 k *= 2
         return mask
+
+
+def _decode(strides: Sequence[int], mask: int) -> list[Point]:
+    """The points of the set bits of a box mask, in index order.
+
+    The set bits' indices are the places of "1" in the mask's binary
+    digits, lowest first (a string search, so a sparse mask costs little
+    more than its digits), and the coordinates come column by column: one
+    ``//`` and one ``%`` list per stride. Inside the box, index order is
+    lex order.
+    """
+    indices = list(map(re.Match.start, re.finditer("1", bin(mask)[:1:-1])))
+    columns = []
+    for s in strides[:-1]:
+        columns.append(list(map(floordiv, indices, itertools.repeat(s))))
+        indices = list(map(mod, indices, itertools.repeat(s)))
+    columns.append(indices)
+    return list(zip(*columns))
 
 
 def _generated(box: _Box, gens: Iterable[Sequence[int]]) -> int:
@@ -366,16 +406,17 @@ def _closure_pass(box: _Box, gap_mask: int) -> tuple[Point, ...]:
         raise NotClosed(box.point(0), box.point(0))
     members = box.full & ~gap_mask
     left = members & ~1
-    basis = []
+    basis = 0
     while left:
-        i = (left & -left).bit_length() - 1
+        low = left & -left
+        i = low.bit_length() - 1
         sums = members << i
         clash = sums & gap_mask
         if clash:
             raise NotClosed(box.point((clash & -clash).bit_length() - 1), box.point(i))
-        basis.append(box.point(i))
+        basis |= low
         left &= ~sums
-    return tuple(sorted(basis, key=GRLEX.key))
+    return tuple(sorted(_decode(box.strides, basis), key=sum))
 
 
 # ---------------------------------------------------------------------------

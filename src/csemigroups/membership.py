@@ -20,7 +20,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import lattice
 from .errors import BudgetExceeded, DimensionMismatch, DimensionOne
-from .lattice import GRLEX, Point, _Box, _generated
+from .lattice import Point, _Box, _generated, grlex_sorted
 
 SLICE_SHIFT_BUDGET = 10**6
 MEMBER_BOX_BITS = 1 << 26
@@ -47,7 +47,7 @@ class AffineSemigroup:
     __slots__ = ("dimension", "generators", "_cache")
 
     def __init__(self, dimension: int, generators: Iterable[Sequence[int]]):
-        gens = sorted({tuple(g) for g in generators}, key=GRLEX.key)
+        gens = grlex_sorted({tuple(g) for g in generators})
         if dimension < 1:
             raise ValueError("dimension must be at least 1")
         if not gens:
@@ -238,6 +238,6 @@ def slice_decomposition(
                 f"slice shift family exceeded {budget} stored shifts at level {u}"
             )
         levels.append(shifts)
-    shifts = tuple(sorted(levels[level], key=GRLEX.key))
+    shifts = tuple(grlex_sorted(levels[level]))
     face = AffineSemigroup(sem.dimension - 1, face_gens) if face_gens else None
     return SliceDecomposition(shifts, face)

@@ -4,8 +4,11 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csemigroups import cli
 from csemigroups.cli import main, parse_point, parse_point_list
@@ -40,6 +43,67 @@ class TestParsing:
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(ValueError):
             parse_point_list("(0,1);(3,0,0)")
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_point_list_matches_per_chunk_parser(self, data):
+        text = data.draw(point_list_texts())
+        assert _outcome(parse_point_list, text) == _outcome(_per_chunk_point_list, text)
+
+
+def _per_chunk_point_list(text):
+    """The point-list grammar chunk by chunk: every ";" part that is not
+    blank through ``parse_point``, then one dimension for all."""
+    points = [parse_point(chunk) for chunk in text.split(";") if chunk.strip()]
+    if not points:
+        raise ValueError("empty point list")
+    dims = {len(p) for p in points}
+    if len(dims) != 1:
+        raise ValueError(f"mixed dimensions in point list: {sorted(dims)}")
+    return points
+
+
+def _outcome(parse, text):
+    try:
+        return "ok", parse(text)
+    except Exception as exc:  # the same class and text, whatever it is
+        return "error", type(exc), str(exc)
+
+
+_SPACE = st.sampled_from(["", "", "", " ", "  ", "\t", "\n", " \r\n", "\xa0", "\u2003"])
+_VALUE = st.one_of(
+    st.integers(-20, 60), st.integers(0, 10**6), st.integers(-(10**40), 10**40)
+).map(str)
+# spellings the per-chunk parser reads that are not canonical, and some
+# it rejects
+_ODD_CHUNK = st.sampled_from([
+    "+5", "(+1,2)", "(1,,2)", "(,3)", "[1,2]", "[7]", "[true]", "[1.5]", "[1,",
+    "007", "(007,08)", "-0", "1_000", "(5)", "( 5 )", "()", "(1,2", "1,2)", "(1;2)",
+    "abc", "1.5", "(a,b)", ")(", "", " ", "\u0663", "((1,2))", "(1 2)", "-", "--1",
+])
+
+
+@st.composite
+def point_list_texts(draw):
+    """Canonical lists (bare integers in d = 1, parenthesized tuples in any
+    d), with whitespace around every token; some get odd chunks, stray
+    separators or a changed dimension spliced in, and some are noise."""
+    if draw(st.integers(0, 5)) == 0:
+        return draw(st.text(alphabet="0123456789-+(),;[] \t_.ae", max_size=30))
+    d = draw(st.integers(1, 4))
+    bare = d == 1 and draw(st.booleans())
+    chunks = []
+    for _ in range(draw(st.integers(1, 6))):
+        dim = d if draw(st.integers(0, 9)) else draw(st.integers(1, 4))
+        values = [draw(_SPACE) + draw(_VALUE) + draw(_SPACE) for _ in range(dim)]
+        if bare and dim == 1 and draw(st.integers(0, 4)):
+            chunk = values[0]
+        else:
+            chunk = "(" + ",".join(values) + ")"
+        chunks.append(draw(_SPACE) + chunk + draw(_SPACE))
+    for _ in range(draw(st.integers(0, 2))):
+        chunks.insert(draw(st.integers(0, len(chunks))), draw(_ODD_CHUNK))
+    return ";".join(chunks)
 
 
 class TestGoldenOutputs:
@@ -110,6 +174,14 @@ class TestGoldenOutputs:
         code, data = run_json(capsys, "apery", "--gens", "4;6;9", "--elements", "4")
         assert code == 0
         assert data["apery"] == [[0], [6], [9], [15]]
+
+    def test_family_verify_past_the_member_budget(self, capsys):
+        start = time.perf_counter()
+        code, data = run_json(
+            capsys, "family", "sap", "-a", "11", "-p", "2", "--verify", "--window", "(10,10)"
+        )
+        assert time.perf_counter() - start < 2
+        assert code == 1 and data["error"] == "BudgetExceeded"
 
     def test_buchsbaum(self, capsys):
         code, data = run_json(
@@ -252,6 +324,11 @@ class TestErrors:
             {"d": 2, "gaps": [[1, "a"]]},
             {"d": "2", "gaps": [[1, 0]]},
             {"d": 2, "gens": [[1, 0], [0, True]]},
+            {"d": 1, "gaps": "1;2"},
+            {"d": 1, "gaps": [1, 2]},
+            {"d": 1, "gaps": {"1": [1]}},
+            {"d": 2, "gaps": [[1, 0], [[0], 1]]},
+            {"d": 1, "gaps": [[1], None]},
         ],
     )
     def test_malformed_file_is_usage_error(self, capsys, tmp_path, data):
@@ -452,3 +529,200 @@ class TestGoldenGaps:
         gens = ";".join("(" + ",".join(map(str, g)) + ")" for g in GOLDEN_GENS[label])
         code, out = run(capsys, "--json", "gaps", "--gens", gens)
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN_GAPS[label]
+
+
+def _down_set(corners):
+    """The nonzero points at or below one of the corners: a gap set, since
+    the rest of N^d is 0 and an up-set."""
+    pts = set()
+    for c in corners:
+        pts.update(itertools.product(*(range(v + 1) for v in c)))
+    pts.discard((0,) * len(corners[0]))
+    return sorted(pts)
+
+
+# label -> (d, gaps, separator of the inline form); every set is
+# complement-closed except "open", whose NotClosed answer is pinned too
+GOLDEN_BOX_SETS = {
+    "num469": (1, [(g,) for g in (1, 2, 3, 5, 7, 11)], ";"),
+    "num7911": (1, [(g,) for g in (1, 2, 3, 4, 5, 6, 8, 10, 12, 13, 15, 17, 19, 24, 26)], ";"),
+    "pi5": (1, [(g,) for g in (1, 2, 3, 4, 6)], " ; "),
+    "s2": (2, [(1, 0), (1, 1), (2, 0), (1, 2), (2, 1), (1, 3), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6)], ";"),
+    "arf77": (2, [(1, 0), (1, 1), (2, 0), (1, 2), (2, 1), (2, 2), (4, 0), (4, 1), (4, 2), (7, 0), (7, 1), (7, 2)], ";"),
+    "stair2": (2, _down_set([(5, 1), (3, 3), (1, 6)]), "; "),
+    "open": (2, [(1, 0), (0, 1)], ";"),
+    "d3": (3, [(0, 0, 1), (0, 1, 0), (1, 0, 0), (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)], ";"),
+    "stair3": (3, _down_set([(2, 1, 0), (0, 2, 1), (1, 0, 2), (1, 1, 1)]), ";"),
+}
+
+GOLDEN_BOX_COMMANDS = {
+    "gaps": ["gaps"],
+    "pf": ["pf"],
+    "classify": ["classify"],
+    "classify-lex": ["classify", "--order", "lex"],
+    "wilf": ["wilf"],
+    "buchsbaum": ["buchsbaum"],
+    "apery": ["apery"],
+    "pf-ideal": ["identity", "pf-ideal"],
+    "cardinality": ["identity", "cardinality"],
+    "arf-check": ["arf", "check"],
+    "arf-closure": ["arf", "closure"],
+    "pi-check": ["pi", "check"],
+    "pi-decompose": ["pi", "decompose"],
+}
+
+# (exit code, sha256 of stdout) of ``csg --json <command> --gaps <set>``;
+# the same set given by ``--file`` must print the same bytes
+GOLDEN_BOX = {
+    "num469 gaps": (0, "c75be32f78b989e02d42da57a99859cc496bc7c335d7537959e454089ba535a4"),
+    "num469 pf": (0, "31d71bd7738ab8f5ea7121931c5e4bcb1e76a3028973bb910eb0841db966e212"),
+    "num469 classify": (0, "c481017f37314e7a8c8efee9f24265fee4170040e8804b962e92126d43134bb9"),
+    "num469 classify-lex": (0, "c481017f37314e7a8c8efee9f24265fee4170040e8804b962e92126d43134bb9"),
+    "num469 wilf": (0, "25f29679b6c100422360d28a1d814d5b26eb81c7020899dca420541f49899c89"),
+    "num469 buchsbaum": (1, "22fc071f8ec56a5d095bce16de046749c80b5b40a41c34adeb939f69a78aed26"),
+    "num469 apery": (0, "fbb1942b84133d98c11a0809f9fd807eee89d4d271f7b27af513a86bf0ff66f2"),
+    "num469 pf-ideal": (0, "9af4fef4e750ce4c882e673f26c949cd0e205b1b58e9c24284c58b7a5b360ece"),
+    "num469 cardinality": (0, "9fd31daa1197a2089fd3929099ee38a294c6f1b291b8c6d75710ad5c4e474a18"),
+    "num469 arf-check": (0, "5793d342030eb652b225fa759aae55e0ca00a4593578fde77fc8429cf81c68d8"),
+    "num469 arf-closure": (0, "27c147b4b4d700b8f9ca7409fc8af526090184a33b23e01bc7c2eaf4d740fa9d"),
+    "num469 pi-check": (0, "9ced13656715169a9bf059cb4dec7428b22e01d454e08a18f5e8965e2b9a70d5"),
+    "num469 pi-decompose": (1, "567a3c48f75d56b8fbf893a7002b13082edf3304176276ec7f448b6c51598545"),
+    "num7911 gaps": (0, "44686b00aac678b2e36c5bfc82c6d9c88a541d5682ed9859e40b37c26ee16e5c"),
+    "num7911 pf": (0, "64936392682c4980823a81cd8f0300143117ed6a4cf2cf04d8d3fadd78a82197"),
+    "num7911 classify": (0, "3a8cc5a4b758d5b7b7503e21809fd0ba62cc52f964bb2a9456f3e9b2d150021a"),
+    "num7911 classify-lex": (0, "3a8cc5a4b758d5b7b7503e21809fd0ba62cc52f964bb2a9456f3e9b2d150021a"),
+    "num7911 wilf": (0, "a0dd7778c553ccba6dc4bf7d065753001f6f13430671e575bf806a4e1e93e41c"),
+    "num7911 buchsbaum": (1, "22fc071f8ec56a5d095bce16de046749c80b5b40a41c34adeb939f69a78aed26"),
+    "num7911 apery": (0, "2dc37bfd1c17dd7b5e45fa1e93861e71bdd863b42db1d2981e77440c6ad7668d"),
+    "num7911 pf-ideal": (0, "15fe8fd68911153dfd306465f9bbfffae325252211c88dc18767351601f47501"),
+    "num7911 cardinality": (0, "487bcce06b3bcc977ee723575a6b96a4854954907ad0679ae322c4c29d655d85"),
+    "num7911 arf-check": (0, "5793d342030eb652b225fa759aae55e0ca00a4593578fde77fc8429cf81c68d8"),
+    "num7911 arf-closure": (0, "0d8c7400d4e7300ff83ca683507cbde66432ffe573089125352a6d95cea28b85"),
+    "num7911 pi-check": (0, "3d14b6385a67eefcd12c8293022993f2753d65c656f0fb1fc81b2cbb8dbeab50"),
+    "num7911 pi-decompose": (1, "a399e1190f0419fa8c3a431a6f8c85edc9aaa07bfd6ff821673f4380f5890068"),
+    "pi5 gaps": (0, "ab7b0a498d52708d0da2e2bbf0cc1ad687b5d5c268e850c8ad2467621638ad1f"),
+    "pi5 pf": (0, "c70d0dfff9ed271e06f9a1b58faba184fbae1d94f7a950769161c34e1d10143a"),
+    "pi5 classify": (0, "636f6dd1aa2b37977997bbe55c7d419bf9cd55652a722799553bc37b51f898bc"),
+    "pi5 classify-lex": (0, "636f6dd1aa2b37977997bbe55c7d419bf9cd55652a722799553bc37b51f898bc"),
+    "pi5 wilf": (0, "33ddffc7d7979417f57e6dc65177caa34647115c852e292bfc1239d1acb7e338"),
+    "pi5 buchsbaum": (1, "22fc071f8ec56a5d095bce16de046749c80b5b40a41c34adeb939f69a78aed26"),
+    "pi5 apery": (0, "46125450ec5306978bcd100060ec178b9ae000c44a21f6636ad52e49d71abdd6"),
+    "pi5 pf-ideal": (0, "107fded6c8e0dfe449423f11303f1abb30b6a8d6afd5343de821839c3e0cffd5"),
+    "pi5 cardinality": (0, "2a7b21dc67512ef075dee4e157f787219a512e8f04ec990558760882ff7ae8cf"),
+    "pi5 arf-check": (0, "ebfe7b871eb1edaecb4038321676fec7183efe69ce36802e4f509606b1d678a6"),
+    "pi5 arf-closure": (0, "3326591c15aa67c2750dac4e9f5f16303bc6e6a36fe6eb6836f33cf82240ddfd"),
+    "pi5 pi-check": (0, "ec6a4a195964437e0154d0edeab8e2b4a1610191446a34d4e1a6e9b3ac396fff"),
+    "pi5 pi-decompose": (0, "30b3ea40432dce564feea21d022b4b48d841f88cfbdaabea79217267b47c41c8"),
+    "s2 gaps": (0, "1d525c9a6cf859c338b6b702d13950a3ef8b096931ebcb75c6f4886ebd18fc11"),
+    "s2 pf": (0, "a52dacbcf1c0db1ebc62b9d58aa01990e6f1801b06debf040ab6878539f8dec1"),
+    "s2 classify": (0, "9ae28f12e08b12d54270bc2e3d9cda063045c85cca4e00c76ebc9e2c50518058"),
+    "s2 classify-lex": (0, "9ae28f12e08b12d54270bc2e3d9cda063045c85cca4e00c76ebc9e2c50518058"),
+    "s2 wilf": (0, "c0eac6267567547c647d6feccbfc600d3792743edc51a7a522a71907d33deb1c"),
+    "s2 buchsbaum": (0, "f5da429139954def719d95712982dc00b072b809f048d0f2775abbbb9cc89468"),
+    "s2 apery": (0, "0530a12f01d5fc4364c64f4c56d21409383fb3bed11246cc6e629ea517f944a0"),
+    "s2 pf-ideal": (0, "0a7a9fab3bbdca61aef7d7e9ae49eed98ccb1c1adc2307d8954f9775fb8a55c9"),
+    "s2 cardinality": (0, "ad13b51937b96255aae5a3ecdf5fdd17a5f71de2f8f223808df5f08254a6c3d6"),
+    "s2 arf-check": (0, "5793d342030eb652b225fa759aae55e0ca00a4593578fde77fc8429cf81c68d8"),
+    "s2 arf-closure": (0, "e43533a3464cb20d510c6794b63e996075b9833be2a1f76a8916fd404c651bb4"),
+    "s2 pi-check": (0, "8fb7798d776e404e95a82cab9659a3291d3a9217a0a2bb567898142516264db9"),
+    "s2 pi-decompose": (1, "34801f80b2e0f27fa34ef9643ebbeb2388ec34e1c3e64bcc4c32b7902596c557"),
+    "arf77 gaps": (0, "4718c2023c16cd311605334a5a7ff05ef5d7d6fb7c04045c9078153c81c4cb54"),
+    "arf77 pf": (0, "c56adb3d07f16da166f904f84e3a25ad2728741acd5b91688faf1f590379076f"),
+    "arf77 classify": (0, "c7895e6458bee10e3e0bde6644f4cb01656fb3ec123572ecfe7c0ea7599f7ad2"),
+    "arf77 classify-lex": (0, "c7895e6458bee10e3e0bde6644f4cb01656fb3ec123572ecfe7c0ea7599f7ad2"),
+    "arf77 wilf": (0, "ba39fbb1cd7bf1b9fce6ab3ee386ce337b1eb83507cb51ed84bdbf6e916e3c9b"),
+    "arf77 buchsbaum": (0, "e6bc8b0a63cbb41b48da377271561a42f3f9a4f233b7cfc1a5caddb6c3a8a371"),
+    "arf77 apery": (0, "744adc77aeb3abe13a33ea07780c12fae6b6d758fe0fd7b9d41cede29c068ee7"),
+    "arf77 pf-ideal": (0, "6fd097deb7acf2e9ab4ba5cc67d58b5ed874566a7a4f0dd2c2a22ac362a72e21"),
+    "arf77 cardinality": (0, "358abddfe654aa84322ad494ffdaf60caec6e79d79836bbdb1971b1d27c5c289"),
+    "arf77 arf-check": (0, "5793d342030eb652b225fa759aae55e0ca00a4593578fde77fc8429cf81c68d8"),
+    "arf77 arf-closure": (0, "777063953ad8a17af919dc356aa3ef4b6929f8778334998bb86911d03401555e"),
+    "arf77 pi-check": (0, "8fb7798d776e404e95a82cab9659a3291d3a9217a0a2bb567898142516264db9"),
+    "arf77 pi-decompose": (1, "34801f80b2e0f27fa34ef9643ebbeb2388ec34e1c3e64bcc4c32b7902596c557"),
+    "stair2 gaps": (0, "5ea103eed2e41ffe8da88b7ba72ec8e8fedd63353128e76c79deaa5c723eaed4"),
+    "stair2 pf": (0, "9fe67943b89d3f979e30c58e8fdbc15d84434ee607b6bb509c3199d27647c7fe"),
+    "stair2 classify": (0, "939850ae5d03f79b71cdcb9aaffc5ee3718fe23f2e52b1a1b6baa326717c2fb8"),
+    "stair2 classify-lex": (0, "76af10c9aa3938f56486adda68d080448d56de3ca2836c04012a00d8dd4d28ba"),
+    "stair2 wilf": (0, "3d41fd84684e37ec68992d49e9ad0308f5bc4b3cabc55fdb18239cc3378feffc"),
+    "stair2 buchsbaum": (0, "026169238b67267d7c655b4cc8451216ebed14bda24029d7722aa3fb251031ac"),
+    "stair2 apery": (0, "5f3ef905c53f2b0dd521e48592121a69aba0d3db286a576a5bef80f9bb212188"),
+    "stair2 pf-ideal": (0, "4a72fe2340aa3c99b366fecf402e786cddeec8d78f38e6550d80f5478e190e64"),
+    "stair2 cardinality": (0, "daa61900d7fc37d893fa1f0d41baa44c172f1adadab715222a5841f04f646edd"),
+    "stair2 arf-check": (0, "ebfe7b871eb1edaecb4038321676fec7183efe69ce36802e4f509606b1d678a6"),
+    "stair2 arf-closure": (0, "57ef6a52f829dc5c3f691ed413a567705a29a0b3bfb880070b622fc8dd3d2ac8"),
+    "stair2 pi-check": (0, "8fb7798d776e404e95a82cab9659a3291d3a9217a0a2bb567898142516264db9"),
+    "stair2 pi-decompose": (1, "34801f80b2e0f27fa34ef9643ebbeb2388ec34e1c3e64bcc4c32b7902596c557"),
+    "open gaps": (0, "047868200a67bd5e19cc6d70d82782eb2d279e64da30ca089454aa5d0ad2feb8"),
+    "open pf": (0, "710ee50e76fb0c9fcf3539d8cb275f704f60618f40d513a17863fb62428c674c"),
+    "open classify": (0, "d417c968132f9ea01e0a299380ef9d72b32874f92b5091cfd21c9fa3e40165fc"),
+    "open classify-lex": (0, "d417c968132f9ea01e0a299380ef9d72b32874f92b5091cfd21c9fa3e40165fc"),
+    "open wilf": (0, "c2dd48788b405e9f6d5803d3d04ef83459ea4efc6de5601e1ac0b939136d0326"),
+    "open buchsbaum": (0, "af309e6f4ba665533e1e520df2dbaf0b7404a28ed33418aa5aafd7292081b618"),
+    "open apery": (0, "2caa9368167c2a54c91c24dd8e0d8a07ffe07376e5d820089f64b2bedc078212"),
+    "open pf-ideal": (0, "cd47e5e465c552abfb229949ecb45f5ab6602e42e9a925b383d2a663928aa031"),
+    "open cardinality": (0, "daa61900d7fc37d893fa1f0d41baa44c172f1adadab715222a5841f04f646edd"),
+    "open arf-check": (0, "ebfe7b871eb1edaecb4038321676fec7183efe69ce36802e4f509606b1d678a6"),
+    "open arf-closure": (0, "d8ff97be9604d517d3b56175a3cbd73f36384cb8b1591aa9c0073f0712fe3b36"),
+    "open pi-check": (0, "8fb7798d776e404e95a82cab9659a3291d3a9217a0a2bb567898142516264db9"),
+    "open pi-decompose": (1, "34801f80b2e0f27fa34ef9643ebbeb2388ec34e1c3e64bcc4c32b7902596c557"),
+    "d3 gaps": (0, "e50e0bece36973418c02de014c3e12778494e56195e5b88a13404e7415af3056"),
+    "d3 pf": (0, "e9112aa596892ad844a06358788b3a949bcfbe72d2fd780462c5b8a6a79a5aa1"),
+    "d3 classify": (0, "a11cf4e70f1f92c8c27fed8c235a342e15152982d5d89889dbfa99f112e51a12"),
+    "d3 classify-lex": (0, "a11cf4e70f1f92c8c27fed8c235a342e15152982d5d89889dbfa99f112e51a12"),
+    "d3 wilf": (0, "b8b28c10249def478dea80630eeaf46d16c4a2e04756fe17450a968ac337b264"),
+    "d3 buchsbaum": (0, "bcc7ab89f81fab41536f8bd73ca94219dcfc67cad7db7933a5718426efced2f4"),
+    "d3 apery": (0, "425b567c30edf805c372ef5152c4a7e87596cc8cb76020ecb1112396e8c724eb"),
+    "d3 pf-ideal": (0, "2e94285d5f9dce599df94e5c88fcb0f224d02bead454ee33babf29dabc501264"),
+    "d3 cardinality": (0, "8bd22eb0b97bf347d320913784d037bf29b9d7bc9c1836a461a216632e0c843f"),
+    "d3 arf-check": (0, "ebfe7b871eb1edaecb4038321676fec7183efe69ce36802e4f509606b1d678a6"),
+    "d3 arf-closure": (0, "95d91e8e0552869dd152875c07fd438d9dfc37875f251492301b37bf76eeff70"),
+    "d3 pi-check": (0, "fb7f38cb6a3973db48d697978abd0d7e14f0950411c83d6bd0c709ba3c392c58"),
+    "d3 pi-decompose": (1, "78990bd2f0f0b9c4bc507c557bfe24cc706e90ae811ce1a3e05dfcdd565e2253"),
+    "stair3 gaps": (0, "abdca6b0c0f3a395d7f68c723210b50cb8ba5eb8649bcf8bf38a8edbd6a84d43"),
+    "stair3 pf": (0, "b9b6659d5be9740693e4707caf1b8327ed1c68508eba42f3cec706a2fc6aed62"),
+    "stair3 classify": (0, "bd96596cc81b7a06c22870e320a054a8ed7a2b90aee504624d433090d48eafc5"),
+    "stair3 classify-lex": (0, "bd96596cc81b7a06c22870e320a054a8ed7a2b90aee504624d433090d48eafc5"),
+    "stair3 wilf": (0, "31608a4a89af3425421a37c2ebdc639f92ddf508256aac6be61b5501e39b0e64"),
+    "stair3 buchsbaum": (0, "b99f69db6c0d00ab52e09b370a619dd396330aa2ba94943672aa42ecc9f6f844"),
+    "stair3 apery": (0, "4af29364e336a354f28c98b62bf4ee8ae77ba6c1ffe10e9021a46c1193490187"),
+    "stair3 pf-ideal": (0, "ef593c7564c737599f43efca66b6f04494372a00289656d8a54b44eb084ebc9f"),
+    "stair3 cardinality": (0, "daa61900d7fc37d893fa1f0d41baa44c172f1adadab715222a5841f04f646edd"),
+    "stair3 arf-check": (0, "ebfe7b871eb1edaecb4038321676fec7183efe69ce36802e4f509606b1d678a6"),
+    "stair3 arf-closure": (0, "af9a530e96ebb3b68fe81e8133ba773b1b99dc87730784d1aa422b3cd58412a3"),
+    "stair3 pi-check": (0, "fb7f38cb6a3973db48d697978abd0d7e14f0950411c83d6bd0c709ba3c392c58"),
+    "stair3 pi-decompose": (1, "78990bd2f0f0b9c4bc507c557bfe24cc706e90ae811ce1a3e05dfcdd565e2253"),
+}
+
+
+class TestGoldenBox:
+    """``csg --json`` stdout and exit code of every gap-set query, pinned
+    byte for byte on fixed gap sets in d = 1, 2 and 3, inline and from a
+    file. ``apery`` asks for the axis points at the conductor."""
+
+    @staticmethod
+    def _argv(label, command, source):
+        d, gaps, _ = GOLDEN_BOX_SETS[label]
+        argv = ["--json"] + GOLDEN_BOX_COMMANDS[command] + source
+        if command == "apery":
+            c = [1 + max(g[i] for g in gaps) for i in range(d)]
+            axes = [tuple(v if j == i else 0 for j in range(d)) for i, v in enumerate(c)]
+            argv += ["--elements", ";".join("(" + ",".join(map(str, a)) + ")" for a in axes)]
+        return argv
+
+    @staticmethod
+    def _inline(label):
+        d, gaps, sep = GOLDEN_BOX_SETS[label]
+        if d == 1:
+            return sep.join(str(g) for g, in gaps)
+        return sep.join("(" + ",".join(map(str, g)) + ")" for g in gaps)
+
+    @pytest.mark.parametrize("label", GOLDEN_BOX_SETS)
+    @pytest.mark.parametrize("command", GOLDEN_BOX_COMMANDS)
+    def test_stdout_bytes(self, capsys, tmp_path, label, command):
+        d, gaps, _ = GOLDEN_BOX_SETS[label]
+        path = tmp_path / "gaps.json"
+        path.write_text(json.dumps({"d": d, "gaps": [list(g) for g in gaps]}))
+        for source in (["--gaps", self._inline(label)], ["--file", str(path)]):
+            code, out = run(capsys, *self._argv(label, command, source))
+            got = (code, hashlib.sha256(out.encode()).hexdigest())
+            assert got == GOLDEN_BOX[f"{label} {command}"], source[0]

@@ -1,3 +1,6 @@
+import hashlib
+import time
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -130,6 +133,31 @@ class TestVerifyDelta:
     def test_witness_elements_match_delta(self):
         result = verify_delta_pf(3, 2)
         assert tuple(w.element for w in result.witnesses) == delta_set(3, 2)
+
+    # sha256 of repr(verify_delta_pf(a, p)): every element with its flags
+    WITNESSES = {
+        (3, 1): "9725a2c686a5c597babc6fe8adef3da5da673ca4d4feee69cdd7019a0cbbdafe",
+        (3, 2): "8bc48a0ba6ff857c35b7c9a279fd343911d5c8cde4e1f4c2f104a3ee072be570",
+        (5, 1): "ba42f5bd12f29620be2c6e9f0eb10f0f21d992999ab02bdf447f0fc4266fd6fe",
+        (5, 2): "dcb9b67296bb3639a91455ccc32361912d7c61538f348ea3a127a9463a21161d",
+        (3, 3): "aced676d5d06673e74120a959d8cf5e8ce6b95503ea0e38f83dbbddf53740b3a",
+        (7, 2): "ad3b3fb41cc7b2bfec889b718abfbe357e4eb5a07458e837d98edf5562346873",
+    }
+
+    @pytest.mark.parametrize("a,p", WITNESSES)
+    def test_witnesses_pinned(self, a, p):
+        digest = hashlib.sha256(repr(verify_delta_pf(a, p)).encode()).hexdigest()
+        assert digest == self.WITNESSES[(a, p)]
+
+    def test_box_past_the_member_budget(self, monkeypatch):
+        # the far corner (1562, 14762) of every f + g passes 2^26 bits, so
+        # no membership is asked and nothing is built
+        calls = count_member_calls(monkeypatch)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded):
+            verify_delta_pf(11, 2)
+        assert time.perf_counter() - start < 2
+        assert calls == []
 
 
 class TestAperyWindow:

@@ -1,7 +1,8 @@
 import itertools
+import operator
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import box_points, full_cone_lists
@@ -297,6 +298,20 @@ class TestMaskPortsOracle:
             )
         )
         assert pf_via_ideal(gs) == expected == pseudo_frobenius(gs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(finite_gap_sets())
+    def test_pseudo_frobenius_with_basis_past_c(self, gs):
+        # f + s for every nonzero member s of [0, 2c), which holds the
+        # basis, also those basis elements at or past c on some axis
+        c, gaps = gs.conductor, gs.gaps
+        assume(any(any(map(operator.ge, a, c)) for a in gs.hilbert_basis))
+        members = [s for s in box_points(tuple(2 * v - 1 for v in c)) if any(s) and s not in gaps]
+        expected = [
+            f for f in gaps
+            if all(tuple(map(operator.add, f, s)) not in gaps for s in members)
+        ]
+        assert pseudo_frobenius(gs) == tuple(sorted(expected, key=GRLEX.key))
 
     @settings(max_examples=150, deadline=None)
     @given(finite_gap_sets(), st.sampled_from(["lex", "grlex"]))

@@ -22,6 +22,7 @@ from csemigroups.arf import arf_derived, is_arf
 from csemigroups.conjectures import buchsbaum_report, wilf_report
 from csemigroups.errors import (
     BudgetExceeded,
+    DimensionMismatch,
     InfiniteGaps,
     NotClosed,
     NotFullCone,
@@ -92,6 +93,31 @@ class TestFromGaps:
     def test_negative_gap(self):
         with pytest.raises(NotNatural):
             from_gaps(2, [(1, -1)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.lists(st.lists(st.integers(-2, 4), max_size=4).map(tuple), max_size=8),
+    )
+    def test_error_order_mixing_dimension_and_sign(self, d, gaps):
+        # the first bad point in the gap set's iteration order names the
+        # error, whether its dimension or its sign is wrong
+        expected = None
+        for g in frozenset(gaps):
+            if len(g) != d:
+                expected = DimensionMismatch, f"gap {g} in dimension {d}"
+                break
+            if any(v < 0 for v in g):
+                expected = NotNatural, str(NotNatural(g))
+                break
+        try:
+            from_gaps(d, gaps)
+        except (DimensionMismatch, NotNatural) as exc:
+            assert (type(exc), str(exc)) == expected
+        except NotClosed:
+            assert expected is None
+        else:
+            assert expected is None
 
     def test_zero_gap_rejected(self):
         with pytest.raises(NotClosed):

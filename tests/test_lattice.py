@@ -19,6 +19,7 @@ from csemigroups.lattice import (
     count_preceding,
     enumerate_box,
     enumerate_preceding,
+    grlex_sorted,
     lattice_from,
     lattice_intersect,
     lattice_member,
@@ -233,6 +234,39 @@ class TestBox:
     def test_fit_empty_and_far_corner(self, extent):
         self._check_fit(extent, set())
         self._check_fit(extent, {tuple(e - 1 for e in extent)})
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_points_matches_point_per_index(self, data):
+        # bits past the box decode the same way: coordinate 0 past its
+        # extent, or another coordinate in the padding of its row
+        d = data.draw(st.integers(1, 4))
+        box = _Box(data.draw(st.tuples(*[st.integers(1, 5)] * d)))
+        mask = data.draw(st.integers(0, 4 * box.full))
+        if data.draw(st.booleans()):
+            mask &= box.full
+        expected = [box.point(i) for i in range(mask.bit_length()) if mask >> i & 1]
+        assert box.points(mask) == expected
+
+
+class TestGrlexSorted:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda d: st.lists(st.tuples(*[st.integers(-3, 6)] * d), max_size=30)
+        )
+    )
+    def test_matches_grlex_key(self, points):
+        assert grlex_sorted(points) == sorted(points, key=GRLEX.key)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_mask_points_need_only_the_degree(self, data):
+        # the points of a box mask decode in lex order
+        d = data.draw(st.integers(1, 4))
+        box = _Box(data.draw(st.tuples(*[st.integers(1, 5)] * d)))
+        mask = data.draw(st.integers(0, box.full)) & box.full
+        assert box.grlex_points(mask) == sorted(box.points(mask), key=GRLEX.key)
 
 
 class CountingFull(int):
