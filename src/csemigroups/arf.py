@@ -9,13 +9,12 @@ gap set until the closure is reached.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from . import lattice
 from .errors import BudgetExceeded, HypothesisFailed, NotPI
 from .gapsemigroup import GapSemigroup, from_generators
-from .lattice import Point, _Box, _generated
+from .lattice import Point, _Box, _Record, _generated
 from .membership import MEMBER_BOX_BITS, AffineSemigroup, _box_bits, minimalize, multiplicity
 
 
@@ -75,8 +74,7 @@ def arf_closure(gs: GapSemigroup) -> tuple[GapSemigroup, int]:
         steps += 1
 
 
-@dataclass(frozen=True)
-class PIMonoid:
+class PIMonoid(_Record):
     """The monoid (offset + base) with 0 adjoined.
 
     The base is a finite-gap semigroup when Arf analysis is needed, or a
@@ -84,15 +82,15 @@ class PIMonoid:
     have no finite gap representation.
     """
 
-    offset: Point
-    base: Union[GapSemigroup, AffineSemigroup]
+    _fields = ("offset", "base")
 
-    def __post_init__(self):
-        object.__setattr__(self, "offset", tuple(self.offset))
-        if lattice.is_zero(self.offset) or not lattice.is_natural(self.offset):
+    def __init__(self, offset: Sequence[int], base: Union[GapSemigroup, AffineSemigroup]):
+        offset = tuple(offset)
+        if lattice.is_zero(offset) or not lattice.is_natural(offset):
             raise ValueError("offset must be a nonzero point of N^d")
-        if self.offset not in self.base:
+        if offset not in base:
             raise ValueError("offset must belong to the base monoid")
+        super().__init__(offset, base)
 
     def contains(self, p: Sequence[int]) -> bool:
         p = tuple(p)

@@ -40,7 +40,7 @@ def parse_point(text: str):
     text = text.strip()
     if text.startswith("["):
         data = json.loads(text)
-        if not isinstance(data, list) or not all(isinstance(v, int) for v in data):
+        if type(data) is not list or not all(type(v) is int for v in data):
             raise ValueError(f"not an integer point: {text!r}")
         return tuple(data)
     if text.startswith("(") and text.endswith(")"):

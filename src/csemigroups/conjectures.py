@@ -12,23 +12,26 @@ of two distinct extremal rays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import lattice
 from .errors import DimensionOne, EmptyGapSet, NotFullCone, OrderNotPredecessorFinite
 from .frobenius import frobenius_element, pseudo_frobenius
 from .gapsemigroup import GapSemigroup, _axis_multiples
-from .lattice import GRLEX, Point, TermOrder, count_preceding
+from .lattice import GRLEX, Point, TermOrder, _Record, count_preceding
 
 
-@dataclass(frozen=True)
-class WilfReport:
-    embedding_dimension: int
-    genus: int
-    sporadic: int
-    n_frobenius: int
-    holds: bool
-    frobenius: Point
+class WilfReport(_Record):
+    _fields = ("embedding_dimension", "genus", "sporadic", "n_frobenius", "holds", "frobenius")
+
+    def __init__(
+        self,
+        embedding_dimension: int,
+        genus: int,
+        sporadic: int,
+        n_frobenius: int,
+        holds: bool,
+        frobenius: Point,
+    ):
+        super().__init__(embedding_dimension, genus, sporadic, n_frobenius, holds, frobenius)
 
     def to_json(self) -> dict:
         return {
@@ -66,12 +69,17 @@ def wilf_report(gs: GapSemigroup, order: TermOrder = GRLEX) -> WilfReport:
     )
 
 
-@dataclass(frozen=True)
-class BuchsbaumReport:
-    d_set: tuple[Point, ...]
-    pf: tuple[Point, ...]
-    is_buchsbaum: bool
-    extremal_rays: tuple[Point, ...]
+class BuchsbaumReport(_Record):
+    _fields = ("d_set", "pf", "is_buchsbaum", "extremal_rays")
+
+    def __init__(
+        self,
+        d_set: tuple[Point, ...],
+        pf: tuple[Point, ...],
+        is_buchsbaum: bool,
+        extremal_rays: tuple[Point, ...],
+    ):
+        super().__init__(d_set, pf, is_buchsbaum, extremal_rays)
 
     def to_json(self) -> dict:
         return {

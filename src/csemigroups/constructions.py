@@ -13,7 +13,6 @@ The windowed Apery verification compares masks on one box
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple, Sequence
 
@@ -21,22 +20,20 @@ from . import lattice
 from .errors import BadParams, BudgetExceeded, DimensionMismatch, EmptyPF, NotAGluing, NotMinimal
 from .frobenius import pseudo_frobenius
 from .gapsemigroup import from_generators
-from .lattice import Point, _Box, _generated, grlex_sorted, lattice_from, lattice_intersect
-from .membership import MEMBER_BOX_BITS, AffineSemigroup, _box_bits, _member, minimalize
+from .lattice import Point, _Box, _Record, _generated, grlex_sorted, lattice_from, lattice_intersect
+from .membership import MEMBER_BOX_BITS, AffineSemigroup, _box_bits, minimalize
 
 
-@dataclass(frozen=True)
-class GluingSpec:
+class GluingSpec(_Record):
     """Two semigroups in the same N^d and the proposed gluing element."""
 
-    s1: AffineSemigroup
-    s2: AffineSemigroup
-    s: Point
+    _fields = ("s1", "s2", "s")
 
-    def __post_init__(self):
-        object.__setattr__(self, "s", tuple(self.s))
-        if self.s1.dimension != self.s2.dimension or len(self.s) != self.s1.dimension:
+    def __init__(self, s1: AffineSemigroup, s2: AffineSemigroup, s: Sequence[int]):
+        s = tuple(s)
+        if s1.dimension != s2.dimension or len(s) != s1.dimension:
             raise DimensionMismatch("gluing inputs must share one ambient dimension")
+        super().__init__(s1, s2, s)
 
 
 def glue(spec: GluingSpec) -> AffineSemigroup:
@@ -136,33 +133,39 @@ def verify_delta_pf(a: int, p: int) -> DeltaVerification:
         f + (2,2+a^p)   = (a^{p-1}(a+2)-l-2)(a,0) + (l+3)(0,a^p)
 
     Every flag is one bit of the membership box that holds the far corner
-    of every f + g, built once (``AffineSemigroup.cover``). A box of more
-    than ``MEMBER_BOX_BITS`` bits raises BudgetExceeded before any flag is
-    read.
+    of every f + g, built once (``AffineSemigroup.cover``); the bit of
+    f + g is at index(f) + index(g). A box of more than ``MEMBER_BOX_BITS``
+    bits raises BudgetExceeded before any flag is read. The closed forms
+    are checked coordinate by coordinate.
     """
     sem = family_sap(a, p)
     q = a**p
     r = a ** (p - 1) * (a + 2)
-    g1, g2, g3, g4 = gens = _family_generators(a, p)
+    gens = _family_generators(a, p)
     deltas = delta_set(a, p)
     corner = [max(f[i] for f in deltas) + max(g[i] for g in gens) for i in (0, 1)]
     extent = tuple(v + 1 for v in corner)
     if _box_bits(extent) > MEMBER_BOX_BITS:
         raise BudgetExceeded(f"the membership box {extent} passes {MEMBER_BOX_BITS} bits")
     box, bits = sem.cover(corner)
+
+    def bit(i):
+        return bits[i >> 3] >> (i & 7) & 1 == 1
+
+    sx, sy = box.strides
+    shifts_at = [box.index(g) for g in gens]
+    u, v = a + 2, q + 2  # the generators are (a, 0), (0, q), (u, 2), (2, v)
     witnesses = []
     for l, f in enumerate(deltas):
-        outside = not _member(gens, f, box, bits)
-        shifts = tuple(_member(gens, lattice.add(f, g), box, bits) for g in gens)
+        x, y = f
+        i = x * sx + y * sy
+        outside = not bit(i)
+        shifts = tuple(bit(i + s) for s in shifts_at)
         forms = (
-            lattice.add(f, g1)
-            == lattice.add(lattice.scale(q - l - 1, g3), lattice.scale(l, g4)),
-            lattice.add(f, g2)
-            == lattice.add(lattice.scale(q - l - 2, g3), lattice.scale(l + 1, g4)),
-            lattice.add(f, g3)
-            == lattice.add(lattice.scale(r - l - 1, g1), lattice.scale(l + 2, g2)),
-            lattice.add(f, g4)
-            == lattice.add(lattice.scale(r - l - 2, g1), lattice.scale(l + 3, g2)),
+            x + a == (q - l - 1) * u + 2 * l and y == 2 * (q - l - 1) + l * v,
+            x == (q - l - 2) * u + 2 * (l + 1) and y + q == 2 * (q - l - 2) + (l + 1) * v,
+            x + u == (r - l - 1) * a and y + 2 == (l + 2) * q,
+            x + 2 == (r - l - 2) * a and y + v == (l + 3) * q,
         )
         witnesses.append(DeltaWitness(f, outside, shifts, all(forms)))
     ok = all(w.outside and all(w.shifts_inside) and w.closed_forms_match for w in witnesses)
@@ -197,7 +200,7 @@ def apery_sap_window(a: int, p: int, window: Sequence[int]) -> AperyWindowReport
     if min(window) < 0:
         raise ValueError(f"box is empty: {(0, 0)} is not below {window}")
     q = a**p
-    g1, g2, g3, g4 = gens = _family_generators(a, p)
+    g1, g2, _, _ = gens = _family_generators(a, p)
     extent = (max((q - 1) * (a + 2), window[0]) + 1, max((q - 1) * (q + 2), window[1]) + 1)
     if _box_bits(extent) > MEMBER_BOX_BITS:
         raise BudgetExceeded(f"the Apery box {extent} passes {MEMBER_BOX_BITS} bits")
@@ -205,7 +208,8 @@ def apery_sap_window(a: int, p: int, window: Sequence[int]) -> AperyWindowReport
     members = _generated(box, gens)
     ap = members & ~(members << box.index(g1)) & ~(members << box.index(g2))
     formula = [
-        lattice.add(lattice.scale(alpha, g3), lattice.scale(alpha2, g4))
+        # alpha * (a + 2, 2) + alpha2 * (2, q + 2)
+        (alpha * (a + 2) + 2 * alpha2, 2 * alpha + alpha2 * (q + 2))
         for alpha in range(q)
         for alpha2 in range(q - alpha)
     ]

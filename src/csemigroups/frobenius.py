@@ -14,7 +14,6 @@ over the gaps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 from operator import lt, rshift
 from typing import Optional, Sequence
@@ -28,7 +27,7 @@ from .errors import (
     NotNatural,
 )
 from .gapsemigroup import GapSemigroup, _axis_multiples
-from .lattice import GRLEX, Point, TermOrder, _Box, grlex_sorted
+from .lattice import GRLEX, Point, TermOrder, _Box, _Record, grlex_sorted
 
 
 def pseudo_frobenius(gs: GapSemigroup) -> tuple[Point, ...]:
@@ -104,23 +103,36 @@ def omega_extra(gs: GapSemigroup, order: TermOrder = GRLEX) -> tuple[Point, ...]
     return tuple(box.grlex_points(gaps & ~(mirrored & box.below(F))))
 
 
-@dataclass(frozen=True)
-class FrobeniusReport:
-    """Classification of a finite-gap semigroup under one term order."""
+class FrobeniusReport(_Record):
+    """Classification of a finite-gap semigroup under one term order.
 
-    pf: tuple[Point, ...]
-    betti_type: int
-    frobenius: Point
-    pf_prime: tuple[Point, ...]
-    omega_extra: tuple[Point, ...]
-    symmetric: bool
-    pseudo_symmetric: bool
-    almost_symmetric: bool
-    irreducible: bool
-    # Whether every f in pf_prime is coordinatewise below the Frobenius
-    # element; the converse classification results assume it, so it is
-    # reported instead of guessed.
-    pf_prime_dominated: bool
+    ``pf_prime_dominated`` says whether every f in pf_prime is
+    coordinatewise below the Frobenius element; the converse classification
+    results assume it, so it is reported instead of guessed.
+    """
+
+    _fields = (
+        "pf", "betti_type", "frobenius", "pf_prime", "omega_extra",
+        "symmetric", "pseudo_symmetric", "almost_symmetric", "irreducible", "pf_prime_dominated",
+    )
+
+    def __init__(
+        self,
+        pf: tuple[Point, ...],
+        betti_type: int,
+        frobenius: Point,
+        pf_prime: tuple[Point, ...],
+        omega_extra: tuple[Point, ...],
+        symmetric: bool,
+        pseudo_symmetric: bool,
+        almost_symmetric: bool,
+        irreducible: bool,
+        pf_prime_dominated: bool,
+    ):
+        super().__init__(
+            pf, betti_type, frobenius, pf_prime, omega_extra,
+            symmetric, pseudo_symmetric, almost_symmetric, irreducible, pf_prime_dominated,
+        )
 
     def to_json(self) -> dict:
         return {
@@ -198,24 +210,23 @@ def apery(gs: GapSemigroup, witnesses: Sequence[Sequence[int]]) -> tuple[Point, 
     return tuple(box.grlex_points(out))
 
 
-@dataclass(frozen=True)
-class RelativeIdeal:
+class RelativeIdeal(_Record):
     """Ideal of a finite-gap semigroup, generated by finitely many points.
 
     The ideal is the union of generator + S over its generators, so
     membership reduces to one subtraction per generator.
     """
 
-    base: GapSemigroup
-    generators: tuple[Point, ...]
+    _fields = ("base", "generators")
 
-    def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(grlex_sorted(self.generators)))
-        for g in self.generators:
-            if len(g) != self.base.dimension:
+    def __init__(self, base: GapSemigroup, generators: Sequence[Point]):
+        generators = tuple(grlex_sorted(generators))
+        for g in generators:
+            if len(g) != base.dimension:
                 raise DimensionMismatch(f"ideal generator {g}")
             if not lattice.is_natural(g):
                 raise ValueError(f"ideal generator {g} is outside N^d")
+        super().__init__(base, generators)
 
     def contains(self, z: Sequence[int]) -> bool:
         z = tuple(z)

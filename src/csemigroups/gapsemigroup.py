@@ -17,7 +17,6 @@ validates complement closure and finds the Hilbert basis together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, prod
 from operator import ge, lt
 from typing import Iterable, Optional, Sequence
@@ -29,18 +28,20 @@ from .errors import (
     NotFullCone,
     NotNatural,
 )
-from .lattice import Point, _Box, _closure_pass, _generated
+from .lattice import Point, _Box, _Record, _closure_pass, _generated
 from .membership import AffineSemigroup
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(_Record):
     """The limit on every box that ``from_generators`` builds.
 
     ``max_work`` caps a box's point count, the product of its extents.
     """
 
-    max_work: int = 10**7
+    _fields = ("max_work",)
+
+    def __init__(self, max_work: int = 10**7):
+        super().__init__(max_work)
 
 
 DEFAULT_BUDGET = Budget()

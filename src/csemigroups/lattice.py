@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from dataclasses import dataclass
 from math import comb
 from operator import floordiv, lshift, mod, mul
 from typing import Iterable, Iterator, Optional, Sequence
@@ -85,8 +84,45 @@ def compositions(total: int, parts: int) -> Iterator[Point]:
             yield (first,) + rest
 
 
-@dataclass(frozen=True)
-class TermOrder:
+class _Record:
+    """An immutable record of the fields named in ``_fields``.
+
+    It compares and hashes as the tuple of its field values, is equal only
+    to a record of the same class, prints as ``Name(field=value, ...)``,
+    and refuses assignment and deletion. A subclass's ``__init__`` checks
+    its arguments and passes the values, in field order, to this one,
+    which writes them into the instance ``__dict__``, past ``__setattr__``.
+    Instances keep that ``__dict__``, so pickle and copy need no hooks.
+    """
+
+    _fields: tuple[str, ...]
+
+    def __init__(self, *values):
+        self.__dict__.update(zip(self._fields, values))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class TermOrder(_Record):
     """A total order on N^d compatible with addition.
 
     kind "lex" compares permuted coordinates left to right; "grlex" compares
@@ -94,14 +130,12 @@ class TermOrder:
     indices from most to least significant (identity when None).
     """
 
-    kind: str
-    perm: Optional[tuple[int, ...]] = None
+    _fields = ("kind", "perm")
 
-    def __post_init__(self):
-        if self.kind not in ("lex", "grlex"):
-            raise ValueError(f"unknown term order kind {self.kind!r}")
-        if self.perm is not None:
-            object.__setattr__(self, "perm", tuple(self.perm))
+    def __init__(self, kind: str, perm: Optional[Sequence[int]] = None):
+        if kind not in ("lex", "grlex"):
+            raise ValueError(f"unknown term order kind {kind!r}")
+        super().__init__(kind, None if perm is None else tuple(perm))
 
     def _permuted(self, p: Point) -> Point:
         if self.perm is None:
@@ -424,12 +458,13 @@ def _closure_pass(box: _Box, gap_mask: int) -> tuple[Point, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntegerLattice:
+class IntegerLattice(_Record):
     """Subgroup of Z^d stored as a row-HNF basis; rank = number of rows."""
 
-    dimension: int
-    basis: tuple[Point, ...]
+    _fields = ("dimension", "basis")
+
+    def __init__(self, dimension: int, basis: tuple[Point, ...]):
+        super().__init__(dimension, basis)
 
     @property
     def rank(self) -> int:

@@ -301,6 +301,20 @@ class TestErrors:
         assert main(["member", "--gens", S2, "--point", "oops"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gaps", "--gaps", "[true];[2];[3]"],
+            ["member", "--gens", "[true,false];[false,true]", "--point", "(1,1)"],
+            ["member", "--gens", S2, "--point", "[2,false]"],
+        ],
+    )
+    def test_json_chunk_booleans_are_usage_errors(self, capsys, argv):
+        assert main(["--json", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error:")
+
     def test_budget_flag_respected(self, capsys):
         code, data = run_json(capsys, "--budget", "2", "gaps", "--gens", S2)
         assert code == 1
@@ -443,6 +457,26 @@ class TestSharedParser:
         before, first, second = json.loads(proc.stdout)
         assert before == 0
         assert first == second > 0
+
+
+class TestImportCost:
+    def test_import_loads_no_dataclasses(self):
+        # only what the import itself loads counts, not what start-up did
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import csemigroups.cli\n"
+            "print('dataclasses' in set(sys.modules) - before)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 def degree_band(d, k):
