@@ -9,13 +9,13 @@ gap set until the closure is reached.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from . import lattice
-from .errors import BudgetExceeded, HypothesisFailed, NotPI
+from .errors import HypothesisFailed, NotPI
 from .gapsemigroup import GapSemigroup, from_generators
 from .lattice import Point, _Box, _Record, _generated
-from .membership import MEMBER_BOX_BITS, AffineSemigroup, _box_bits, minimalize, multiplicity
+from .membership import AffineSemigroup, _window, minimalize, multiplicity
 
 
 def _chain_sums(box: _Box, members: int, top: Sequence[int]) -> Iterator[int]:
@@ -115,10 +115,11 @@ def is_arf_pi(pim: PIMonoid) -> bool:
     return is_arf(base)
 
 
-class PIStatus(NamedTuple):
-    multiplicity: Point
-    attained: bool
-    is_pi: Optional[bool]
+class PIStatus(_Record):
+    """The multiplicity m, whether S attains it, and the PI verdict (None
+    when m is not attained)."""
+
+    _fields = ("multiplicity", "attained", "is_pi")
 
 
 def is_pi(sem: Union[AffineSemigroup, GapSemigroup]) -> PIStatus:
@@ -155,7 +156,7 @@ def pi_decompose(sem: Union[AffineSemigroup, GapSemigroup]) -> PIMonoid:
     masks of one box: the sums of the input's generators (its Hilbert
     basis in gap form), and 0 with the base's sums shifted up by m. Rows
     are 2e wide, so adding m never carries into another row. A window box
-    of more than ``MEMBER_BOX_BITS`` bits raises BudgetExceeded.
+    past the membership cap raises BudgetExceeded.
     """
     status = is_pi(sem)
     if status.is_pi is not True:
@@ -173,11 +174,8 @@ def pi_decompose(sem: Union[AffineSemigroup, GapSemigroup]) -> PIMonoid:
         base = minimalize(shifted + [m], sem.dimension)
         gens, base_gens = sem.generators, base.generators
         top = tuple(map(max, zip(*gens)))
-    extent = tuple(v + t + 4 for v, t in zip(m, top))
-    if _box_bits(extent) > MEMBER_BOX_BITS:
-        raise BudgetExceeded(f"the window box {extent} passes {MEMBER_BOX_BITS} bits")
+    box = _window(tuple(v + t + 4 for v, t in zip(m, top)), "window")
     pim = PIMonoid(m, base)
-    box = _Box(extent)
     wrong = _generated(box, gens) ^ ((1 | _generated(box, base_gens) << box.index(m)) & box.full)
     if wrong:
         p = box.point(wrong.bit_length() - 1)
@@ -185,12 +183,13 @@ def pi_decompose(sem: Union[AffineSemigroup, GapSemigroup]) -> PIMonoid:
     return pim
 
 
-def _check_chain_hypotheses(a: Point, gens: Sequence[Point]) -> list[Point]:
+def _check_chain_hypotheses(gens: Sequence[Point]) -> list[Point]:
     """Shared hypotheses: the generators form a chain and pairs dominate all.
 
-    Raises HypothesisFailed("chain") or HypothesisFailed("pair-domination").
+    Every generator lies below every pair sum iff, on each coordinate, the
+    largest value is at most twice the smallest. Raises
+    HypothesisFailed("chain") or HypothesisFailed("pair-domination").
     """
-    a = tuple(a)
     gens = [tuple(g) for g in gens]
     if not gens:
         raise HypothesisFailed("chain")
@@ -198,11 +197,8 @@ def _check_chain_hypotheses(a: Point, gens: Sequence[Point]) -> list[Point]:
     for u, v in zip(ordered, ordered[1:]):
         if not lattice.partial_leq(u, v):
             raise HypothesisFailed("chain")
-    for low in gens:
-        for i in gens:
-            for j in gens:
-                if not lattice.partial_leq(low, lattice.add(i, j)):
-                    raise HypothesisFailed("pair-domination")
+    if any(max(column) > 2 * min(column) for column in zip(*gens)):
+        raise HypothesisFailed("pair-domination")
     return gens
 
 
@@ -221,7 +217,7 @@ def prop79_check(
     a finite gap set for the closure to be computable.
     """
     a = tuple(a)
-    gens = _check_chain_hypotheses(a, gens)
+    gens = _check_chain_hypotheses(gens)
     if k < 0:
         raise ValueError("k must be nonnegative")
     d = len(a)
@@ -257,7 +253,7 @@ def prop710_check(a: Sequence[int], gens: Sequence[Sequence[int]]) -> bool:
     and ``from_generators`` raises NotFullCone.
     """
     a = tuple(a)
-    gens = _check_chain_hypotheses(a, gens)
+    gens = _check_chain_hypotheses(gens)
     left, _ = arf_closure(from_generators([a] + [lattice.add(a, g) for g in gens]))
     right_base, _ = arf_closure(from_generators([a] + gens))
     offset = a[0]

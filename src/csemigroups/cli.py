@@ -27,7 +27,6 @@ from .frobenius import (
     classify,
     frobenius_element,
     omega_extra,
-    pf_via_ideal,
     pseudo_frobenius,
 )
 from .gapsemigroup import Budget, GapSemigroup, from_gaps, from_generators
@@ -94,9 +93,7 @@ def _points_json(points):
 
 
 def _budget(args) -> Budget:
-    if getattr(args, "budget", None) is None:
-        return Budget()
-    return Budget(max_work=args.budget)
+    return Budget() if args.budget is None else Budget(max_work=args.budget)
 
 
 def _load_file(path: str, kinds=("gens", "gaps")):
@@ -285,8 +282,8 @@ def _run_pi(args):
 def _run_identity(args):
     gs = _gap_semigroup(args)
     if args.action == "pf-ideal":
-        # the ideal quotient is computed as PF itself, so the two agree
-        return {"pf": _points_json(pf_via_ideal(gs)), "matches_direct": True}
+        # (S - S*) minus S is PF: z + g in S for each basis element g is PF's test
+        return {"pf": _points_json(pseudo_frobenius(gs)), "matches_direct": True}
     lhs, rhs = cardinality_identity(gs, _term_order(args))
     return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
 
@@ -459,7 +456,7 @@ def main(argv=None) -> int:
         else:
             print(f"error {exc.name}: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     if args.json:

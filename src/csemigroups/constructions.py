@@ -6,22 +6,23 @@ subset, windowed Apery verification for that family, the glued extension of
 the family to every embedding dimension >= 4, and scaled numerical
 semigroups.
 
-The windowed Apery verification compares masks on one box
-(``lattice._generated``), not points one at a time; that box is capped by
-``MEMBER_BOX_BITS``, past which it raises BudgetExceeded.
+The certified-set and windowed Apery verifications each read one box of
+generator sums (``lattice._generated``), not points one at a time; the box
+comes from ``membership._window``, which raises BudgetExceeded past the
+membership cap. Every result is an immutable ``lattice._Record``.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from . import lattice
-from .errors import BadParams, BudgetExceeded, DimensionMismatch, EmptyPF, NotAGluing, NotMinimal
+from .errors import BadParams, DimensionMismatch, EmptyPF, NotAGluing, NotMinimal
 from .frobenius import pseudo_frobenius
 from .gapsemigroup import from_generators
-from .lattice import Point, _Box, _Record, _generated, grlex_sorted, lattice_from, lattice_intersect
-from .membership import MEMBER_BOX_BITS, AffineSemigroup, _box_bits, minimalize
+from .lattice import Point, _Record, _generated, grlex_sorted, lattice_from, lattice_intersect
+from .membership import AffineSemigroup, _sums, _window, minimalize
 
 
 class GluingSpec(_Record):
@@ -58,9 +59,10 @@ def glue(spec: GluingSpec) -> AffineSemigroup:
     return minimalize(spec.s1.generators + spec.s2.generators, spec.s1.dimension)
 
 
-class GluedPF(NamedTuple):
-    points: tuple[Point, ...]
-    collisions: int
+class GluedPF(_Record):
+    """The sums f + g + s, grlex sorted, and how many of them coincide."""
+
+    _fields = ("points", "collisions")
 
 
 def glued_pf(pf1: Sequence[Sequence[int]], pf2: Sequence[Sequence[int]], s: Sequence[int]) -> GluedPF:
@@ -77,10 +79,7 @@ def glued_pf(pf1: Sequence[Sequence[int]], pf2: Sequence[Sequence[int]], s: Sequ
         raise EmptyPF(2)
     s = tuple(s)
     sums = {lattice.add(lattice.add(f, g), s) for f in pf1 for g in pf2}
-    return GluedPF(
-        points=tuple(grlex_sorted(sums)),
-        collisions=len(pf1) * len(pf2) - len(sums),
-    )
+    return GluedPF(tuple(grlex_sorted(sums)), len(pf1) * len(pf2) - len(sums))
 
 
 def _check_family_params(a: int, p: int) -> None:
@@ -108,16 +107,17 @@ def delta_set(a: int, p: int) -> tuple[Point, ...]:
     )
 
 
-class DeltaWitness(NamedTuple):
-    element: Point
-    outside: bool
-    shifts_inside: tuple[bool, bool, bool, bool]
-    closed_forms_match: bool
+class DeltaWitness(_Record):
+    """One certified element f: f is outside S, f + g is inside S per
+    generator g, and the four closed forms hold."""
+
+    _fields = ("element", "outside", "shifts_inside", "closed_forms_match")
 
 
-class DeltaVerification(NamedTuple):
-    ok: bool
-    witnesses: tuple[DeltaWitness, ...]
+class DeltaVerification(_Record):
+    """Whether every witness passes, and the witnesses in ``delta_set`` order."""
+
+    _fields = ("ok", "witnesses")
 
 
 def verify_delta_pf(a: int, p: int) -> DeltaVerification:
@@ -132,22 +132,19 @@ def verify_delta_pf(a: int, p: int) -> DeltaVerification:
         f + (a+2,2)     = (a^{p-1}(a+2)-l-1)(a,0) + (l+2)(0,a^p)
         f + (2,2+a^p)   = (a^{p-1}(a+2)-l-2)(a,0) + (l+3)(0,a^p)
 
-    Every flag is one bit of the membership box that holds the far corner
-    of every f + g, built once (``AffineSemigroup.cover``); the bit of
-    f + g is at index(f) + index(g). A box of more than ``MEMBER_BOX_BITS``
-    bits raises BudgetExceeded before any flag is read. The closed forms
-    are checked coordinate by coordinate.
+    Every flag is one bit of the generator sums in one box that holds the
+    far corner of every f + g; the bit of f + g is at index(f) + index(g).
+    A box past the membership cap raises BudgetExceeded before any flag is
+    read. The closed forms are checked coordinate by coordinate.
     """
-    sem = family_sap(a, p)
+    _check_family_params(a, p)
     q = a**p
     r = a ** (p - 1) * (a + 2)
     gens = _family_generators(a, p)
     deltas = delta_set(a, p)
-    corner = [max(f[i] for f in deltas) + max(g[i] for g in gens) for i in (0, 1)]
-    extent = tuple(v + 1 for v in corner)
-    if _box_bits(extent) > MEMBER_BOX_BITS:
-        raise BudgetExceeded(f"the membership box {extent} passes {MEMBER_BOX_BITS} bits")
-    box, bits = sem.cover(corner)
+    extent = tuple(max(f[i] for f in deltas) + max(g[i] for g in gens) + 1 for i in (0, 1))
+    box = _window(extent, "membership")
+    bits = _sums(box, gens)
 
     def bit(i):
         return bits[i >> 3] >> (i & 7) & 1 == 1
@@ -172,10 +169,11 @@ def verify_delta_pf(a: int, p: int) -> DeltaVerification:
     return DeltaVerification(ok, tuple(witnesses))
 
 
-class AperyWindowReport(NamedTuple):
-    formula_side: tuple[Point, ...]
-    window_scan: tuple[Point, ...]
-    consistent: bool
+class AperyWindowReport(_Record):
+    """The closed-form Apery points, the Apery points the window scan finds,
+    and whether the two agree inside the window."""
+
+    _fields = ("formula_side", "window_scan", "consistent")
 
 
 def apery_sap_window(a: int, p: int, window: Sequence[int]) -> AperyWindowReport:
@@ -191,7 +189,7 @@ def apery_sap_window(a: int, p: int, window: Sequence[int]) -> AperyWindowReport
     ((a^p-1)(a+2), (a^p-1)(a^p+2)). With M the generator sums in it, the
     Apery set there is M & ~(M << (a,0)) & ~(M << (0,a^p)); the formula
     side must lie in it and the window scan is its part below ``window``.
-    A box of more than ``MEMBER_BOX_BITS`` bits raises BudgetExceeded.
+    A box past the membership cap raises BudgetExceeded.
     """
     _check_family_params(a, p)
     window = tuple(window)
@@ -202,9 +200,7 @@ def apery_sap_window(a: int, p: int, window: Sequence[int]) -> AperyWindowReport
     q = a**p
     g1, g2, _, _ = gens = _family_generators(a, p)
     extent = (max((q - 1) * (a + 2), window[0]) + 1, max((q - 1) * (q + 2), window[1]) + 1)
-    if _box_bits(extent) > MEMBER_BOX_BITS:
-        raise BudgetExceeded(f"the Apery box {extent} passes {MEMBER_BOX_BITS} bits")
-    box = _Box(extent)
+    box = _window(extent, "Apery")
     members = _generated(box, gens)
     ap = members & ~(members << box.index(g1)) & ~(members << box.index(g2))
     formula = [
@@ -216,18 +212,17 @@ def apery_sap_window(a: int, p: int, window: Sequence[int]) -> AperyWindowReport
     formula_mask = box.mask(formula)
     scan = ap & box.below(window)
     return AperyWindowReport(
-        formula_side=tuple(grlex_sorted(formula)),
-        window_scan=tuple(box.grlex_points(scan)),
-        consistent=not (formula_mask & ~ap or scan & ~formula_mask),
+        tuple(grlex_sorted(formula)),
+        tuple(box.grlex_points(scan)),
+        not (formula_mask & ~ap or scan & ~formula_mask),
     )
 
 
-class SapsFamily(NamedTuple):
-    semigroup: AffineSemigroup
-    pf_lower_bound: int
-    mu: int
-    nu: int
-    gluing_element: Point
+class SapsFamily(_Record):
+    """The glued semigroup, its certified PF lower bound nu * (a^p - 1), the
+    scale mu, the numerical factor's PF count nu, and the gluing element."""
+
+    _fields = ("semigroup", "pf_lower_bound", "mu", "nu", "gluing_element")
 
 
 def family_saps(a: int, p: int, numerical_gens: Sequence[int]) -> SapsFamily:
@@ -264,13 +259,7 @@ def family_saps(a: int, p: int, numerical_gens: Sequence[int]) -> SapsFamily:
             f" expected {len(ngens) + 4}"
         )
     nu = len(pseudo_frobenius(from_generators([(n,) for n in ngens])))
-    return SapsFamily(
-        semigroup=glued,
-        pf_lower_bound=nu * (q - 1),
-        mu=mu,
-        nu=nu,
-        gluing_element=s,
-    )
+    return SapsFamily(glued, nu * (q - 1), mu, nu, s)
 
 
 def scale_numerical(numerical_gens: Sequence[int], a: Sequence[int]) -> AffineSemigroup:

@@ -254,19 +254,6 @@ def ideal_difference_member(ideal: RelativeIdeal, other: RelativeIdeal, z: Seque
     return all(ideal.contains(lattice.add(z, g)) for g in other.generators)
 
 
-def pf_via_ideal(gs: GapSemigroup) -> tuple[Point, ...]:
-    """The pseudo-Frobenius set as (S - S*) minus S.
-
-    S is the ideal generated by 0 and S* the ideal generated by the Hilbert
-    basis; z is in (S - S*) iff z + g is in S for each generator g of S*,
-    as in ``ideal_difference_member``. The gaps among those z are exactly
-    the gaps f with f + a in S for every basis element a, which is
-    ``pseudo_frobenius``, so that set is returned. The tests check it
-    against ``ideal_difference_member`` point by point.
-    """
-    return pseudo_frobenius(gs)
-
-
 def cardinality_identity(gs: GapSemigroup, order: TermOrder = GRLEX) -> tuple[int, int]:
     """(gaps outside PF', members coordinatewise below F) as a countable pair.
 

@@ -116,11 +116,6 @@ class GapSemigroup:
         return {"d": self.dimension, "gaps": list(map(list, gaps))}
 
 
-def validate_complement_closed(dimension: int, gaps: frozenset[Point]) -> None:
-    """Raise NotClosed unless N^d minus gaps is a monoid."""
-    from_gaps(dimension, gaps)
-
-
 def from_gaps(dimension: int, gaps: Iterable[Sequence[int]]) -> GapSemigroup:
     """Build the semigroup N^d minus the given gaps, validating closure.
 

@@ -9,20 +9,22 @@ bits, so it grows only up to ``MEMBER_BOX_BITS``. A point past that is
 decided by descent: p is a member iff p - g is one for some generator g,
 down to the box, where the mask answers; a descent that sees more than
 ``FAR_SEARCH_POINTS`` points raises BudgetExceeded. ``minimalize`` reads
-the same kernel, one generator at a time, each in its own box.
+the same kernel, one generator at a time, each in its own box. The scans
+of PI decompositions and of the (a, p) family build their one box through
+``_window``, which holds the same cap but raises BudgetExceeded past it,
+so this module alone sets the window policy.
 """
 
 from __future__ import annotations
 
 from math import prod
-from operator import add, lt, sub
-from typing import Iterable, NamedTuple, Optional, Sequence
+from operator import lt, sub
+from typing import Iterable, Optional, Sequence
 
 from . import lattice
-from .errors import BudgetExceeded, DimensionMismatch, DimensionOne
+from .errors import BudgetExceeded, DimensionMismatch
 from .lattice import Point, _Box, _generated, grlex_sorted
 
-SLICE_SHIFT_BUDGET = 10**6
 MEMBER_BOX_BITS = 1 << 26
 # points seen by one search past the box, about 100 MB of tuples in d = 2;
 # the far members the tests ask for see at most 300 000
@@ -86,10 +88,7 @@ class AffineSemigroup:
         return _member(self.generators, p, *self.cover(p))
 
     def cover(self, p: Sequence[int]) -> tuple[_Box, bytes]:
-        """The cached (box, bits) pair, first grown to hold p if the budget allows.
-
-        A scan below p that covers its far corner first builds the box once.
-        """
+        """The cached (box, bits) pair, first grown to hold p if the budget allows."""
         box, bits = self._cache
         if not all(map(lt, p, box.extent)):
             if len(p) != self.dimension:
@@ -111,6 +110,14 @@ class AffineSemigroup:
 def _box_bits(extent: Sequence[int]) -> int:
     """About the bits of the box [0, extent) and of the shifts that build it."""
     return prod(2 * e for e in extent)
+
+
+def _window(extent: Sequence[int], name: str) -> _Box:
+    """The box [0, extent) that a scan below a known corner reads; past
+    MEMBER_BOX_BITS bits it raises BudgetExceeded, naming the box."""
+    if _box_bits(extent) > MEMBER_BOX_BITS:
+        raise BudgetExceeded(f"the {name} box {extent} passes {MEMBER_BOX_BITS} bits")
+    return _Box(extent)
 
 
 def _sums(box: _Box, gens: Sequence[Point]) -> bytes:
@@ -195,49 +202,3 @@ def multiplicity(sem) -> tuple[Point, bool]:
     attained = not lattice.is_zero(m) and m in sem
     return m, attained
 
-
-class SliceDecomposition(NamedTuple):
-    """S cut by {x_axis = level}: a union of face-translates.
-
-    The slice equals the union over ``shifts`` of (shift + face members),
-    all in face coordinates (the axis coordinate dropped). ``face`` is the
-    semigroup generated by the axis-free generators, or None when there are
-    none (the trivial monoid {0}).
-    """
-
-    shifts: tuple[Point, ...]
-    face: Optional[AffineSemigroup]
-
-
-def slice_decomposition(
-    sem: AffineSemigroup, axis: int, level: int, budget: int = SLICE_SHIFT_BUDGET
-) -> SliceDecomposition:
-    """Decompose S intersected with {x_axis = level} into face-translates.
-
-    Level u holds the face parts of all multiset sums of positive-axis
-    generators whose axis coordinates add up to exactly u, deduplicated,
-    built from the levels below; ``budget`` caps the shifts stored over all
-    levels up to ``level``.
-    """
-    if sem.dimension < 2:
-        raise DimensionOne("slice decomposition needs ambient dimension >= 2")
-    if level < 0:
-        raise ValueError("level must be nonnegative")
-    if not 0 <= axis < sem.dimension:
-        raise ValueError(f"axis {axis} out of range for dimension {sem.dimension}")
-    drop = lambda g: g[:axis] + g[axis + 1 :]
-    pos = [(g[axis], drop(g)) for g in sem.generators if g[axis] > 0]
-    face_gens = [drop(g) for g in sem.generators if g[axis] == 0]
-    levels = [{lattice.zero(sem.dimension - 1)}]
-    stored = 1
-    for u in range(1, level + 1):
-        shifts = {tuple(map(add, s, v)) for w, v in pos if w <= u for s in levels[u - w]}
-        stored += len(shifts)
-        if stored > budget:
-            raise BudgetExceeded(
-                f"slice shift family exceeded {budget} stored shifts at level {u}"
-            )
-        levels.append(shifts)
-    shifts = tuple(grlex_sorted(levels[level]))
-    face = AffineSemigroup(sem.dimension - 1, face_gens) if face_gens else None
-    return SliceDecomposition(shifts, face)

@@ -350,6 +350,53 @@ class TestShiftedClosureContainment:
         assert err.value.which == "pair-domination"
 
 
+@st.composite
+def chain_candidates(draw):
+    """Generator lists in d = 1..3: a chain of points climbing by random
+    steps, sometimes with one coordinate redrawn, in random order."""
+    d = draw(st.integers(1, 3))
+    point = draw(st.lists(st.integers(0, 6), min_size=d, max_size=d))
+    gens = []
+    for _ in range(draw(st.integers(0, 5))):
+        gens.append(tuple(point))
+        step = draw(st.lists(st.integers(0, 4), min_size=d, max_size=d))
+        point = [v + s for v, s in zip(point, step)]
+    if gens and draw(st.booleans()):
+        k, j = draw(st.integers(0, len(gens) - 1)), draw(st.integers(0, d - 1))
+        g = list(gens[k])
+        g[j] = draw(st.integers(0, 12))
+        gens[k] = tuple(g)
+    return draw(st.permutations(gens))
+
+
+def chain_failure_by_loops(gens):
+    """The failed hypothesis, or None, with every pair sum checked against
+    every generator."""
+    leq = lambda p, q: all(a <= b for a, b in zip(p, q))
+    ordered = sorted(gens, key=lambda g: (sum(g), g))
+    if not gens or not all(leq(u, v) for u, v in zip(ordered, ordered[1:])):
+        return "chain"
+    for low in gens:
+        for i in gens:
+            for j in gens:
+                if not leq(low, [a + b for a, b in zip(i, j)]):
+                    return "pair-domination"
+    return None
+
+
+class TestChainHypotheses:
+    @settings(max_examples=300, deadline=None)
+    @given(chain_candidates())
+    def test_matches_the_triple_loop(self, gens):
+        expected = chain_failure_by_loops(gens)
+        try:
+            assert arf._check_chain_hypotheses(gens) == list(gens)
+            failed = None
+        except HypothesisFailed as err:
+            failed = err.which
+        assert failed == expected
+
+
 class TestShiftedClosureEquality:
     def test_worked_instance(self):
         # both routes give members {0, 3, 5, 6, 7, ...}

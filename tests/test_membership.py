@@ -7,14 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import ALL_PAPER_GENS, GENS_PI, GENS_S2, GENS_S5, GENS_SAP31, closure_in_box, box_points
 from csemigroups import membership
-from csemigroups.errors import BudgetExceeded, DimensionOne
-from csemigroups.membership import (
-    MEMBER_BOX_BITS,
-    AffineSemigroup,
-    minimalize,
-    multiplicity,
-    slice_decomposition,
-)
+from csemigroups.errors import BudgetExceeded
+from csemigroups.membership import MEMBER_BOX_BITS, AffineSemigroup, minimalize, multiplicity
 
 
 class TestIsMember:
@@ -222,51 +216,3 @@ class TestMultiplicity:
         assert members
         for p in members:
             assert all(a >= b for a, b in zip(p, m))
-
-
-class TestSliceDecomposition:
-    def test_level_one_single_shift(self):
-        dec = slice_decomposition(AffineSemigroup(2, GENS_S2), 0, 1)
-        assert dec.shifts == ((4,),)
-        assert dec.face.generators == ((1,),)
-
-    def test_level_zero_is_face(self):
-        dec = slice_decomposition(AffineSemigroup(2, GENS_S2), 0, 0)
-        assert dec.shifts == ((0,),)
-
-    def test_level_two_shifts(self):
-        dec = slice_decomposition(AffineSemigroup(2, GENS_S2), 0, 2)
-        assert dec.shifts == ((7,), (8,))
-
-    def test_empty_when_unreachable(self):
-        dec = slice_decomposition(AffineSemigroup(2, [(3, 0), (0, 1)]), 0, 2)
-        assert dec.shifts == ()
-
-    def test_dimension_one_rejected(self):
-        with pytest.raises(DimensionOne):
-            slice_decomposition(AffineSemigroup(1, [(2,), (3,)]), 0, 1)
-
-    def test_budget(self):
-        sem = AffineSemigroup(2, [(1, 0), (1, 1), (1, 2), (0, 1)])
-        with pytest.raises(BudgetExceeded):
-            slice_decomposition(sem, 0, 40, budget=10)
-
-    @pytest.mark.parametrize("axis,level", [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 2), (1, 7)])
-    def test_union_reproduces_column(self, axis, level):
-        sem = AffineSemigroup(2, GENS_S2)
-        dec = slice_decomposition(sem, axis, level)
-
-        def in_union(y):
-            for s in dec.shifts:
-                rest = tuple(a - b for a, b in zip(y, s))
-                if all(v >= 0 for v in rest):
-                    if dec.face is None:
-                        if all(v == 0 for v in rest):
-                            return True
-                    elif dec.face.is_member(rest):
-                        return True
-            return False
-
-        for w in range(25):
-            point = (level, w) if axis == 0 else (w, level)
-            assert sem.is_member(point) == in_union((w,)), point

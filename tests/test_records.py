@@ -1,16 +1,25 @@
-"""The nine immutable records of the package: construction, equality, hash,
-repr, immutability, pickling and copying, and the checks their constructors
-make. Every record compares and hashes as the tuple of its fields, but is
-never equal to that tuple."""
+"""The fifteen immutable records of the package: construction, equality,
+hash, repr, immutability, pickling and copying, and the checks their
+constructors make. Every record compares and hashes as the tuple of its
+fields, but is never equal to that tuple. Nine check their arguments in a
+constructor of their own and take keywords; the six result records of
+``constructions`` and ``arf`` are built positionally."""
 
 import copy
 import pickle
 
 import pytest
 
-from csemigroups.arf import PIMonoid
+from csemigroups.arf import PIMonoid, PIStatus
 from csemigroups.conjectures import BuchsbaumReport, WilfReport
-from csemigroups.constructions import GluingSpec
+from csemigroups.constructions import (
+    AperyWindowReport,
+    DeltaVerification,
+    DeltaWitness,
+    GluedPF,
+    GluingSpec,
+    SapsFamily,
+)
 from csemigroups.errors import DimensionMismatch
 from csemigroups.frobenius import FrobeniusReport, RelativeIdeal
 from csemigroups.gapsemigroup import Budget, from_gaps
@@ -21,9 +30,14 @@ GS = from_gaps(1, [(1,), (2,), (3,), (5,)])
 GS_REPR = "GapSemigroup(d=1, gaps=[(1,), (2,), (3,), (5,)])"
 S1 = AffineSemigroup(1, [(2,), (3,)])
 S2 = AffineSemigroup(1, [(5,), (7,)])
+WITNESS = DeltaWitness((7, 4), True, (True, True, True, True), True)
+WITNESS_REPR = (
+    "DeltaWitness(element=(7, 4), outside=True,"
+    " shifts_inside=(True, True, True, True), closed_forms_match=True)"
+)
 
-# name: (class, positional arguments, keyword arguments in field order,
-#        the field values, the repr)
+# name: (class, positional arguments, keyword arguments in field order or
+#        None for a record built positionally only, the field values, the repr)
 CASES = {
     "TermOrder": (
         TermOrder,
@@ -111,13 +125,58 @@ CASES = {
         ((4,), GS),
         f"PIMonoid(offset=(4,), base={GS_REPR})",
     ),
+    "PIStatus": (
+        PIStatus,
+        ((4,), True, False),
+        None,
+        ((4,), True, False),
+        "PIStatus(multiplicity=(4,), attained=True, is_pi=False)",
+    ),
+    "GluedPF": (
+        GluedPF,
+        (((25,), (29,)), 0),
+        None,
+        (((25,), (29,)), 0),
+        "GluedPF(points=((25,), (29,)), collisions=0)",
+    ),
+    "DeltaWitness": (
+        DeltaWitness,
+        ((7, 4), True, (True, True, True, True), True),
+        None,
+        ((7, 4), True, (True, True, True, True), True),
+        WITNESS_REPR,
+    ),
+    "DeltaVerification": (
+        DeltaVerification,
+        (True, (WITNESS,)),
+        None,
+        (True, (WITNESS,)),
+        f"DeltaVerification(ok=True, witnesses=({WITNESS_REPR},))",
+    ),
+    "AperyWindowReport": (
+        AperyWindowReport,
+        (((0, 0), (5, 2)), ((0, 0),), True),
+        None,
+        (((0, 0), (5, 2)), ((0, 0),), True),
+        "AperyWindowReport(formula_side=((0, 0), (5, 2)), window_scan=((0, 0),),"
+        " consistent=True)",
+    ),
+    "SapsFamily": (
+        SapsFamily,
+        (S1, 2, 5, 1, (15, 15)),
+        None,
+        (S1, 2, 5, 1, (15, 15)),
+        "SapsFamily(semigroup=AffineSemigroup(d=1, gens=[(2,), (3,)]), pf_lower_bound=2,"
+        " mu=5, nu=1, gluing_element=(15, 15))",
+    ),
 }
 
 
 @pytest.fixture(params=sorted(CASES))
 def case(request):
     cls, args, kwargs, values, text = CASES[request.param]
-    return cls(*args), cls(**kwargs), tuple(kwargs), values, text
+    keyword = cls(*values) if kwargs is None else cls(**kwargs)
+    return cls(*args), keyword, cls._fields, values, text
 
 
 class TestRecord:
