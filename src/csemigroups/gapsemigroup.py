@@ -17,8 +17,9 @@ validates complement closure and finds the Hilbert basis together.
 
 from __future__ import annotations
 
+from itertools import compress, repeat
 from math import gcd, prod
-from operator import ge, lt
+from operator import eq, ge, lt
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -149,15 +150,13 @@ def _axis_multiples(points: Iterable[Point], dimension: int) -> list[int]:
 
     The nonnegative cone of a generating set is the whole orthant iff it
     contains every unit vector, which forces a pure axis generator per axis.
+    A point is pure on axis i iff its coordinate i is positive and equals
+    its degree, so each axis reads its column against the degrees.
     """
-    mult = [0] * dimension
-    for g in points:
-        support = [i for i, v in enumerate(g) if v != 0]
-        if len(support) == 1:
-            i = support[0]
-            if mult[i] == 0 or g[i] < mult[i]:
-                mult[i] = g[i]
-    return mult
+    points = list(points)
+    degrees = list(map(sum, points))
+    columns = list(zip(*points)) or [()] * dimension
+    return [min(filter(None, compress(col, map(eq, col, degrees))), default=0) for col in columns]
 
 
 def _tube_apery(
@@ -182,17 +181,27 @@ def _tube_apery(
     g's class in W, x_i = e - 1 - (e - 1 - g_i) mod m, being clear (or x_i
     below 0). So once the largest w_i of the Ap mask (``_Box.top``) plus
     g_i stays inside W for every step g, no decomposition of a tube Ap
-    point can leave W, and W holds them all. W's extent e on axis i
-    doubles from 2m until then, clipped to max_work points for W;
-    BudgetExceeded when the largest W allowed fails the test. No Ap point
-    is decoded.
+    point can leave W, and W holds them all.
+
+    W's extent e on axis i doubles from 4m until then, clipped to max_work
+    points for W; BudgetExceeded when the largest W allowed fails the test.
+    The start changes no answer. Every W that passes holds the same Ap
+    points, all of the tube's, and the callers read only ``_Box.top`` of
+    the mask and its bits at or below points of W's last row along axis i.
+    Passing is monotone in e: a larger W has the same Ap points, so more
+    room, and a generator that was no step stays none. So the last W tried
+    is still the largest allowed when none passes, and BudgetExceeded comes
+    on the same inputs as from any other start. The start is 4m because a
+    box of 2m almost never passes. No Ap point is decoded.
     """
     m, extent = extent[i], list(extent)
-    extent[i] = 1 + max(g[i] for g in gens)  # no bound along the tube
-    gens = [g for g in gens if all(map(lt, g, extent))]
+    # the generators inside the tube, one column per cut axis
+    inside = [map(lt, col, repeat(x)) for j, (col, x) in enumerate(zip(zip(*gens), extent)) if j != i]
+    if inside:
+        gens = list(compress(gens, map(all, zip(*inside))))
     extent[i] = 1
     top = budget.max_work // prod(extent)
-    e, built = 2 * m, 0
+    e, built = 4 * m, 0
     while (e := min(e, top)) > built:
         extent[i] = e
         box = _Box(extent)

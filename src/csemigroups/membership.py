@@ -54,11 +54,14 @@ class AffineSemigroup:
             raise ValueError("dimension must be at least 1")
         if not gens:
             raise ValueError("at least one generator is required")
-        for g in gens:
-            if len(g) != dimension:
-                raise DimensionMismatch(f"generator {g} in dimension {dimension}")
-            if any(v < 0 for v in g):
-                raise ValueError(f"generator {g} has a negative coordinate")
+        # checked on the lengths and the coordinate columns; the generators
+        # are walked one by one only to name the first bad one
+        if not set(map(len, gens)) <= {dimension} or min(map(min, zip(*gens))) < 0:
+            for g in gens:
+                if len(g) != dimension:
+                    raise DimensionMismatch(f"generator {g} in dimension {dimension}")
+                if any(v < 0 for v in g):
+                    raise ValueError(f"generator {g} has a negative coordinate")
         if gens[0] == lattice.zero(dimension):
             raise ValueError("the zero point is not allowed as a generator")
         self.dimension = dimension

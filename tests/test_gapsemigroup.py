@@ -34,8 +34,10 @@ from csemigroups.frobenius import (
     frobenius_element,
     pseudo_frobenius,
 )
+from csemigroups import gapsemigroup
 from csemigroups.gapsemigroup import (
     Budget,
+    _axis_multiples,
     _tube_apery,
     from_gaps,
     from_generators,
@@ -364,7 +366,7 @@ class TestFromGenerators:
         gens = [(101,), (103,)]
         with pytest.raises(BudgetExceeded):
             from_generators(gens, budget=Budget(max_work=10403))
-        # doubling from 202 would reach 12928; the cap clips it to what fits
+        # doubling from 404 would reach 12928; the cap clips it to what fits
         assert from_generators(gens, budget=Budget(max_work=10404)).genus == 5100
         # in d = 2 the tube along axis 0 is the same Kunz table, row y = 0;
         # the gap box it bounds with the tube along axis 1 is 10300 x 100
@@ -405,6 +407,62 @@ class TestFromGenerators:
         with pytest.raises(BudgetExceeded):
             from_generators(gens, budget=Budget(max_work=10**4))
         assert from_generators(gens, budget=Budget(max_work=108 * 108)).genus == 1980
+
+    def test_budget_between_the_first_two_boxes(self):
+        # the Kunz table of <4, 6, 9> ends at 15, so with the step 9 the box
+        # needs 25 points: more than 2m = 8 and 4m = 16, and the largest box
+        # allowed, 24 or 25, is the last one tried from either start
+        with pytest.raises(BudgetExceeded):
+            from_generators([(4,), (6,), (9,)], budget=Budget(max_work=24))
+        assert from_generators([(4,), (6,), (9,)], budget=Budget(max_work=25)).genus == 6
+
+    @pytest.mark.parametrize(
+        "gens,builds,genus",
+        [
+            # D_d(k): N^d minus every point of degree below k
+            ([p for p in box_points((13, 13)) if 7 <= sum(p) <= 13], 5, 27),
+            ([p for p in box_points((5, 5, 5)) if 3 <= sum(p) <= 5], 12, 9),
+            ([(4,), (6,), (9,)], 3, 6),
+        ],
+    )
+    def test_one_build_per_tube(self, gens, builds, genus, monkeypatch):
+        # D_2(7) builds one box per tube (two cut to the slices x_a <= 1 of
+        # the finiteness test, one per axis) and one for the gap box. The
+        # tube of <4, 6, 9> needs 25 > 4m points and takes two
+        calls = []
+        real = gapsemigroup._generated
+
+        def counted(box, gens):
+            calls.append(box.extent)
+            return real(box, gens)
+
+        monkeypatch.setattr(gapsemigroup, "_generated", counted)
+        assert from_generators(gens).genus == genus
+        assert len(calls) == builds
+
+
+class TestAxisMultiples:
+    @staticmethod
+    def per_point(points, d):
+        mult = [0] * d
+        for g in points:
+            support = [i for i, v in enumerate(g) if v != 0]
+            if len(support) == 1:
+                i = support[0]
+                if mult[i] == 0 or g[i] < mult[i]:
+                    mult[i] = g[i]
+        return mult
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3).flatmap(
+        lambda d: st.tuples(st.just(d), st.lists(st.tuples(*[st.integers(0, 4)] * d), max_size=8))
+    ))
+    def test_matches_the_per_point_definition(self, case):
+        # small entries give repeated pure points, zero coordinates and the
+        # zero point itself; in d = 1 every nonzero point is pure
+        d, points = case
+        assert _axis_multiples(points, d) == self.per_point(points, d)
+        assert _axis_multiples(iter(points + points[::-1]), d) == self.per_point(points, d)
 
 
 class TestAperyKernelOracle:
@@ -462,7 +520,7 @@ class TestAperyKernelOracle:
         # missed would show
         assert set(box.points(ap)) == apery_points(2 * box.extent[i])
 
-        # the box is the first doubling from 2m that passes the stop test
+        # the box is the first doubling from 4m that passes the stop test
         # on decoded points: per class mod the tube, its least member in the
         # box; a tube generator is a step if it is that member or its class
         # has none
@@ -477,7 +535,7 @@ class TestAperyKernelOracle:
             ]
             return max(w[i] for w in points) + max(steps, default=0) < e
 
-        e = 2 * m
+        e = 4 * m
         while not stops(e):
             e *= 2
         assert box.extent[i] == e
@@ -498,17 +556,31 @@ class TestAperyKernelOracle:
     @pytest.mark.parametrize(
         "gens,extent,i",
         [
-            # the last generator lies past the box, in a class whose Ap
-            # point is in the box's top m rows: the top point of the class
-            # is a member, so it is no step
-            ([(3, 0), (0, 2), (0, 4), (1, 1), (2, 6), (3, 12)], [3, 2], 1),
-            ([(4, 0), (0, 3), (1, 1), (3, 6), (64, 3)], [4, 3], 1),
-            ([(3, 0), (0, 4), (1, 1), (6, 3), (87, 3)], [3, 4], 0),
-            ([(3, 0), (0, 5), (1, 1), (6, 3), (2, 5), (1, 5), (2, 180)], [3, 5], 0),
+            # a generator lies past the box, in a class whose Ap point is in
+            # the box's top m rows: the top point of the class is a member,
+            # so it is no step. The cross axis is wide enough for the
+            # diagonal Ap points to reach those rows within the first box,
+            # 4m on the tube axis
+            ([(7, 0), (0, 2), (0, 4), (1, 1), (2, 6), (6, 12)], [7, 2], 1),
+            ([(10, 0), (0, 3), (1, 1), (3, 6), (9, 63), (64, 3)], [10, 3], 1),
+            ([(3, 0), (0, 10), (1, 1), (6, 3), (87, 9)], [3, 10], 0),
+            ([(3, 0), (0, 20), (1, 1), (6, 3), (2, 5), (1, 5), (12, 19), (2, 180)], [3, 20], 0),
         ],
     )
     def test_tube_past_the_box(self, gens, extent, i):
         self._check_tube(gens, extent, i)
+        box, ap = _tube_apery(gens, extent, i, Budget())
+        e, m = box.extent[i], extent[i]
+        assert e == 4 * m
+        # in the tube, two points share a class iff they agree mod extent
+        top_classes = {
+            tuple(map(operator.mod, w, extent)) for w in box.points(ap) if w[i] >= e - m
+        }
+        assert any(
+            g[i] >= e and tuple(map(operator.mod, g, extent)) in top_classes
+            for g in gens
+            if all(v < x for j, (v, x) in enumerate(zip(g, extent)) if j != i)
+        )
 
     @pytest.mark.parametrize(
         "gens",

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import ALL_PAPER_GENS, GENS_PI, GENS_S2, GENS_S5, GENS_SAP31, closure_in_box, box_points
 from csemigroups import membership
-from csemigroups.errors import BudgetExceeded
+from csemigroups.errors import BudgetExceeded, DimensionMismatch
+from csemigroups.lattice import grlex_sorted, zero
 from csemigroups.membership import MEMBER_BOX_BITS, AffineSemigroup, minimalize, multiplicity
 
 
@@ -91,6 +92,32 @@ class TestIsMember:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             AffineSemigroup(2, [])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.lists(st.lists(st.integers(-2, 3), min_size=1, max_size=4).map(tuple), min_size=1, max_size=6),
+    )
+    def test_column_checks_name_the_first_bad_generator(self, d, gens):
+        # lengths and signs are checked by columns; a failure names the same
+        # generator, with the same message, as checking them one by one
+        def per_generator():
+            for g in grlex_sorted(set(gens)):
+                if len(g) != d:
+                    return DimensionMismatch(f"generator {g} in dimension {d}")
+                if any(v < 0 for v in g):
+                    return ValueError(f"generator {g} has a negative coordinate")
+            if zero(d) in gens:
+                return ValueError("the zero point is not allowed as a generator")
+            return None
+
+        expected = per_generator()
+        try:
+            AffineSemigroup(d, gens)
+        except (DimensionMismatch, ValueError) as err:
+            assert (type(err), str(err)) == (type(expected), str(expected))
+        else:
+            assert expected is None
 
 
 class TestMinimalize:
