@@ -8,11 +8,11 @@ Hilbert basis. The gap points are decoded from the mask only when asked for.
 Construction is either from an explicit gap set or from generators. From
 generators, the Apery set Ap(S, E) of S with respect to its least pure axis
 generators E decides everything: per axis, one box mask of generator sums
-holds its points near that axis, and these either certify that the gap set
-is infinite or bound a box whose non-members are exactly the gaps; a box
-past the budget gives BudgetExceeded. That box's mask, or the mask of an
-explicit gap set, is moved into the conductor box, where one closure pass
-validates complement closure and finds the Hilbert basis together.
+holds its points near that axis. With one per class mod E in each, they
+bound a box whose non-members are the gaps; else a slice test names a slice
+of infinitely many gaps. A box past the budget gives BudgetExceeded. The
+gap box's mask, or a given gap set's, moves into the conductor box, where
+one closure pass validates complement closure and finds the Hilbert basis.
 """
 
 from __future__ import annotations
@@ -183,16 +183,16 @@ def _tube_apery(
     g_i stays inside W for every step g, no decomposition of a tube Ap
     point can leave W, and W holds them all.
 
-    W's extent e on axis i doubles from 4m until then, clipped to max_work
-    points for W; BudgetExceeded when the largest W allowed fails the test.
-    The start changes no answer. Every W that passes holds the same Ap
-    points, all of the tube's, and the callers read only ``_Box.top`` of
-    the mask and its bits at or below points of W's last row along axis i.
-    Passing is monotone in e: a larger W has the same Ap points, so more
-    room, and a generator that was no step stays none. So the last W tried
-    is still the largest allowed when none passes, and BudgetExceeded comes
-    on the same inputs as from any other start. The start is 4m because a
-    box of 2m almost never passes. No Ap point is decoded.
+    W's extent e on axis i doubles from 4m until then (a box of 2m almost
+    never passes), clipped to max_work points for W; at e <= m every
+    s - m e_i leaves W, so the Ap mask is M, unshifted. BudgetExceeded when
+    the largest W allowed fails the test. The start changes no answer:
+    every W that passes holds the same Ap points, all of the tube's, and
+    the callers read only their count, ``_Box.top`` and bits at or below
+    points of W's last row along axis i. Passing is monotone in e (a larger
+    W has the same Ap points, so more room, and a generator that was no
+    step stays none), so the last W tried is the largest allowed when none
+    passes. No Ap point is decoded.
     """
     m, extent = extent[i], list(extent)
     # the generators inside the tube, one column per cut axis
@@ -207,7 +207,7 @@ def _tube_apery(
         box = _Box(extent)
         s = box.strides[i]
         members = _generated(box, gens)
-        ap = members & ~(members << m * s)
+        ap = members if e <= m else members & ~(members << m * s)
         # every step g must have g_i <= room = e - 1 - max w_i
         room = e - box.top(ap)[i]
         for g in gens:
@@ -229,16 +229,11 @@ def _tube_apery(
     )
 
 
-def _check_finite(gens: Sequence[Point], mult: Sequence[int], budget: Budget) -> None:
-    """Raise InfiniteGaps, naming a slice with infinitely many gaps, unless
-    the gap set is finite.
-
-    In the residue class rho mod m, S is the up-set that the class's points
-    of Ap(S, E) generate on the grid rho + m N^d. Its complement is finite
-    iff for every axis i some such point w has w_j = rho_j, that is
-    w_j < m_j, for all j != i: a point of the tube along i, which holds at
-    most one Ap point per class. Otherwise the whole line rho + N m_i e_i is
-    gaps, and it lies in the slice {x_a = rho_a} for every a != i.
+def _check_finite(gens: Sequence[Point], mult: Sequence[int], budget: Budget, first=True, rest=True):
+    """Raise InfiniteGaps naming a slice with infinitely many gaps, if there
+    is one. ``from_generators`` runs the cheap ``first`` test (the face
+    {x_0 = 0}; in d = 1 the gcd) before its tubes, and the ``rest`` only to
+    name the slice, when a tube misses a class or passes the budget.
 
     For a = 0, then a = 1, the first slices {x_a = t} are tested: t = 0,
     the face semigroup of the generators with g_a = 0, by the same test in
@@ -255,21 +250,19 @@ def _check_finite(gens: Sequence[Point], mult: Sequence[int], budget: Budget) ->
     """
     d = len(mult)
     if d == 1:
-        if (g := gcd(*(v for v, in gens))) != 1:
+        if first and (g := gcd(*(v for v, in gens))) != 1:
             raise InfiniteGaps(axis=0, level=None, detail=f"generator gcd is {g}")
         return
     for a in (0, 1):
         face = [j for j in range(d) if j != a]
-        try:
-            _check_finite(
-                [tuple(g[j] for j in face) for g in gens if g[a] == 0],
-                [mult[j] for j in face],
-                budget,
-            )
-        except InfiniteGaps:
-            detail = "the axis-free face already has infinitely many gaps"
-            raise InfiniteGaps(a, 0, detail=detail) from None
-        if mult[a] == 1:
+        if (rest if a else first):
+            try:
+                face_gens = [tuple(g[j] for j in face) for g in gens if g[a] == 0]
+                _check_finite(face_gens, [mult[j] for j in face], budget)
+            except InfiniteGaps:
+                detail = "the axis-free face already has infinitely many gaps"
+                raise InfiniteGaps(a, 0, detail=detail) from None
+        if not rest or mult[a] == 1:
             continue
         cut = [2 if j == a else m for j, m in enumerate(mult)]
         level = []
@@ -297,16 +290,20 @@ def from_generators(
     """Exact gap set of the semigroup S generated by ``source``.
 
     Requires the full orthant cone, a pure generator on every axis; m_i e_i
-    is the least one on axis i and E the set of them. Every member is a
-    point of the Apery set Ap(S, E) plus a sum of E. Either some residue
-    class mod m misses an axis, and InfiniteGaps names a slice with
-    infinitely many gaps (``_check_finite``), or every class meets every
-    axis: then each gap x has x_i below the largest coordinate i of the Ap
-    points in the tube along axis i (``_tube_apery``), read off the tube's
-    Ap mask as ``_Box.top(mask)[i] - 1``, and the gaps are the non-members
-    of the box those coordinates bound. In d = 1 the tube is N and its Ap
-    points are the Kunz table. No point is decoded until ``gaps`` is read.
-    Raises BudgetExceeded when a box would pass the limits of ``budget``.
+    is the least one on axis i and E the set of them. In the residue class
+    rho mod m, S is the up-set that the class's points of Ap(S, E) generate
+    on the grid rho + m N^d. Its complement is finite iff for every axis i
+    some such point w has w_j < m_j for all j != i: a point of the tube
+    along i (``_tube_apery``), which holds at most one Ap point per class.
+    Otherwise the line rho + N m_i e_i is gaps, in the slice {x_a = rho_a}
+    for every a != i. So the gap set is finite iff every tube holds prod(m)
+    Ap points; then each gap x has x_i below the largest coordinate i of
+    the tube's Ap points, ``_Box.top(mask)[i] - 1``, and the gaps are the
+    non-members of the box these bound. A tube short of a class, or past
+    the budget, calls ``_check_finite`` to name the slice; its cheap first
+    test runs before the tubes. In d = 1 the tube is N and its Ap points
+    are the Kunz table. No point is decoded until ``gaps`` is read. Raises
+    BudgetExceeded when a box would pass the limits of ``budget``.
     """
     if not isinstance(source, AffineSemigroup):
         gens = [tuple(g) for g in source]
@@ -316,9 +313,18 @@ def from_generators(
     mult = _axis_multiples(gens, d)
     if 0 in mult:
         raise NotFullCone(mult.index(0))
-    _check_finite(gens, mult, budget)
-    tubes = [_tube_apery(gens, mult, i, budget) for i in range(d)]
-    extent = [max(1, box.top(ap)[i] - 1) for i, (box, ap) in enumerate(tubes)]
+    _check_finite(gens, mult, budget, rest=False)
+    extent = []
+    for i in range(d):
+        try:
+            box, ap = _tube_apery(gens, mult, i, budget)
+        except BudgetExceeded:
+            _check_finite(gens, mult, budget, first=False)
+            raise
+        if ap.bit_count() < prod(mult):
+            _check_finite(gens, mult, budget, first=False)
+            raise AssertionError(f"the tube along axis {i} misses a class the slice tests missed")
+        extent.append(max(1, box.top(ap)[i] - 1))
     if prod(extent) > budget.max_work:
         raise BudgetExceeded(f"the gap box {tuple(extent)} passes the budget")
     box = _Box(extent)

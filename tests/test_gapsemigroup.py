@@ -3,6 +3,7 @@ import pytest
 import math
 import operator
 import random
+import tracemalloc
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -420,15 +421,23 @@ class TestFromGenerators:
         "gens,builds,genus",
         [
             # D_d(k): N^d minus every point of degree below k
-            ([p for p in box_points((13, 13)) if 7 <= sum(p) <= 13], 5, 27),
-            ([p for p in box_points((5, 5, 5)) if 3 <= sum(p) <= 5], 12, 9),
+            ([p for p in box_points((13, 13)) if 7 <= sum(p) <= 13], 3, 27),
+            ([p for p in box_points((5, 5, 5)) if 3 <= sum(p) <= 5], 6, 9),
             ([(4,), (6,), (9,)], 3, 6),
         ],
     )
     def test_one_build_per_tube(self, gens, builds, genus, monkeypatch):
-        # D_2(7) builds one box per tube (two cut to the slices x_a <= 1 of
-        # the finiteness test, one per axis) and one for the gap box. The
-        # tube of <4, 6, 9> needs 25 > 4m points and takes two
+        # a finite gap set builds one box per axis tube, whose Ap counts
+        # decide finiteness, and one for the gap box: D_2(7) three. D_3(3)
+        # adds the two tubes of its face x_0 = 0, tested first, cut to the
+        # slices x_a <= 1 of that face. The tube of <4, 6, 9> needs
+        # 25 > 4m points and takes two
+        calls = self.count_builds(monkeypatch)
+        assert from_generators(gens).genus == genus
+        assert len(calls) == builds
+
+    @staticmethod
+    def count_builds(monkeypatch):
         calls = []
         real = gapsemigroup._generated
 
@@ -437,8 +446,80 @@ class TestFromGenerators:
             return real(box, gens)
 
         monkeypatch.setattr(gapsemigroup, "_generated", counted)
-        assert from_generators(gens).genus == genus
-        assert len(calls) == builds
+        return calls
+
+    @pytest.mark.parametrize(
+        "gens",
+        [
+            [(2000, 0), (0, 2000), (1, 1), (1, 2)],
+            [(3000, 0, 0), (0, 3000, 0), (0, 0, 3000), (1, 1, 1)],
+        ],
+    )
+    def test_infinite_face_builds_no_box(self, gens, monkeypatch):
+        # the face x_0 = 0 is tested before any tube, and in d = 2 it is a
+        # gcd; the tubes of these lists would take up to the whole budget
+        calls = self.count_builds(monkeypatch)
+        with pytest.raises(InfiniteGaps) as err:
+            from_generators(gens)
+        assert (err.value.axis, err.value.level) == (0, 0)
+        assert calls == []
+
+    def test_tube_clipped_below_m_allocates_no_shift(self):
+        # the budget clips the tube along axis 0 to one row of 3000 x 3000
+        # points; shifting its mask by m = 3000 rows would take gigabytes
+        gens = [(3000, 0, 0), (0, 3000, 0), (0, 0, 3000), (1, 1, 1)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded):
+                _tube_apery(gens, [3000] * 3, 0, Budget())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+    @staticmethod
+    def slices_first(gens, budget):
+        """Reference order: every slice test, then the tubes, whose Ap
+        counts are not read, then the gap box."""
+        d = len(gens[0])
+        mult = gapsemigroup._axis_multiples(gens, d)
+        gapsemigroup._check_finite(gens, mult, budget)
+        tubes = [_tube_apery(gens, mult, i, budget) for i in range(d)]
+        extent = [max(1, box.top(ap)[i] - 1) for i, (box, ap) in enumerate(tubes)]
+        if math.prod(extent) > budget.max_work:
+            raise BudgetExceeded(f"the gap box {tuple(extent)} passes the budget")
+        box = _Box(extent)
+        return gapsemigroup.GapSemigroup(d, box, box.full & ~gapsemigroup._generated(box, gens))
+
+    @settings(max_examples=300, deadline=None)
+    @given(full_cone_lists(), st.sampled_from([4, 16, 64, 256, 4096, None]))
+    def test_tube_counts_agree_with_the_slice_tests(self, case, max_work):
+        d, gens = case
+        budget = Budget(max_work) if max_work else Budget()
+
+        def answer(build):
+            try:
+                gs = build(gens, budget)
+            except (InfiniteGaps, BudgetExceeded) as err:
+                return type(err), str(err)
+            return gs.gap_mask, gs.conductor
+
+        assert answer(from_generators) == answer(self.slices_first)
+        # with every tube inside the budget, a full count on every tube is
+        # the same as the slice tests passing
+        mult = gapsemigroup._axis_multiples(gens, d)
+        try:
+            counts = [_tube_apery(gens, mult, i, budget)[1].bit_count() for i in range(d)]
+        except BudgetExceeded:
+            return
+        try:
+            gapsemigroup._check_finite(gens, mult, budget)
+        except BudgetExceeded:
+            return
+        except InfiniteGaps:
+            assert min(counts) < math.prod(mult)
+        else:
+            assert counts == [math.prod(mult)] * d
 
 
 class TestAxisMultiples:
