@@ -129,12 +129,18 @@ def is_pi(sem: Union[AffineSemigroup, GapSemigroup]) -> PIStatus:
     a nonzero member for all nonzero members x, y. Checking generator pairs
     suffices: writing x as generator sums and inducting on length reduces
     every instance to a pair. When the multiplicity is not attained the
-    criterion does not apply and the result is None.
+    criterion does not apply and the result is None. Generator-form input
+    grows its membership box once, to the corner 2 max(g) - m above every
+    pair point, so the pairs, asked in grlex order, rebuild no box.
     """
     m, attained = multiplicity(sem)
     if not attained:
         return PIStatus(m, False, None)
-    gens = sem.generators if isinstance(sem, AffineSemigroup) else sem.hilbert_basis
+    if isinstance(sem, AffineSemigroup):
+        gens = sem.generators
+        sem.cover(tuple(2 * t - v for t, v in zip(map(max, zip(*gens)), m)))
+    else:
+        gens = sem.hilbert_basis
     for i, g in enumerate(gens):
         for h in gens[i:]:
             # g, h >= m componentwise, so the combination stays in N^d and

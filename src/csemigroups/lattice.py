@@ -2,8 +2,8 @@
 
 Points are plain tuples of Python ints, so all arithmetic is exact at any
 size. The module provides the coordinatewise partial order, the lex and
-graded-lex term orders, box and predecessor enumeration, boxes held as the
-bits of one int (with the closure pass and the generated-monoid kernel that
+graded-lex term orders, predecessor counting, boxes held as the bits of
+one int (with the closure pass and the generated-monoid kernel that
 both semigroup kinds run on them), and Hermite normal form for subgroup
 membership and intersection.
 """
@@ -15,7 +15,7 @@ import operator
 import re
 from math import comb
 from operator import floordiv, lshift, mod, mul
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, NotClosed, OrderNotPredecessorFinite
 
@@ -64,24 +64,6 @@ def partial_leq(p: Point, q: Point) -> bool:
     """Coordinatewise order: p <= q iff p_i <= q_i for every i."""
     check_same_dimension(p, q)
     return all(a <= b for a, b in zip(p, q))
-
-
-def enumerate_box(lo: Point, hi: Point) -> Iterator[Point]:
-    """All points lo <= p <= hi, in row-major order (last coordinate fastest)."""
-    check_same_dimension(lo, hi)
-    if not partial_leq(lo, hi):
-        raise ValueError(f"box is empty: {lo} is not below {hi}")
-    return itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)])
-
-
-def compositions(total: int, parts: int) -> Iterator[Point]:
-    """All tuples in N^parts with coordinate sum ``total``, first coordinate ascending."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 class _Record:
@@ -189,33 +171,8 @@ def grlex_sorted(points: Iterable[Point]) -> list[Point]:
     return sorted(sorted(points), key=sum)
 
 
-def enumerate_preceding(order: TermOrder, p: Point) -> Iterator[Point]:
-    """All q in N^d with q strictly preceding p, each exactly once.
-
-    Only defined for predecessor-finite orders (checked eagerly). For grlex
-    the predecessors are every point of lower degree plus the lex-smaller
-    points of equal degree; yielded degree by degree.
-    """
-    d = len(p)
-    if not order.is_predecessor_finite(d):
-        raise OrderNotPredecessorFinite(f"{order.kind} in dimension {d}")
-
-    def generate():
-        if d == 1:
-            for v in range(p[0]):
-                yield (v,)
-            return
-        deg = sum(p)
-        for s in range(deg + 1):
-            for q in compositions(s, d):
-                if s < deg or order.cmp(q, p) == LESS:
-                    yield q
-
-    return generate()
-
-
 def count_preceding(order: TermOrder, p: Point) -> int:
-    """The number of points that ``enumerate_preceding`` yields, in closed form.
+    """The number of points q of N^d that strictly precede p, in closed form.
 
     In d = 1 it is p. For grlex, the points of degree below n = deg p
     number C(n - 1 + d, d). A point q of degree n precedes p when, in the
@@ -281,17 +238,20 @@ class _Box:
             p.append(v)
         return tuple(p)
 
-    def mask(self, points: Iterable[Sequence[int]]) -> int:
-        """The bits of the given points, each inside the box.
-
-        The indices are summed column by column (the last stride is 1, so
-        in d = 1 the values are the indices) and set in a byte buffer.
-        """
-        buf = bytearray((self.full.bit_length() + 7) >> 3)
-        *head, indices = list(zip(*points)) or [()]
+    def indices(self, columns: Sequence[Sequence[int]]) -> Iterable[int]:
+        """``index`` of each point, the points given by their coordinate
+        columns: summed column by column (the last stride is 1, so in d = 1
+        the values are the indices)."""
+        *head, indices = columns
         for column, s in zip(head, self.strides):
             indices = map(operator.add, indices, map(mul, column, itertools.repeat(s)))
-        for i in indices:
+        return indices
+
+    def mask(self, points: Iterable[Sequence[int]]) -> int:
+        """The bits of the given points, each inside the box, set in a byte
+        buffer."""
+        buf = bytearray((self.full.bit_length() + 7) >> 3)
+        for i in self.indices(list(zip(*points)) or [()]):
             buf[i >> 3] |= 1 << (i & 7)
         return int.from_bytes(buf, "little")
 
@@ -403,20 +363,29 @@ def _generated(box: _Box, gens: Iterable[Sequence[int]]) -> int:
 
     Per generator g, M |= (M << k*g) & box for k = 1, 2, 4, ... while k*g is
     in the box, that is k <= min((e_j - 1) // g_j) over g_j > 0, so M gains
-    every multiple of g that fits. Coordinates only grow along a sum, so
-    its partial sums lie in the box whenever it does, and dropping what
-    leaves the box loses no sum inside it. A generator whose bit is set is
-    skipped: inside the box it is a sum of earlier ones, so M + g lies in M
-    there, and outside it (where its index may alias a point of the box) it
-    adds nothing anyway. Generators must be nonzero.
+    every multiple of g that fits; a bound of 0 puts g outside the box and
+    costs no shift. Coordinates only grow along a sum, so its partial sums
+    lie in the box whenever it does, and dropping what leaves the box loses
+    no sum inside it. A generator whose bit is set is skipped: inside the
+    box it is a sum of earlier ones, so M + g lies in M there, and outside
+    it (where its index may alias a point of the box) it adds nothing
+    anyway. Generators must be nonzero.
+
+    The indices and bounds of all the generators come from one pass over
+    the coordinate columns (``_Box.indices``): one list of bounds per
+    column, then their minimum per generator. A zero coordinate bounds
+    nothing, so its entry is the largest extent, above every real bound;
+    its own axis's extent would not do, as it may lie below the bound on
+    another axis.
     """
-    full, extent, strides = box.full, box.extent, box.strides
+    full, extent = box.full, box.extent
+    columns = list(zip(*gens)) or [()] * len(extent)
+    free = max(extent)
+    bounds = [[(e - 1) // v if v else free for v in col] for col, e in zip(columns, extent)]
     mask = 1
-    for g in gens:
-        i = sum(map(mul, g, strides))
-        if mask >> i & 1:
+    for i, top in zip(box.indices(columns), map(min, *bounds) if len(bounds) > 1 else bounds[0]):
+        if not top or mask >> i & 1:
             continue
-        top = min([(e - 1) // v for v, e in zip(g, extent) if v])
         k = 1
         while k <= top:
             mask |= (mask << (k * i)) & full

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import strategies as st
 
 from csemigroups import AffineSemigroup, from_generators
+from csemigroups.errors import DimensionMismatch, OrderNotPredecessorFinite
+from csemigroups.lattice import LESS, partial_leq
 
 # Worked example generator lists used across the suite.
 GENS_S2 = [(0, 1), (3, 0), (4, 0), (1, 4), (5, 0), (2, 7)]
@@ -61,6 +63,50 @@ def count_member_calls(monkeypatch):
 
     monkeypatch.setattr(AffineSemigroup, "is_member", counted)
     return calls
+
+
+def enumerate_box(lo, hi):
+    """All points lo <= p <= hi, in row-major order (last coordinate fastest)."""
+    if len(lo) != len(hi):
+        raise DimensionMismatch(f"dimension {len(lo)} vs {len(hi)}")
+    if not partial_leq(lo, hi):
+        raise ValueError(f"box is empty: {lo} is not below {hi}")
+    return itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)])
+
+
+def compositions(total, parts):
+    """All tuples in N^parts with coordinate sum ``total``, first coordinate ascending."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def enumerate_preceding(order, p):
+    """All q in N^d with q strictly preceding p, each exactly once: the
+    oracle of ``lattice.count_preceding``.
+
+    Only defined for predecessor-finite orders (checked eagerly). For grlex
+    the predecessors are every point of lower degree plus the lex-smaller
+    points of equal degree; yielded degree by degree.
+    """
+    d = len(p)
+    if not order.is_predecessor_finite(d):
+        raise OrderNotPredecessorFinite(f"{order.kind} in dimension {d}")
+
+    def generate():
+        if d == 1:
+            yield from ((v,) for v in range(p[0]))
+            return
+        deg = sum(p)
+        for s in range(deg + 1):
+            for q in compositions(s, d):
+                if s < deg or order.cmp(q, p) == LESS:
+                    yield q
+
+    return generate()
 
 
 def box_points(hi):

@@ -13,7 +13,7 @@ from conftest import (
     gap_universe,
     mask_to_points,
 )
-from csemigroups import arf
+from csemigroups import arf, membership
 from csemigroups.arf import (
     PIMonoid,
     arf_closure,
@@ -180,6 +180,20 @@ class TestIsPI:
         status = is_pi(s3)
         assert status.multiplicity == (0, 0)
         assert not status.attained and status.is_pi is None
+
+    def test_generator_form_builds_one_pair_box(self, monkeypatch):
+        # one box for the multiplicity, one to the corner of all the pairs;
+        # growing the box pair by pair took 11
+        builds = []
+        real = membership._sums
+
+        def counted(box, gens):
+            builds.append(box.extent)
+            return real(box, gens)
+
+        monkeypatch.setattr(membership, "_sums", counted)
+        assert is_pi(AffineSemigroup(2, GENS_PI)).is_pi
+        assert len(builds) <= 2
 
     def test_arf_with_multiplicity_implies_pi(self):
         # dimension one is where gap semigroups attain their multiplicity

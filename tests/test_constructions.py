@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import count_member_calls
+from conftest import count_member_calls, enumerate_box
 from csemigroups import lattice
 from csemigroups.arf import is_pi
 from csemigroups.constructions import (
@@ -244,7 +244,7 @@ class TestAperyWindowOracle:
             ),
             key=GRLEX.key,
         )
-        scan = [b for b in lattice.enumerate_box((0, 0), window) if is_apery(b)]
+        scan = [b for b in enumerate_box((0, 0), window) if is_apery(b)]
         report = apery_sap_window(a, p, window)
         assert report.window_scan == tuple(sorted(scan, key=GRLEX.key))
         assert report.formula_side == tuple(formula)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import closure_in_box
+from conftest import closure_in_box, enumerate_box, enumerate_preceding
 from csemigroups.errors import DimensionMismatch, OrderNotPredecessorFinite
 from csemigroups.lattice import (
     GRLEX,
@@ -17,8 +17,6 @@ from csemigroups.lattice import (
     _Box,
     _generated,
     count_preceding,
-    enumerate_box,
-    enumerate_preceding,
     grlex_sorted,
     lattice_from,
     lattice_intersect,
@@ -307,6 +305,28 @@ class TestGenerated:
         # into the row x_0 = 1 as (1, 2)
         box = _Box((3, 5))
         assert box.points(_generated(box, [(0, 4), (0, 3)])) == [(0, 0), (0, 3), (0, 4)]
+
+    @pytest.mark.parametrize(
+        "extent,gens",
+        [
+            # the zero coordinate on the axis of extent 1 must not cap the
+            # multiples of (2, 3, 0) at 1: (4, 6, 0) is a member
+            ((6, 7, 1), [(2, 3, 0)]),
+            ((6, 7, 1), [(2, 3, 0), (2, 6, 9), (4, 1, 1), (4, 2, 0), (4, 4, 11)]),
+            ((9,), [(4,), (3,), (12,)]),
+            ((1,), [(1,)]),
+            # outside the box on one axis only
+            ((3, 5), [(0, 9), (1, 2), (0, 2)]),
+            # every generator outside the box, or none: the mask is 1
+            ((3, 5), [(0, 9)]),
+            ((3, 5), [(3, 0), (0, 5), (4, 1)]),
+            ((4,), [(4,), (9,)]),
+            ((2, 2, 2), []),
+        ],
+    )
+    def test_edge_cases_match_closure(self, extent, gens):
+        box = _Box(extent)
+        assert _generated(box, gens) == box.mask(closure_in_box(gens, [e - 1 for e in extent]))
 
     @pytest.mark.parametrize(
         "extent,gens,extra",
