@@ -6,6 +6,13 @@ report or exactly one JSON document. Output point lists are sorted by the
 graded-lex order, so identical inputs produce byte-identical output. Domain
 errors exit with code 1 and carry the error class name; usage errors exit
 with code 2.
+
+The grammar is defined once, in ``build_parser``. ``main`` reads an argv in
+the plain form that real calls use, ``[--json] [--budget N] command [sub]
+[positional] (--opt value | --flag)...``, straight off that parser's
+actions (``_plain_args``) into the Namespace argparse would build. Every
+other argv, help and every usage error among them, goes through
+``parse_args`` itself, so their output is argparse's own.
 """
 
 from __future__ import annotations
@@ -89,7 +96,10 @@ def parse_point_list(text: str):
 
 
 def _points_json(points):
-    return list(map(list, grlex_sorted(points)))
+    """Points as JSON lists, in the order given: graded-lex from the library
+    (Hilbert basis, PF, omega, Apery sets, generators), sorted by the caller
+    otherwise."""
+    return list(map(list, points))
 
 
 def _budget(args) -> Budget:
@@ -133,11 +143,18 @@ def _input_source(args):
     return _load_file(args.file)
 
 
-def _gap_semigroup(args) -> GapSemigroup:
+def _semigroup(args):
+    """The input as given: an AffineSemigroup from generators, a validated
+    GapSemigroup from gaps; no gap set is built from generators."""
     kind, pts, d = _input_source(args)
-    if kind == "gens":
-        return from_generators(AffineSemigroup(d, pts), budget=_budget(args))
-    return from_gaps(d, pts)
+    return AffineSemigroup(d, pts) if kind == "gens" else from_gaps(d, pts)
+
+
+def _gap_semigroup(args) -> GapSemigroup:
+    sem = _semigroup(args)
+    if isinstance(sem, AffineSemigroup):
+        return from_generators(sem, budget=_budget(args))
+    return sem
 
 
 def _term_order(args) -> TermOrder:
@@ -151,12 +168,8 @@ def _term_order(args) -> TermOrder:
 
 def _run_member(args):
     point = parse_point(args.point)
-    kind, pts, d = _input_source(args)
-    if kind == "gens":
-        result = AffineSemigroup(d, pts).is_member(point) if len(point) == d else False
-    else:
-        result = from_gaps(d, pts).contains(point) if len(point) == d else False
-    return {"point": list(point), "member": result}
+    sem = _semigroup(args)
+    return {"point": list(point), "member": len(point) == sem.dimension and point in sem}
 
 
 def _run_gaps(args):
@@ -197,7 +210,7 @@ def _run_omega(args):
 def _run_apery(args):
     elements = parse_point_list(args.elements)
     return {
-        "elements": _points_json(elements),
+        "elements": _points_json(grlex_sorted(elements)),
         "apery": _points_json(apery(_gap_semigroup(args), elements)),
     }
 
@@ -223,7 +236,7 @@ def _run_family_sap(args):
     sem = cons.family_sap(args.a, args.p)
     out = {
         "generators": _points_json(sem.generators),
-        "delta": _points_json(cons.delta_set(args.a, args.p)),
+        "delta": _points_json(grlex_sorted(cons.delta_set(args.a, args.p))),
     }
     if args.verify:
         verification = cons.verify_delta_pf(args.a, args.p)
@@ -233,8 +246,8 @@ def _run_family_sap(args):
         if window is not None:
             report = cons.apery_sap_window(args.a, args.p, window)
             out["apery_window"] = {
-                "formula_side": _points_json(report.formula_side),
-                "window_scan": _points_json(report.window_scan),
+                "formula_side": _points_json(grlex_sorted(report.formula_side)),
+                "window_scan": _points_json(grlex_sorted(report.window_scan)),
                 "consistent": report.consistent,
             }
     return out
@@ -266,8 +279,7 @@ def _run_arf(args):
 
 
 def _run_pi(args):
-    kind, pts, d = _input_source(args)
-    sem = AffineSemigroup(d, pts) if kind == "gens" else from_gaps(d, pts)
+    sem = _semigroup(args)
     if args.action == "check":
         status = arf_mod.is_pi(sem)
         return {
@@ -434,11 +446,106 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def main(argv=None) -> int:
+_NOT_PLAIN = object()
+
+
+def _plain_value(action: argparse.Action, token: str):
+    """What argparse stores for ``token`` as the one value of a plain store
+    action, or _NOT_PLAIN where it would fail or read the token otherwise."""
+    if token.startswith("-") or type(action) is not argparse._StoreAction or action.nargs is not None:
+        return _NOT_PLAIN
     try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:  # argparse has printed its message
-        return int(exc.code or 0)
+        value = token if action.type is None else action.type(token)
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        return _NOT_PLAIN
+    return value if action.choices is None or value in action.choices else _NOT_PLAIN
+
+
+def _plain_args(root: argparse.ArgumentParser, argv):
+    """The Namespace ``root.parse_args(argv)`` returns, read straight off the
+    parsers' actions when argv has the plain form: the root's options, the
+    command, any subcommand and positionals right after it, then the
+    options of the last parser. An option is an exact option string and,
+    unless it stores a constant, one value that does not start with "-".
+
+    Returns None for any other argv, and wherever argparse would print or
+    fail: help, an abbreviation, ``--opt=value``, a token starting with "-"
+    where a value or positional belongs, an option given twice (or on both
+    sides of the command), a bad type or choice, a missing required
+    argument or a group conflict. ``main`` hands those to argparse, so help
+    and every error stay argparse's own.
+    """
+    args, given, i, n = {}, set(), 0, len(argv)
+    parser = root
+    while True:
+        # each parser fills a fresh namespace that is merged over its
+        # parent's, as argparse's subparsers action does
+        level = {}
+        for action in parser._actions:
+            if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+                level.setdefault(action.dest, action.default)
+        for dest, value in parser._defaults.items():
+            level.setdefault(dest, value)
+        positionals = parser._get_positional_actions()
+        seen, sub, k = set(), None, 0
+        while i < n and sub is None:
+            token = argv[i]
+            if token.startswith("-"):
+                # options come before the root's command or after the last
+                # positional of a parser
+                action = parser._option_string_actions.get(token)
+                if action is None or action.dest in given:
+                    return None
+                if k != len(positionals) and (k or parser is not root):
+                    return None
+                if isinstance(action, argparse._StoreConstAction):
+                    value, i = action.const, i + 1
+                elif i + 1 < n:
+                    value, i = _plain_value(action, argv[i + 1]), i + 2
+                else:
+                    return None
+            elif k < len(positionals):
+                action, k, i = positionals[k], k + 1, i + 1
+                if isinstance(action, argparse._SubParsersAction):
+                    value, sub = token, action.choices.get(token)
+                    if sub is None:
+                        return None
+                else:
+                    value = _plain_value(action, token)
+            else:
+                return None
+            if value is _NOT_PLAIN:
+                return None
+            level[action.dest] = value
+            given.add(action.dest)
+            seen.add(action)
+        # a str default that argparse stored would go through the type: left to it
+        for action in parser._actions:
+            if action not in seen and (
+                action.required
+                or action.type is not None
+                and isinstance(action.default, str)
+                and level.get(action.dest) is action.default
+            ):
+                return None
+        for group in parser._mutually_exclusive_groups:
+            hits = [a for a in group._group_actions if a in seen and level[a.dest] is not a.default]
+            if len(hits) > 1 or group.required and not hits:
+                return None
+        args.update(level)
+        if sub is None:
+            return argparse.Namespace(**args)
+        parser = sub
+
+
+def main(argv=None) -> int:
+    parser = _parser()
+    args = _plain_args(parser, sys.argv[1:] if argv is None else argv)
+    if args is None:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # argparse has printed its message
+            return int(exc.code or 0)
     if args.budget is not None and args.budget < 1:
         print("usage error: --budget must be positive", file=sys.stderr)
         return 2

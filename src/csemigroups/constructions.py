@@ -246,6 +246,9 @@ def family_saps(a: int, p: int, numerical_gens: Sequence[int]) -> SapsFamily:
     minimal = minimalize([(n,) for n in ngens], 1)
     if len(minimal.generators) != len(ngens):
         raise NotMinimal(f"{ngens} is not a minimal generating set")
+    if ngens == [1]:
+        # N has no gaps, and its generator (a, a^p) is the gluing element
+        raise EmptyPF(2)
     q = a**p
     mu = sum(ngens)
     ray = (a, q)

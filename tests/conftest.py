@@ -227,3 +227,15 @@ def full_cone_lists(draw):
         big = draw(st.integers(10**3, 10**5))
         gens.append(tuple(a + big * b for a, b in zip(g, h)))
     return d, gens
+
+
+@st.composite
+def finite_gap_sets(draw):
+    """Gap sets in d = 1..3: a drawn full-cone list plus every point of total
+    degree m..2m-1. Each point of degree at least m is then a sum of those,
+    so the gaps are finite and lie below degree m; the drawn list shapes
+    them."""
+    d, gens = draw(full_cone_lists())
+    m = draw(st.integers(2, (16, 8, 5)[d - 1]))
+    band = [p for p in box_points((2 * m - 1,) * d) if m <= sum(p) < 2 * m]
+    return from_generators(gens + band)

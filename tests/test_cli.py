@@ -1,17 +1,25 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import box_points, finite_gap_sets
 from csemigroups import cli
 from csemigroups.cli import main, parse_point, parse_point_list
+from csemigroups.frobenius import apery, omega_extra, pseudo_frobenius
+from csemigroups.lattice import TermOrder, grlex_sorted
+from csemigroups.membership import AffineSemigroup
 
 S2 = "(0,1);(3,0);(4,0);(1,4);(5,0);(2,7)"
 S5 = "(0,1);(4,0);(5,0);(6,0);(7,0);(1,4);(2,7);(3,10)"
@@ -146,6 +154,13 @@ class TestGoldenOutputs:
         assert code == 0 and out == '{"member":false,"point":[3000,3001]}\n'
         code, out = run(capsys, "--json", "member", "--gens", sap, "--point", "(3000,3003)")
         assert code == 0 and out == '{"member":true,"point":[3000,3003]}\n'
+
+    @pytest.mark.parametrize("source", [["--gens", S2], ["--gaps", "(1,0);(1,1)"]])
+    @pytest.mark.parametrize("point", ["4", "(1,1,1)"])
+    def test_member_point_of_another_dimension(self, capsys, source, point):
+        code, out = run(capsys, "--json", "member", *source, "--point", point)
+        assert code == 0
+        assert json.loads(out) == {"member": False, "point": list(parse_point(point))}
 
     @pytest.mark.parametrize("gens", ["(6,0);(0,1);(1,2);(1,7)", "(3,0);(0,1);(1,1)"])
     def test_gap_line_along_axis_zero(self, capsys, gens):
@@ -315,6 +330,25 @@ class TestErrors:
         assert captured.out == ""
         assert captured.err.startswith("usage error:")
 
+    # the input is validated whatever the point's dimension
+    @pytest.mark.parametrize("point", ["(1,1)", "4", "(1,1,1)"])
+    def test_member_rejects_gaps_not_closed(self, capsys, point):
+        code, data = run_json(capsys, "member", "--gaps", "(0,0)", "--point", point)
+        assert code == 1
+        assert data["error"] == "NotClosed"
+
+    @pytest.mark.parametrize("point", ["(1,1)", "1", "(1,1,1)"])
+    def test_member_rejects_negative_generators(self, capsys, point):
+        assert main(["--json", "member", "--gens", "(-1,0);(0,1)", "--point", point]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: generator (-1, 0) has a negative coordinate\n"
+
+    def test_family_saps_over_n_is_a_domain_error(self, capsys):
+        code, data = run_json(capsys, "family", "saps", "-a", "3", "-p", "1", "--numerical", "1")
+        assert code == 1
+        assert data["error"] == "EmptyPF"
+
     def test_budget_flag_respected(self, capsys):
         code, data = run_json(capsys, "--budget", "2", "gaps", "--gens", S2)
         assert code == 1
@@ -477,6 +511,274 @@ class TestImportCost:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+
+# The csg grammar written out by hand, apart from build_parser: the command
+# tokens, the positional's choices, the required and the optional options
+# with the kind of value each takes (None: a flag), and whether one of the
+# input options is required.
+INPUT_OPTIONS = {"--gens": "list", "--gaps": "list", "--file": "file"}
+CSG_GRAMMAR = [
+    (("member",), (), {"--point": "point"}, {}, True),
+    (("gaps",), (), {}, {}, True),
+    (("pf",), (), {}, {}, True),
+    (("frobenius",), (), {}, {"--order": "order"}, True),
+    (("classify",), (), {}, {"--order": "order"}, True),
+    (("omega",), (), {}, {"--order": "order"}, True),
+    (("apery",), (), {"--elements": "list"}, {}, True),
+    (("wilf",), (), {}, {"--order": "order"}, True),
+    (("buchsbaum",), (), {}, {}, True),
+    (("glue",), (), {"--s1": "file", "--s2": "file", "--s": "point"}, {}, False),
+    (("family", "sap"), (), {"-a": "a", "-p": "p"}, {"--verify": None, "--window": "point"}, False),
+    (("family", "saps"), (), {"-a": "a", "-p": "p", "--numerical": "numerical"}, {}, False),
+    (("arf",), ("check", "derived", "closure"), {}, {}, True),
+    (("pi",), ("check", "decompose"), {}, {}, True),
+    (("identity",), ("pf-ideal", "cardinality"), {}, {"--order": "order"}, True),
+]
+SHARED_OPTIONS = {"--json": None, "--budget": "budget"}
+GRAMMAR_OPTIONS = {
+    *SHARED_OPTIONS, *INPUT_OPTIONS, *(f for _, _, req, opt, _ in CSG_GRAMMAR for f in {**req, **opt})
+}
+
+
+@st.composite
+def csg_argvs(draw, values):
+    """An argv of the grammar in an order argparse takes: each shared flag
+    before or after the command, the options shuffled. ``values`` maps a
+    kind of value to a strategy."""
+    path, choices, required, optional, needs_input = draw(st.sampled_from(CSG_GRAMMAR))
+    head = list(path) + ([draw(st.sampled_from(choices))] if choices else [])
+    options = [[flag, draw(values[kind])] for flag, kind in required.items()]
+    if needs_input:
+        flag = draw(st.sampled_from(sorted(INPUT_OPTIONS)))
+        options.append([flag, draw(values[INPUT_OPTIONS[flag]])])
+    for flag, kind in {**optional, **SHARED_OPTIONS}.items():
+        if draw(st.booleans()):
+            options.append([flag] if kind is None else [flag, draw(values[kind])])
+    before = [o for o in options if o[0] in SHARED_OPTIONS and draw(st.booleans())]
+    after = draw(st.permutations([o for o in options if o not in before]))
+    return list(itertools.chain(*before, head, *after))
+
+
+@st.composite
+def mutated(draw, argvs, tokens):
+    """(argv, mutated): a drawn argv with up to three tokens inserted,
+    deleted, replaced by a drawn one or repeated."""
+    argv = draw(argvs)
+    steps = draw(st.integers(0, 3))
+    for _ in range(steps):
+        i = draw(st.integers(0, len(argv)))
+        step = draw(st.sampled_from(["insert", "delete", "replace", "repeat"]))
+        if step == "insert" or not argv:
+            argv.insert(i, draw(tokens))
+        elif step == "delete":
+            del argv[min(i, len(argv) - 1)]
+        elif step == "replace":
+            argv[min(i, len(argv) - 1)] = draw(tokens)
+        else:
+            argv.insert(i, draw(st.sampled_from(argv)))
+    return argv, steps > 0
+
+
+# tokens argparse reads but the plain form does not, and tokens it rejects
+ODD_TOKENS = st.sampled_from([
+    "--gen", "--gens=4;6;9", "--gaps=(1,0)", "-a3", "-p1", "--", "-5", "-", "--bud",
+    "--json", "--budget", "--order", "--verify", "--point", "--window", "--file",
+    "lexx", "grlex", "check", "derived", "family", "sap", "pf", "member", "(1,1)",
+    "4;6;9", "x", "",
+])
+INTS = st.sampled_from(["3", "0", "12", " 7", "+4", "1_000", "٣", "-1", "x", "3.5", ""])
+PARSE_VALUES = {
+    "point": st.sampled_from(["(1,2)", "4", "[1,3]", " ( 2 , 8 ) ", "(0,0)", "", "-3", "(-1,2)"]),
+    "list": st.sampled_from(["4;6;9", S2, "(1,0);(1,1)", "[1,2];[2,1]", " 4 ; 6 ", "-4;6", "x"]),
+    "numerical": st.sampled_from(["2;3", "1", "(2);(3)", "-2;3"]),
+    "file": st.sampled_from(["s1.json", "dir/s2.json", "-f.json", ""]),
+    "a": INTS,
+    "p": INTS,
+    "order": st.sampled_from(["lex", "grlex", "lexx", "GRLEX", "-lex"]),
+    "budget": st.sampled_from(["5", "4096", "0", " 9", "-5", "five"]),
+}
+
+
+def argparse_outcome(argv):
+    """vars() of the Namespace argparse builds, or the code it exits with."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._parser().parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+class TestPlainReader:
+    @settings(max_examples=1500, deadline=None)
+    @given(mutated(csg_argvs(PARSE_VALUES), st.one_of(ODD_TOKENS, st.sampled_from(["-h", "--help"]))))
+    def test_matches_argparse(self, drawn):
+        argv, was_mutated = drawn
+        read = cli._plain_args(cli._parser(), argv)
+        expected = argparse_outcome(argv)
+        if read is not None:
+            assert vars(read) == expected
+        elif not was_mutated and isinstance(expected, dict):
+            # a built argv that argparse takes is plain unless a value
+            # starts with "-"
+            assert any(t.startswith("-") and t not in GRAMMAR_OPTIONS for t in argv)
+
+    def test_readme_forms_skip_argparse(self, capsys, monkeypatch, tmp_path):
+        calls = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return parse_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", counted)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "s1.json").write_text(json.dumps({"d": 1, "gens": [[6], [10], [14]]}))
+        (tmp_path / "s2.json").write_text(json.dumps({"d": 1, "gens": [[14], [21]]}))
+        with open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8") as fh:
+            block = fh.read().split("\n## CLI\n")[1].split("```")[1]
+        forms = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("csg ")]
+        assert len(forms) == 13
+        for argv in forms:
+            assert main(argv) == 0, argv
+        # the console script passes no argv
+        monkeypatch.setattr(sys, "argv", ["csg", "--json", "member", "--gens", "4;6;9", "--point", "11"])
+        assert main() == 0
+        assert capsys.readouterr().out.endswith('{"member":false,"point":[11]}\n')
+        assert calls == []
+        # the other forms do reach argparse
+        assert main(["pf", "--gens=4;6;9"]) == 0
+        monkeypatch.setattr(sys, "argv", ["csg", "pf"])
+        assert main() == 2
+        assert capsys.readouterr().err.startswith("usage:")
+        assert calls == [(["pf", "--gens=4;6;9"],), (None,)]
+
+
+class TestGrlexSources:
+    """The point lists csg prints unsorted come out of the library in
+    graded-lex order."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(finite_gap_sets(), st.sampled_from(["lex", "grlex"]), st.data())
+    def test_gap_set_lists(self, gs, order, data):
+        assume(gs.genus)
+        d, c = gs.dimension, gs.conductor
+        members = [p for p in box_points(tuple(2 * v for v in c)) if any(p) and gs.contains(p)]
+        witnesses = [tuple(c[i] * (i == j) for j in range(d)) for i in range(d)]
+        witnesses += data.draw(st.lists(st.sampled_from(members), max_size=3))
+        for points in (
+            gs.hilbert_basis,
+            pseudo_frobenius(gs),
+            omega_extra(gs, TermOrder(order)),
+            apery(gs, witnesses),
+        ):
+            assert list(points) == grlex_sorted(points)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda d: st.lists(st.tuples(*[st.integers(0, 9)] * d).filter(any), min_size=1, max_size=8)
+        )
+    )
+    def test_generators(self, gens):
+        assert list(AffineSemigroup(len(gens[0]), gens).generators) == grlex_sorted(set(gens))
+
+
+class JsonFile:
+    """A ``--file`` value: the document written to a file before the call."""
+
+    def __init__(self, doc):
+        self.doc = doc
+
+    def __repr__(self):
+        return f"JsonFile({self.doc!r})"
+
+
+def _text_point(coords, bare):
+    return str(coords[0]) if bare and len(coords) == 1 else "(" + ",".join(map(str, coords)) + ")"
+
+
+@st.composite
+def small_point_texts(draw):
+    d = draw(st.integers(1, 3))
+    coords = draw(st.lists(st.integers(-1, 6), min_size=d, max_size=d))
+    if draw(st.integers(0, 4)) == 0:
+        return json.dumps(coords)
+    return _text_point(coords, draw(st.booleans()))
+
+
+@st.composite
+def small_list_texts(draw):
+    d = draw(st.integers(1, 3))
+    bare = draw(st.booleans())
+    points = draw(
+        st.lists(st.lists(st.integers(0, 6), min_size=d, max_size=d), min_size=1, max_size=5)
+    )
+    if draw(st.integers(0, 5)) == 0:
+        points.append(draw(st.lists(st.integers(-1, 6), min_size=1, max_size=3)))
+    return ";".join(_text_point(p, bare) for p in points)
+
+
+_POINT_LISTS = st.lists(st.lists(st.integers(-1, 6), min_size=1, max_size=3), max_size=5)
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.floats(-2, 6) | st.sampled_from(["", "2", "d"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["d", "gens", "gaps", "x"]), inner, max_size=3),
+    max_leaves=10,
+)
+
+
+@st.composite
+def json_docs(draw):
+    """Documents for --file: well formed with small points, the same with a
+    key dropped or a value of the wrong type, or any JSON at all."""
+    doc = {"d": draw(st.integers(0, 4)), draw(st.sampled_from(["gens", "gaps"])): draw(_POINT_LISTS)}
+    shape = draw(st.integers(0, 3))
+    if shape == 1:
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif shape == 2:
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(_ANY_JSON)
+    elif shape == 3:
+        doc = draw(_ANY_JSON)
+    return JsonFile(doc)
+
+
+FUZZ_VALUES = {
+    "point": small_point_texts(),
+    "list": small_list_texts(),
+    "numerical": st.lists(st.integers(0, 7), min_size=1, max_size=4).map(lambda v: ";".join(map(str, v))),
+    "file": json_docs(),
+    "a": st.integers(-1, 5).map(str),
+    "p": st.integers(-1, 2).map(str),
+    "order": st.sampled_from(["lex", "grlex"]),
+    "budget": st.integers(0, 4096).map(str),
+}
+
+
+class TestExitCodes:
+    """Random argv and --file documents: main returns 0, 1 or 2 and lets no
+    exception escape; with --json, exit 0 or 1 prints one JSON line."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(mutated(csg_argvs(FUZZ_VALUES), ODD_TOKENS))
+    def test_exit_code(self, tmp_path_factory, drawn):
+        argv, _ = drawn
+        folder = tmp_path_factory.getbasetemp() / "exit-code-docs"
+        folder.mkdir(exist_ok=True)
+        for i, token in enumerate(argv):
+            if isinstance(token, JsonFile):
+                path = folder / f"doc{i}.json"
+                path.write_text(json.dumps(token.doc), encoding="utf-8")
+                argv[i] = str(path)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        parsed = argparse_outcome(argv)
+        if code in (0, 1) and parsed["json"]:
+            line, end = out.getvalue().split("\n")
+            assert end == ""
+            json.loads(line)
 
 
 def degree_band(d, k):

@@ -287,6 +287,12 @@ class TestFamilySaps:
         with pytest.raises(NotMinimal):
             family_saps(3, 1, [2, 3, 5])
 
+    @pytest.mark.parametrize("a, p", [(3, 1), (3, 2), (5, 1)])
+    def test_numerical_factor_must_have_a_gap(self, a, p):
+        with pytest.raises(EmptyPF) as err:
+            family_saps(a, p, [1])
+        assert err.value.side == 2
+
     def test_glued_pf_candidates_pass_pointwise_predicate(self):
         fam = family_saps(3, 1, [2, 3])
         sem = fam.semigroup

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import box_points, full_cone_lists
+from conftest import box_points, finite_gap_sets
 from csemigroups.errors import (
     DimensionMismatch,
     EmptyGapSet,
@@ -272,18 +272,6 @@ class TestCardinalityIdentity:
             if s5.contains(p)
         )
         assert rhs == count
-
-
-@st.composite
-def finite_gap_sets(draw):
-    """Gap sets in d = 1..3: a drawn full-cone list plus every point of total
-    degree m..2m-1. Each point of degree at least m is then a sum of those,
-    so the gaps are finite and lie below degree m; the drawn list shapes
-    them."""
-    d, gens = draw(full_cone_lists())
-    m = draw(st.integers(2, (16, 8, 5)[d - 1]))
-    band = [p for p in box_points((2 * m - 1,) * d) if m <= sum(p) < 2 * m]
-    return from_generators(gens + band)
 
 
 class TestMaskPortsOracle:
