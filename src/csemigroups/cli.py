@@ -95,13 +95,6 @@ def parse_point_list(text: str):
     return points
 
 
-def _points_json(points):
-    """Points as JSON lists, in the order given: graded-lex from the library
-    (Hilbert basis, PF, omega, Apery sets, generators), sorted by the caller
-    otherwise."""
-    return list(map(list, points))
-
-
 def _budget(args) -> Budget:
     return Budget() if args.budget is None else Budget(max_work=args.budget)
 
@@ -169,27 +162,27 @@ def _term_order(args) -> TermOrder:
 def _run_member(args):
     point = parse_point(args.point)
     sem = _semigroup(args)
-    return {"point": list(point), "member": len(point) == sem.dimension and point in sem}
+    return {"point": point, "member": len(point) == sem.dimension and point in sem}
 
 
 def _run_gaps(args):
     gs = _gap_semigroup(args)
     out = gs.to_json()
-    out["conductor"] = list(gs.conductor)
+    out["conductor"] = gs.conductor
     out["genus"] = gs.genus
-    out["hilbert_basis"] = _points_json(gs.hilbert_basis)
+    out["hilbert_basis"] = gs.hilbert_basis
     return out
 
 
 def _run_pf(args):
     pf = pseudo_frobenius(_gap_semigroup(args))
-    return {"pf": _points_json(pf), "betti_type": len(pf)}
+    return {"pf": pf, "betti_type": len(pf)}
 
 
 def _run_frobenius(args):
     order = _term_order(args)
     return {
-        "frobenius": list(frobenius_element(_gap_semigroup(args), order)),
+        "frobenius": frobenius_element(_gap_semigroup(args), order),
         "order": order.to_json(),
     }
 
@@ -202,16 +195,16 @@ def _run_omega(args):
     gs = _gap_semigroup(args)
     order = _term_order(args)
     return {
-        "omega_extra": _points_json(omega_extra(gs, order)),
-        "frobenius": list(frobenius_element(gs, order)),
+        "omega_extra": omega_extra(gs, order),
+        "frobenius": frobenius_element(gs, order),
     }
 
 
 def _run_apery(args):
     elements = parse_point_list(args.elements)
     return {
-        "elements": _points_json(grlex_sorted(elements)),
-        "apery": _points_json(apery(_gap_semigroup(args), elements)),
+        "elements": grlex_sorted(elements),
+        "apery": apery(_gap_semigroup(args), elements),
     }
 
 
@@ -229,14 +222,14 @@ def _run_glue(args):
     s1, s2 = AffineSemigroup(d1, pts1), AffineSemigroup(d2, pts2)
     s = parse_point(args.s)
     glued = cons.glue(cons.GluingSpec(s1, s2, s))
-    return {"d": glued.dimension, "generators": _points_json(glued.generators), "s": list(s)}
+    return {"d": glued.dimension, "generators": glued.generators, "s": s}
 
 
 def _run_family_sap(args):
     sem = cons.family_sap(args.a, args.p)
     out = {
-        "generators": _points_json(sem.generators),
-        "delta": _points_json(grlex_sorted(cons.delta_set(args.a, args.p))),
+        "generators": sem.generators,
+        "delta": grlex_sorted(cons.delta_set(args.a, args.p)),
     }
     if args.verify:
         verification = cons.verify_delta_pf(args.a, args.p)
@@ -244,12 +237,7 @@ def _run_family_sap(args):
         out["delta_size"] = len(verification.witnesses)
         window = parse_point(args.window) if args.window else None
         if window is not None:
-            report = cons.apery_sap_window(args.a, args.p, window)
-            out["apery_window"] = {
-                "formula_side": _points_json(grlex_sorted(report.formula_side)),
-                "window_scan": _points_json(grlex_sorted(report.window_scan)),
-                "consistent": report.consistent,
-            }
+            out["apery_window"] = cons.apery_sap_window(args.a, args.p, window).to_json()
     return out
 
 
@@ -257,12 +245,12 @@ def _run_family_saps(args):
     gens = [p[0] for p in parse_point_list(args.numerical)]
     fam = cons.family_saps(args.a, args.p, gens)
     return {
-        "generators": _points_json(fam.semigroup.generators),
+        "generators": fam.semigroup.generators,
         "embedding_dimension": len(fam.semigroup.generators),
         "pf_lower_bound": fam.pf_lower_bound,
         "mu": fam.mu,
         "nu": fam.nu,
-        "gluing_element": list(fam.gluing_element),
+        "gluing_element": fam.gluing_element,
     }
 
 
@@ -281,21 +269,15 @@ def _run_arf(args):
 def _run_pi(args):
     sem = _semigroup(args)
     if args.action == "check":
-        status = arf_mod.is_pi(sem)
-        return {
-            "multiplicity": list(status.multiplicity),
-            "attained": status.attained,
-            "is_pi": status.is_pi,
-        }
-    pim = arf_mod.pi_decompose(sem)
-    return {"offset": list(pim.offset), "base": pim.base.to_json()}
+        return arf_mod.is_pi(sem).to_json()
+    return arf_mod.pi_decompose(sem).to_json()
 
 
 def _run_identity(args):
     gs = _gap_semigroup(args)
     if args.action == "pf-ideal":
         # (S - S*) minus S is PF: z + g in S for each basis element g is PF's test
-        return {"pf": _points_json(pseudo_frobenius(gs)), "matches_direct": True}
+        return {"pf": pseudo_frobenius(gs), "matches_direct": True}
     lhs, rhs = cardinality_identity(gs, _term_order(args))
     return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
 
@@ -423,12 +405,12 @@ def _render_text(payload, indent=0) -> list[str]:
         if isinstance(value, dict):
             lines.append(f"{pad}{key}:")
             lines.extend(_render_text(value, indent + 1))
-        elif isinstance(value, list) and not value:
+        elif isinstance(value, (list, tuple)) and not value:
             lines.append(f"{pad}{key}: []")
-        elif isinstance(value, list) and isinstance(value[0], list):
+        elif isinstance(value, (list, tuple)) and isinstance(value[0], (list, tuple)):
             pts = " ".join("(" + ",".join(str(v) for v in p) + ")" for p in value)
             lines.append(f"{pad}{key}: {pts}")
-        elif isinstance(value, list):
+        elif isinstance(value, (list, tuple)):
             lines.append(f"{pad}{key}: " + "(" + ",".join(str(v) for v in value) + ")")
         else:
             lines.append(f"{pad}{key}: {value}")

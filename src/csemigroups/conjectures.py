@@ -16,32 +16,11 @@ from . import lattice
 from .errors import DimensionOne, EmptyGapSet, NotFullCone, OrderNotPredecessorFinite
 from .frobenius import frobenius_element, pseudo_frobenius
 from .gapsemigroup import GapSemigroup, _axis_multiples
-from .lattice import GRLEX, Point, TermOrder, _Record, count_preceding
+from .lattice import GRLEX, TermOrder, _Record, count_preceding
 
 
 class WilfReport(_Record):
     _fields = ("embedding_dimension", "genus", "sporadic", "n_frobenius", "holds", "frobenius")
-
-    def __init__(
-        self,
-        embedding_dimension: int,
-        genus: int,
-        sporadic: int,
-        n_frobenius: int,
-        holds: bool,
-        frobenius: Point,
-    ):
-        super().__init__(embedding_dimension, genus, sporadic, n_frobenius, holds, frobenius)
-
-    def to_json(self) -> dict:
-        return {
-            "embedding_dimension": self.embedding_dimension,
-            "genus": self.genus,
-            "sporadic": self.sporadic,
-            "n_frobenius": self.n_frobenius,
-            "holds": self.holds,
-            "frobenius": list(self.frobenius),
-        }
 
 
 def wilf_report(gs: GapSemigroup, order: TermOrder = GRLEX) -> WilfReport:
@@ -59,35 +38,11 @@ def wilf_report(gs: GapSemigroup, order: TermOrder = GRLEX) -> WilfReport:
     sporadic = count_preceding(order, F) - (gs.genus - 1)
     e = len(gs.hilbert_basis)
     n_frobenius = gs.genus + sporadic
-    return WilfReport(
-        embedding_dimension=e,
-        genus=gs.genus,
-        sporadic=sporadic,
-        n_frobenius=n_frobenius,
-        holds=sporadic * e >= n_frobenius + 1,
-        frobenius=F,
-    )
+    return WilfReport(e, gs.genus, sporadic, n_frobenius, sporadic * e >= n_frobenius + 1, F)
 
 
 class BuchsbaumReport(_Record):
     _fields = ("d_set", "pf", "is_buchsbaum", "extremal_rays")
-
-    def __init__(
-        self,
-        d_set: tuple[Point, ...],
-        pf: tuple[Point, ...],
-        is_buchsbaum: bool,
-        extremal_rays: tuple[Point, ...],
-    ):
-        super().__init__(d_set, pf, is_buchsbaum, extremal_rays)
-
-    def to_json(self) -> dict:
-        return {
-            "d_set": [list(p) for p in self.d_set],
-            "pf": [list(p) for p in self.pf],
-            "is_buchsbaum": self.is_buchsbaum,
-            "extremal_rays": [list(p) for p in self.extremal_rays],
-        }
 
 
 def buchsbaum_report(gs: GapSemigroup) -> BuchsbaumReport:
@@ -118,9 +73,4 @@ def buchsbaum_report(gs: GapSemigroup) -> BuchsbaumReport:
         once |= hit
     d_set = tuple(box.grlex_points(twice))
     pf = pseudo_frobenius(gs)
-    return BuchsbaumReport(
-        d_set=d_set,
-        pf=pf,
-        is_buchsbaum=d_set == pf,
-        extremal_rays=rays,
-    )
+    return BuchsbaumReport(d_set, pf, d_set == pf, rays)

@@ -9,7 +9,8 @@ semigroups.
 The certified-set and windowed Apery verifications each read one box of
 generator sums (``lattice._generated``), not points one at a time; the box
 comes from ``membership._window``, which raises BudgetExceeded past the
-membership cap. Every result is an immutable ``lattice._Record``.
+membership cap. Every result is an immutable ``lattice._Record``, built by
+position or by name and serialized from its fields (``to_json``).
 """
 
 from __future__ import annotations

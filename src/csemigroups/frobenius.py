@@ -116,39 +116,12 @@ class FrobeniusReport(_Record):
         "symmetric", "pseudo_symmetric", "almost_symmetric", "irreducible", "pf_prime_dominated",
     )
 
-    def __init__(
-        self,
-        pf: tuple[Point, ...],
-        betti_type: int,
-        frobenius: Point,
-        pf_prime: tuple[Point, ...],
-        omega_extra: tuple[Point, ...],
-        symmetric: bool,
-        pseudo_symmetric: bool,
-        almost_symmetric: bool,
-        irreducible: bool,
-        pf_prime_dominated: bool,
-    ):
-        super().__init__(
-            pf, betti_type, frobenius, pf_prime, omega_extra,
-            symmetric, pseudo_symmetric, almost_symmetric, irreducible, pf_prime_dominated,
-        )
-
     def to_json(self) -> dict:
-        return {
-            "pf": [list(p) for p in self.pf],
-            "betti_type": self.betti_type,
-            "frobenius": list(self.frobenius),
-            "pf_prime": [list(p) for p in self.pf_prime],
-            "omega_extra": [list(p) for p in self.omega_extra],
-            "classification": {
-                "symmetric": self.symmetric,
-                "pseudo_symmetric": self.pseudo_symmetric,
-                "almost_symmetric": self.almost_symmetric,
-                "irreducible": self.irreducible,
-                "pf_prime_dominated": self.pf_prime_dominated,
-            },
-        }
+        """The fields as ``_Record.to_json`` writes them, the five flags
+        nested under "classification"."""
+        out = super().to_json()
+        out["classification"] = {name: out.pop(name) for name in self._fields[5:]}
+        return out
 
 
 def classify(gs: GapSemigroup, order: TermOrder = GRLEX) -> FrobeniusReport:
@@ -168,16 +141,9 @@ def classify(gs: GapSemigroup, order: TermOrder = GRLEX) -> FrobeniusReport:
     pseudo_symmetric = half is not None and set(pf) == {F, half}
     almost = bool(pf_prime) and all(lattice.sub(F, g) in prime_set for g in pf_prime)
     return FrobeniusReport(
-        pf=pf,
-        betti_type=len(pf),
-        frobenius=F,
-        pf_prime=pf_prime,
-        omega_extra=omega_extra(gs, order),
-        symmetric=symmetric,
-        pseudo_symmetric=pseudo_symmetric,
-        almost_symmetric=almost,
-        irreducible=symmetric or pseudo_symmetric,
-        pf_prime_dominated=all(lattice.partial_leq(f, F) for f in pf_prime),
+        pf, len(pf), F, pf_prime, omega_extra(gs, order),
+        symmetric, pseudo_symmetric, almost, symmetric or pseudo_symmetric,
+        all(lattice.partial_leq(f, F) for f in pf_prime),
     )
 
 

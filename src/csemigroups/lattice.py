@@ -66,24 +66,59 @@ def partial_leq(p: Point, q: Point) -> bool:
     return all(a <= b for a, b in zip(p, q))
 
 
+_SCALARS = frozenset((bool, int, str, type(None)))
+
+
+def _json(value):
+    """A field value as JSON data, two levels deep: a scalar as it is, a
+    point as a list, a record (or semigroup) through its ``to_json``, and a
+    tuple of points or records item by item."""
+    kind = type(value)
+    if kind is not tuple:
+        return value if kind in _SCALARS else value.to_json()
+    if not value or type(value[0]) in _SCALARS:
+        return list(value)
+    if type(value[0]) is tuple:
+        return list(map(list, value))
+    return [item.to_json() for item in value]
+
+
 class _Record:
     """An immutable record of the fields named in ``_fields``.
 
-    It compares and hashes as the tuple of its field values, is equal only
-    to a record of the same class, prints as ``Name(field=value, ...)``,
-    and refuses assignment and deletion. A subclass's ``__init__`` checks
-    its arguments and passes the values, in field order, to this one,
-    which writes them into the instance ``__dict__``, past ``__setattr__``.
-    Instances keep that ``__dict__``, so pickle and copy need no hooks.
+    It is built from the field values by position, by name or both, and
+    writes them into the instance ``__dict__``, past ``__setattr__``; a
+    missing, unknown or repeated field is a TypeError. A subclass defines
+    ``__init__`` only to check or default its arguments. The record
+    compares and hashes as the tuple of its field values, is equal only to
+    a record of the same class, prints as ``Name(field=value, ...)``,
+    serializes as ``{field: value}`` (``to_json``), and refuses assignment
+    and deletion. Instances keep that ``__dict__``, so pickle and copy need
+    no hooks.
     """
 
     _fields: tuple[str, ...]
 
-    def __init__(self, *values):
-        self.__dict__.update(zip(self._fields, values))
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if named or len(values) != len(fields):
+            # the names must be exactly the fields after the positional ones
+            rest = fields[len(values) :]
+            if len(values) > len(fields) or named.keys() != set(rest):
+                raise TypeError(
+                    f"{type(self).__qualname__} takes the fields {fields}:"
+                    f" got {len(values)} by position and {sorted(named)} by name"
+                )
+            values += tuple(map(named.__getitem__, rest))
+        self.__dict__.update(zip(fields, values))
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
+
+    def to_json(self) -> dict:
+        """``{field: value}``, each value as JSON data (``_json``)."""
+        fields = self.__dict__
+        return {name: _json(fields[name]) for name in self._fields}
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -431,9 +466,6 @@ class IntegerLattice(_Record):
     """Subgroup of Z^d stored as a row-HNF basis; rank = number of rows."""
 
     _fields = ("dimension", "basis")
-
-    def __init__(self, dimension: int, basis: tuple[Point, ...]):
-        super().__init__(dimension, basis)
 
     @property
     def rank(self) -> int:

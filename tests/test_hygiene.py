@@ -1,5 +1,6 @@
 """Leftovers of a deletion: a public name that is exported but no longer
-imported (or the reverse), and an import that no code of its module reads."""
+imported (or the reverse), an import that no code of its module reads, and
+a record constructor that only forwards its fields."""
 
 import ast
 import pathlib
@@ -37,3 +38,64 @@ def test_every_import_is_read(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported_names(tree) - read) == []
+
+
+def forwarding_inits(tree):
+    """The ``_Record`` subclasses whose ``__init__`` only passes its own
+    parameters, in order and with no defaults, to ``super().__init__``: the
+    base binds the fields already."""
+    found = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef) or not any(
+            isinstance(b, ast.Name) and b.id == "_Record" for b in cls.bases
+        ):
+            continue
+        for fn in cls.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name != "__init__":
+                continue
+            body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+            params = [a.arg for a in fn.args.posonlyargs + fn.args.args][1:]
+            call = body[0].value if len(body) == 1 and isinstance(body[0], ast.Expr) else None
+            if (
+                isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "__init__"
+                and isinstance(call.func.value, ast.Call)
+                and isinstance(call.func.value.func, ast.Name)
+                and call.func.value.func.id == "super"
+                and not call.keywords
+                and not fn.args.defaults
+                and [a.id if isinstance(a, ast.Name) else None for a in call.args] == params
+            ):
+                found.append(cls.name)
+    return found
+
+
+def test_forwarding_init_is_found():
+    source = '''
+class Forward(_Record):
+    _fields = ("a", "b")
+
+    def __init__(self, a, b):
+        super().__init__(a, b)
+
+
+class Checks(_Record):
+    _fields = ("a",)
+
+    def __init__(self, a):
+        super().__init__(tuple(a))
+
+
+class Defaults(_Record):
+    _fields = ("a",)
+
+    def __init__(self, a=1):
+        super().__init__(a)
+'''
+    assert forwarding_inits(ast.parse(source)) == ["Forward"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_record_forwards_its_fields(path):
+    assert forwarding_inits(ast.parse(path.read_text(encoding="utf-8"))) == []

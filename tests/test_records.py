@@ -1,17 +1,23 @@
 """The fifteen immutable records of the package: construction, equality,
-hash, repr, immutability, pickling and copying, and the checks their
-constructors make. Every record compares and hashes as the tuple of its
-fields, but is never equal to that tuple. Nine check their arguments in a
-constructor of their own and take keywords; the six result records of
-``constructions`` and ``arf`` are built positionally."""
+hash, repr, immutability, pickling and copying, serialization, and the
+checks their constructors make. Every record compares and hashes as the
+tuple of its fields, but is never equal to that tuple, and takes its
+fields by position, by name or both. Five check or default their arguments
+in a constructor of their own; the other ten are bound by ``_Record``
+itself, which names the fields when one is missing, unknown or given
+twice. The result records serialize from their fields exactly as
+``csg --json`` prints them."""
 
 import copy
+import json
 import pickle
+import re
 
 import pytest
 
-from csemigroups.arf import PIMonoid, PIStatus
-from csemigroups.conjectures import BuchsbaumReport, WilfReport
+from csemigroups.arf import PIMonoid, PIStatus, is_pi, pi_decompose
+from csemigroups.cli import main
+from csemigroups.conjectures import BuchsbaumReport, WilfReport, buchsbaum_report, wilf_report
 from csemigroups.constructions import (
     AperyWindowReport,
     DeltaVerification,
@@ -19,10 +25,11 @@ from csemigroups.constructions import (
     GluedPF,
     GluingSpec,
     SapsFamily,
+    apery_sap_window,
 )
 from csemigroups.errors import DimensionMismatch
-from csemigroups.frobenius import FrobeniusReport, RelativeIdeal
-from csemigroups.gapsemigroup import Budget, from_gaps
+from csemigroups.frobenius import FrobeniusReport, RelativeIdeal, classify
+from csemigroups.gapsemigroup import Budget, from_gaps, from_generators
 from csemigroups.lattice import IntegerLattice, TermOrder
 from csemigroups.membership import AffineSemigroup
 
@@ -36,8 +43,8 @@ WITNESS_REPR = (
     " shifts_inside=(True, True, True, True), closed_forms_match=True)"
 )
 
-# name: (class, positional arguments, keyword arguments in field order or
-#        None for a record built positionally only, the field values, the repr)
+# name: (class, positional arguments, keyword arguments in field order,
+#        the field values, the repr)
 CASES = {
     "TermOrder": (
         TermOrder,
@@ -128,35 +135,40 @@ CASES = {
     "PIStatus": (
         PIStatus,
         ((4,), True, False),
-        None,
+        {"multiplicity": (4,), "attained": True, "is_pi": False},
         ((4,), True, False),
         "PIStatus(multiplicity=(4,), attained=True, is_pi=False)",
     ),
     "GluedPF": (
         GluedPF,
         (((25,), (29,)), 0),
-        None,
+        {"points": ((25,), (29,)), "collisions": 0},
         (((25,), (29,)), 0),
         "GluedPF(points=((25,), (29,)), collisions=0)",
     ),
     "DeltaWitness": (
         DeltaWitness,
         ((7, 4), True, (True, True, True, True), True),
-        None,
+        {
+            "element": (7, 4),
+            "outside": True,
+            "shifts_inside": (True, True, True, True),
+            "closed_forms_match": True,
+        },
         ((7, 4), True, (True, True, True, True), True),
         WITNESS_REPR,
     ),
     "DeltaVerification": (
         DeltaVerification,
         (True, (WITNESS,)),
-        None,
+        {"ok": True, "witnesses": (WITNESS,)},
         (True, (WITNESS,)),
         f"DeltaVerification(ok=True, witnesses=({WITNESS_REPR},))",
     ),
     "AperyWindowReport": (
         AperyWindowReport,
         (((0, 0), (5, 2)), ((0, 0),), True),
-        None,
+        {"formula_side": ((0, 0), (5, 2)), "window_scan": ((0, 0),), "consistent": True},
         (((0, 0), (5, 2)), ((0, 0),), True),
         "AperyWindowReport(formula_side=((0, 0), (5, 2)), window_scan=((0, 0),),"
         " consistent=True)",
@@ -164,7 +176,7 @@ CASES = {
     "SapsFamily": (
         SapsFamily,
         (S1, 2, 5, 1, (15, 15)),
-        None,
+        {"semigroup": S1, "pf_lower_bound": 2, "mu": 5, "nu": 1, "gluing_element": (15, 15)},
         (S1, 2, 5, 1, (15, 15)),
         "SapsFamily(semigroup=AffineSemigroup(d=1, gens=[(2,), (3,)]), pf_lower_bound=2,"
         " mu=5, nu=1, gluing_element=(15, 15))",
@@ -175,8 +187,7 @@ CASES = {
 @pytest.fixture(params=sorted(CASES))
 def case(request):
     cls, args, kwargs, values, text = CASES[request.param]
-    keyword = cls(*values) if kwargs is None else cls(**kwargs)
-    return cls(*args), keyword, cls._fields, values, text
+    return cls(*args), cls(**kwargs), cls._fields, values, text
 
 
 class TestRecord:
@@ -262,3 +273,89 @@ class TestDefaultsAndChecks:
     def test_pi_offset_outside_the_base(self):
         with pytest.raises(ValueError, match="belong to the base"):
             PIMonoid((3,), GS)
+
+
+# records whose fields are bound by ``_Record.__init__`` itself
+PLAIN = [name for name, (cls, *_) in CASES.items() if "__init__" not in vars(cls)]
+
+# kind: a call that gets the fields of a record wrong
+BAD_FIELDS = {
+    "missing": lambda cls, kwargs, values: cls(*values[:-1]),
+    "missing by name": lambda cls, kwargs, values: cls(**dict(list(kwargs.items())[1:])),
+    "unknown": lambda cls, kwargs, values: cls(*values, bogus=1),
+    "extra": lambda cls, kwargs, values: cls(*values, None),
+    "repeated": lambda cls, kwargs, values: cls(*values[:1], **kwargs),
+}
+
+
+class TestFieldBinding:
+    def test_plain_records(self):
+        # all but the five that check or default their arguments
+        assert len(PLAIN) == 10
+
+    @pytest.mark.parametrize("name", PLAIN)
+    def test_positional_head_and_keyword_tail(self, name):
+        cls, _, kwargs, values, _ = CASES[name]
+        for k in range(len(values) + 1):
+            tail = dict(list(kwargs.items())[k:])
+            assert cls(*values[:k], **tail) == cls(*values)
+
+    @pytest.mark.parametrize("kind", sorted(BAD_FIELDS))
+    @pytest.mark.parametrize("name", PLAIN)
+    def test_missing_unknown_extra_and_repeated_fields(self, name, kind):
+        cls, _, kwargs, values, _ = CASES[name]
+        with pytest.raises(TypeError, match=re.escape(repr(cls._fields))):
+            BAD_FIELDS[kind](cls, kwargs, values)
+
+
+PAPER_S2 = "(0,1);(3,0);(4,0);(1,4);(5,0);(2,7)"
+S2_GS = from_generators([(0, 1), (3, 0), (4, 0), (1, 4), (5, 0), (2, 7)])
+PI_NUMERICAL = AffineSemigroup(1, [(3,), (4,), (5,)])
+
+# (csg argv, the record the command prints)
+PRINTED = {
+    "WilfReport": (["wilf", "--gens", PAPER_S2], lambda: wilf_report(S2_GS)),
+    "BuchsbaumReport": (["buchsbaum", "--gens", PAPER_S2], lambda: buchsbaum_report(S2_GS)),
+    "FrobeniusReport": (["classify", "--gens", PAPER_S2], lambda: classify(S2_GS)),
+    "PIStatus": (["pi", "check", "--gens", "3;4;5"], lambda: is_pi(PI_NUMERICAL)),
+    "PIMonoid": (["pi", "decompose", "--gens", "3;4;5"], lambda: pi_decompose(PI_NUMERICAL)),
+}
+
+
+class TestToJson:
+    @pytest.mark.parametrize("name", sorted(PRINTED))
+    def test_matches_csg_json(self, capsys, name):
+        argv, record = PRINTED[name]
+        assert main(["--json"] + argv) == 0
+        report = record()
+        assert type(report).__name__ == name
+        assert report.to_json() == json.loads(capsys.readouterr().out)
+
+    def test_apery_window_matches_csg_json(self, capsys):
+        argv = ["--json", "family", "sap", "-a", "3", "-p", "1", "--verify", "--window", "(20,20)"]
+        assert main(argv) == 0
+        printed = json.loads(capsys.readouterr().out)["apery_window"]
+        report = apery_sap_window(3, 1, (20, 20))
+        assert type(report) is AperyWindowReport
+        assert report.to_json() == printed
+
+    def test_classification_is_nested(self):
+        data = classify(S2_GS).to_json()
+        assert list(data) == list(FrobeniusReport._fields[:5]) + ["classification"]
+        assert list(data["classification"]) == list(FrobeniusReport._fields[5:])
+
+    def test_nested_records_and_semigroups(self):
+        verification = DeltaVerification(True, (WITNESS,))
+        assert verification.to_json() == {
+            "ok": True,
+            "witnesses": [
+                {
+                    "element": [7, 4],
+                    "outside": True,
+                    "shifts_inside": [True, True, True, True],
+                    "closed_forms_match": True,
+                }
+            ],
+        }
+        assert PIMonoid((4,), GS).to_json() == {"offset": [4], "base": GS.to_json()}
+        assert TermOrder("grlex").to_json() == {"kind": "grlex"}
