@@ -13,7 +13,7 @@ of two distinct extremal rays.
 from __future__ import annotations
 
 from . import lattice
-from .errors import DimensionOne, EmptyGapSet, NotFullCone, OrderNotPredecessorFinite
+from .errors import DimensionOne, EmptyGapSet, OrderNotPredecessorFinite
 from .frobenius import frobenius_element, pseudo_frobenius
 from .gapsemigroup import GapSemigroup, _axis_multiples
 from .lattice import GRLEX, TermOrder, _Record, count_preceding
@@ -48,22 +48,23 @@ class BuchsbaumReport(_Record):
 def buchsbaum_report(gs: GapSemigroup) -> BuchsbaumReport:
     """Test whether the doubled-ray translate set equals the PF set.
 
-    The extremal rays are the least pure axis multiples r_i in S. A point g
-    qualifies when it lies in the group generated by S and g + 2r_i and
-    g + 2r_j are members for two distinct rays. That group is all of Z^d,
-    since c and c + e_i are members; the two shift conditions force g into
-    N^d, and members are excluded by definition, so only gaps are
-    candidates. With r_i <= c_i * e_i, a gap g has g + 2r_i < 3c inside the
-    4c-wide rows of the conductor box, so hit_i = G & ~(G >> 2r_i) holds
-    the gaps that 2r_i takes into S, and D is the gaps in two or more.
+    The extremal rays are the least pure axis multiples r_i in S; each is a
+    Hilbert-basis element, because S is cofinite (so r_i exists) and r_i
+    splits only into smaller points of its own axis, none of them members,
+    so ``_axis_multiples`` never returns 0 here. A point g qualifies when it
+    lies in the group generated by S and g + 2r_i and g + 2r_j are members
+    for two distinct rays. That group is all of Z^d, since c and c + e_i are
+    members; the two shift conditions force g into N^d, and members are
+    excluded by definition, so only gaps are candidates. With
+    r_i <= c_i * e_i, a gap g has g + 2r_i < 3c inside the 4c-wide rows of
+    the conductor box, so hit_i = G & ~(G >> 2r_i) holds the gaps that
+    2r_i takes into S, and D is the gaps in two or more.
     """
     if gs.dimension < 2:
         raise DimensionOne("the Buchsbaum test needs ambient dimension >= 2")
     if not gs.gap_mask:
         raise EmptyGapSet("the Buchsbaum test needs at least one gap")
     mult = _axis_multiples(gs.hilbert_basis, gs.dimension)
-    if 0 in mult:
-        raise NotFullCone(mult.index(0))
     rays = tuple(lattice.scale(m, lattice.unit(gs.dimension, i)) for i, m in enumerate(mult))
     box, gaps = gs.box, gs.gap_mask
     once = twice = 0

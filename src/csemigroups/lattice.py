@@ -472,28 +472,18 @@ class IntegerLattice(_Record):
         return len(self.basis)
 
 
-def _reduce_rows(rows: list[list[int]], ncols: int, transform: Optional[list[list[int]]]):
-    """In-place row HNF; returns the rank. ``transform`` tracks row operations."""
+def _reduce_rows(rows: list[list[int]], ncols: int) -> int:
+    """In-place row HNF of the first ``ncols`` columns; returns the rank.
+
+    Pivots are read off the first ``ncols`` columns only, but every swap,
+    combination and negation acts on whole rows, so any columns past
+    ``ncols`` end up holding the same integer combination of the input rows
+    as the reduced columns beside them.
+    """
 
     def combine(i, j, q):
         # row_i -= q * row_j
-        ri, rj = rows[i], rows[j]
-        for c in range(ncols):
-            ri[c] -= q * rj[c]
-        if transform is not None:
-            ti, tj = transform[i], transform[j]
-            for c in range(len(ti)):
-                ti[c] -= q * tj[c]
-
-    def swap(i, j):
-        rows[i], rows[j] = rows[j], rows[i]
-        if transform is not None:
-            transform[i], transform[j] = transform[j], transform[i]
-
-    def negate(i):
-        rows[i] = [-v for v in rows[i]]
-        if transform is not None:
-            transform[i] = [-v for v in transform[i]]
+        rows[i] = [a - q * b for a, b in zip(rows[i], rows[j])]
 
     m = len(rows)
     r = 0
@@ -505,7 +495,7 @@ def _reduce_rows(rows: list[list[int]], ncols: int, transform: Optional[list[lis
             if not nz:
                 break
             i0 = min(nz, key=lambda i: abs(rows[i][c]))
-            swap(r, i0)
+            rows[r], rows[i0] = rows[i0], rows[r]
             done = True
             for i in range(r + 1, m):
                 if rows[i][c] != 0:
@@ -517,7 +507,7 @@ def _reduce_rows(rows: list[list[int]], ncols: int, transform: Optional[list[lis
         if rows[r][c] == 0:
             continue
         if rows[r][c] < 0:
-            negate(r)
+            rows[r] = [-v for v in rows[r]]
         for i in range(r):
             q = rows[i][c] // rows[r][c]
             if q:
@@ -532,7 +522,7 @@ def hermite_normal_form(vectors: Sequence[Sequence[int]], dimension: int) -> tup
     for v in rows:
         if len(v) != dimension:
             raise DimensionMismatch(f"vector of length {len(v)} in dimension {dimension}")
-    rank = _reduce_rows(rows, dimension, None)
+    rank = _reduce_rows(rows, dimension)
     return tuple(tuple(r) for r in rows[:rank])
 
 
@@ -566,21 +556,16 @@ def lattice_intersect(l1: IntegerLattice, l2: IntegerLattice) -> IntegerLattice:
 
     A vector lies in both lattices iff it equals u*A = v*B for integer row
     vectors u, v, i.e. (u, v) is in the left kernel of rows(A) + rows(-B).
+    Each row of A is augmented by a copy of itself and each row of -B by d
+    zeros. The row operations that reduce the first d columns are
+    unimodular, so the rows that vanish there are (u, v)-combinations for a
+    basis of that kernel, and their augmented part is u*A. A rank-0 side
+    leaves no such row, and the meet is the zero lattice.
     """
     if l1.dimension != l2.dimension:
         raise DimensionMismatch(f"dimension {l1.dimension} vs {l2.dimension}")
     d = l1.dimension
-    r1, r2 = l1.rank, l2.rank
-    if r1 == 0 or r2 == 0:
-        return IntegerLattice(d, ())
-    stacked = [list(row) for row in l1.basis] + [[-v for v in row] for row in l2.basis]
-    transform = [[1 if i == j else 0 for j in range(r1 + r2)] for i in range(r1 + r2)]
-    rank = _reduce_rows(stacked, d, transform)
-    gens = []
-    for u in transform[rank:]:
-        vec = [0] * d
-        for coef, row in zip(u[:r1], l1.basis):
-            for i in range(d):
-                vec[i] += coef * row[i]
-        gens.append(tuple(vec))
-    return lattice_from(gens, d) if gens else IntegerLattice(d, ())
+    rows = [list(row) * 2 for row in l1.basis]
+    rows += [[-v for v in row] + [0] * d for row in l2.basis]
+    rank = _reduce_rows(rows, d)
+    return lattice_from([row[d:] for row in rows[rank:]], d)

@@ -349,6 +349,14 @@ class TestShiftedClosureContainment:
     def test_base_case_k_zero(self):
         assert prop79_check((3,), [(2,), (4,)], 0)
 
+    def test_derived_stage_grows(self):
+        # <4, 5, 6> gains 7 at the first derived step, so the loop takes it
+        assert prop79_check((4,), [(5,), (6,)], 2)
+
+    def test_negative_k_rejected(self):
+        with pytest.raises(ValueError):
+            prop79_check((4,), [(5,), (6,)], -1)
+
     def test_plane_chain(self):
         with pytest.raises(NotFullCone):
             prop79_check((1, 1), [(1, 1), (2, 2)], 1)

@@ -19,7 +19,7 @@ from csemigroups.constructions import (
     scale_numerical,
     verify_delta_pf,
 )
-from csemigroups.errors import BadParams, BudgetExceeded, EmptyPF, NotAGluing, NotMinimal
+from csemigroups.errors import BadParams, BudgetExceeded, DimensionMismatch, EmptyPF, NotAGluing, NotMinimal
 from csemigroups.frobenius import pseudo_frobenius
 from csemigroups.gapsemigroup import from_generators
 from csemigroups.lattice import GRLEX
@@ -71,6 +71,11 @@ class TestGluedPF:
         with pytest.raises(EmptyPF) as err:
             glued_pf([], [(1,)], (2,))
         assert err.value.side == 1
+
+    def test_empty_second_side(self):
+        with pytest.raises(EmptyPF) as err:
+            glued_pf([(1,)], [], (0,))
+        assert err.value.side == 2
 
     def test_collisions_counted(self):
         got = glued_pf([(1,), (2,)], [(5,), (4,)], (0,))
@@ -188,6 +193,10 @@ class TestAperyWindow:
         # the formula corner (1560, 14760) alone passes 2^26 bits
         with pytest.raises(BudgetExceeded):
             apery_sap_window(11, 2, (10, 10))
+
+    def test_window_outside_the_plane(self):
+        with pytest.raises(DimensionMismatch):
+            apery_sap_window(3, 1, (1, 2, 3))
 
     def test_negative_window_is_empty_box(self):
         with pytest.raises(ValueError, match=r"box is empty: \(0, 0\) is not below \(-1, 5\)"):

@@ -11,10 +11,12 @@ from csemigroups.errors import (
     EmptyGapSet,
     IdealBaseMismatch,
     InfiniteApery,
+    NotNatural,
 )
 from csemigroups.frobenius import (
     RelativeIdeal,
     apery,
+    betti_type,
     cardinality_identity,
     classify,
     cover_witness,
@@ -39,6 +41,10 @@ class TestPseudoFrobenius:
 
     def test_empty_when_no_gaps(self):
         assert pseudo_frobenius(from_gaps(2, [])) == ()
+
+    def test_betti_type_counts_pf(self, s2, s3, s4, s5):
+        for gs in (s2, s3, s4, s5, from_gaps(2, [])):
+            assert betti_type(gs) == len(pseudo_frobenius(gs))
 
     def test_definition_from_members(self, s2):
         # direct check against the definition over a member sample
@@ -77,6 +83,11 @@ class TestCoverWitness:
 
     def test_member_has_no_witness(self, s2):
         assert cover_witness(s2, (4, 0)) is None
+        assert cover_witness(s2, (0, 0)) is None
+
+    def test_point_outside_orthant(self, s2):
+        with pytest.raises(NotNatural):
+            cover_witness(s2, (-1, 0))
 
     def test_pf_element_covers_itself(self, s2):
         assert cover_witness(s2, (2, 6)) == (2, 6)
@@ -219,6 +230,14 @@ class TestApery:
         with pytest.raises(ValueError):
             apery(s3, [(0, 1)])
 
+    def test_rejects_empty_witness_set(self, s3):
+        with pytest.raises(ValueError):
+            apery(s3, [])
+
+    def test_rejects_witness_of_wrong_dimension(self, s3):
+        with pytest.raises(DimensionMismatch):
+            apery(s3, [(1, 0, 0)])
+
 
 class TestIdeals:
     def test_member_via_difference(self, s2):
@@ -248,6 +267,12 @@ class TestIdeals:
         ideal = RelativeIdeal(s2, ((1, 4),))
         assert ideal.contains((1, 4)) and ideal.contains((4, 4))
         assert not ideal.contains((1, 3))
+
+    def test_negative_point_is_outside(self, s2):
+        s_ideal = RelativeIdeal(s2, ((0, 0),))
+        star = RelativeIdeal(s2, s2.hilbert_basis)
+        assert not s_ideal.contains((-1, 4))
+        assert not ideal_difference_member(s_ideal, star, (-1, 4))
 
     def test_ideal_generator_dimension(self, s2):
         with pytest.raises(DimensionMismatch):

@@ -264,6 +264,10 @@ class TestFromGenerators:
     def test_buchsbaum_example_gaps(self, s3):
         assert s3.gaps == frozenset({(0, 1), (0, 2)})
 
+    def test_contains_point_of_wrong_dimension(self, s3):
+        with pytest.raises(DimensionMismatch):
+            s3.contains((1, 2, 3))
+
     def test_family_member_has_infinite_gaps(self):
         with pytest.raises(InfiniteGaps) as err:
             from_generators(AffineSemigroup(2, GENS_SAP31))

@@ -16,12 +16,15 @@ from csemigroups.lattice import (
     TermOrder,
     _Box,
     _generated,
+    add,
     count_preceding,
     grlex_sorted,
+    hermite_normal_form,
     lattice_from,
     lattice_intersect,
     lattice_member,
     partial_leq,
+    scale,
 )
 
 points2 = st.tuples(st.integers(0, 30), st.integers(0, 30))
@@ -69,6 +72,10 @@ class TestTermOrder:
     def test_bad_kind(self):
         with pytest.raises(ValueError):
             TermOrder("weight")
+
+    def test_key_permutation_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            TermOrder("lex", (0, 1)).key((1, 2, 3))
 
     @given(points2, points2, points2)
     def test_translation_invariance_grlex(self, p, q, r):
@@ -193,10 +200,51 @@ class TestLattice:
         meet = lattice_intersect(l1, l2)
         rng = random.Random(11)
         samples = [tuple(rng.randint(-20, 20) for _ in range(3)) for _ in range(60)]
+        # uniform points rarely lie in both lattices; points of l1 often do
+        for _ in range(60):
+            p = (0, 0, 0)
+            for row in l1.basis:
+                p = add(p, scale(rng.randint(-6, 6), row))
+            samples.append(p)
         for p in samples:
             assert lattice_member(meet, p) == (
                 lattice_member(l1, p) and lattice_member(l2, p)
             )
+
+    @pytest.mark.parametrize(
+        "v1,v2",
+        [
+            ([], [(1, 0), (0, 1)]),
+            ([(2, 3), (1, 1)], []),
+            ([], []),
+        ],
+    )
+    def test_intersection_with_the_zero_lattice(self, v1, v2):
+        meet = lattice_intersect(lattice_from(v1, 2), lattice_from(v2, 2))
+        assert (meet.dimension, meet.basis) == (2, ())
+
+    def test_intersection_with_rank_deficient_side(self):
+        # three generators of the line through (2, 2, 0): Z x Z x 3Z holds
+        # all of it, 3Z x Z x 0 only its multiples of (6, 6, 0)
+        plane = lattice_from([(1, 0, 0), (0, 1, 0), (0, 0, 3)])
+        line = lattice_from([(2, 2, 0), (4, 4, 0), (-2, -2, 0)])
+        assert line.rank == 1
+        assert lattice_intersect(plane, line).basis == ((2, 2, 0),)
+        assert lattice_intersect(line, plane).basis == ((2, 2, 0),)
+        coarse = lattice_from([(3, 0, 0), (0, 1, 0)])
+        assert lattice_intersect(coarse, line).basis == ((6, 6, 0),)
+
+    def test_hnf_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            hermite_normal_form([(1, 2)], 3)
+
+    def test_member_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            lattice_member(lattice_from([(1, 2)]), (1, 2, 3))
+
+    def test_empty_generating_set_needs_a_dimension(self):
+        with pytest.raises(ValueError):
+            lattice_from([])
 
     def test_intersection_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):

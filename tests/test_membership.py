@@ -32,6 +32,10 @@ class TestIsMember:
         sem = AffineSemigroup(2, GENS_S2)
         assert not sem.is_member((-1, 0))
 
+    def test_point_of_wrong_dimension(self):
+        with pytest.raises(DimensionMismatch):
+            AffineSemigroup(2, GENS_S2).is_member((1, 2, 3))
+
     def test_contains_operator(self):
         sem = AffineSemigroup(2, GENS_S2)
         assert (3, 0) in sem and (1, 0) not in sem
@@ -133,6 +137,10 @@ class TestMinimalize:
     def test_ray_pair_is_minimal(self):
         sem = minimalize([(2, 4), (3, 6)])
         assert set(sem.generators) == {(2, 4), (3, 6)}
+
+    def test_empty_list_needs_a_dimension(self):
+        with pytest.raises(ValueError):
+            minimalize([])
 
     def test_duplicates_collapse(self):
         sem = minimalize([(1, 1), (1, 1), (2, 2)])
