@@ -7,12 +7,17 @@ graded-lex order, so identical inputs produce byte-identical output. Domain
 errors exit with code 1 and carry the error class name; usage errors exit
 with code 2.
 
-The grammar is defined once, in ``build_parser``. ``main`` reads an argv in
-the plain form that real calls use, ``[--json] [--budget N] command [sub]
-[positional] (--opt value | --flag)...``, straight off that parser's
-actions (``_plain_args``) into the Namespace argparse would build. Every
-other argv, help and every usage error among them, goes through
-``parse_args`` itself, so their output is argparse's own.
+The grammar is declared once, in one table (``_COMMANDS``, with the shared
+options ``_SHARED`` and the input options ``_INPUT``): a row per command
+gives its help, handler, positional choices, whether it reads an input and
+its other options as ``add_argument`` keywords. ``build_parser`` builds the
+argparse parser from the table. ``main`` walks an argv in the plain form
+that real calls use, ``[--json] [--budget N] command [sub] [positional]
+(--opt value | --flag)...`` (the shared flags also between family and its
+subcommand), against the same table (``_plain_args``) into the Namespace
+argparse would build. Every other argv, help and every usage error among
+them, goes through ``parse_args`` itself, so their output is argparse's
+own.
 """
 
 from __future__ import annotations
@@ -283,17 +288,78 @@ def _run_identity(args):
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Grammar
 # ---------------------------------------------------------------------------
 
+# Options as add_argument keywords. ``_plain_args`` reads only help,
+# required, default, choices, type=int and action="store_true"
+# (tests/test_hygiene.py holds the table to that).
+_SHARED = {
+    "--json": {"action": "store_true", "help": "emit one JSON document"},
+    "--budget": {"type": int, "help": "gap-set box budget: at most N points per box"},
+}
+_INPUT = {
+    "--gens": {"help": 'generators, e.g. "(0,1);(3,0)" or "4;6;9"'},
+    "--gaps": {"help": "gap set, same point syntax"},
+    "--file": {"help": "JSON file with d and gens or gaps"},
+}
+_ORDER = {"--order": {"choices": ("lex", "grlex"), "default": "grlex"}}
+_A_P = {"-a": {"type": int, "required": True}, "-p": {"type": int, "required": True}}
 
-def _add_common(sp, order_flag=False):
-    group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--gens", help='generators, e.g. "(0,1);(3,0)" or "4;6;9"')
-    group.add_argument("--gaps", help='gap set, same point syntax')
-    group.add_argument("--file", help="JSON file with d and gens or gaps")
-    if order_flag:
-        sp.add_argument("--order", choices=["lex", "grlex"], default="grlex")
+# command: (help, handler, choices of its positional, whether it reads one
+# of _INPUT, its other options); family's handler is its table of subcommands
+_COMMANDS = {
+    "member": ("decide membership of a point", _run_member, (), True,
+               {"--point": {"required": True, "help": 'point, e.g. "(7,4)"'}}),
+    "gaps": ("gap set, conductor, Hilbert basis", _run_gaps, (), True, {}),
+    "pf": ("pseudo-Frobenius elements and Betti-type", _run_pf, (), True, {}),
+    "frobenius": ("order-maximum gap", _run_frobenius, (), True, _ORDER),
+    "classify": ("symmetry classification report", _run_classify, (), True, _ORDER),
+    "omega": ("non-member part of the Frobenius ideal", _run_omega, (), True, _ORDER),
+    "apery": ("Apery set of a finite witness set", _run_apery, (), True,
+              {"--elements": {"required": True, "help": 'witness points, e.g. "(1,0);(0,3)"'}}),
+    "wilf": ("extended Wilf report", _run_wilf, (), True, _ORDER),
+    "buchsbaum": ("doubled-ray gap test", _run_buchsbaum, (), True, {}),
+    "glue": ("validate a gluing and emit the result", _run_glue, (), False, {
+        "--s1": {"required": True, "help": "JSON file for the first factor"},
+        "--s2": {"required": True, "help": "JSON file for the second factor"},
+        "--s": {"required": True, "help": 'gluing element, e.g. "[14]"'},
+    }),
+    "family": ("parametric families", {
+        "sap": ("four-generator plane family", _run_family_sap, (), False, {
+            **_A_P,
+            "--verify": {"action": "store_true", "help": "verify the certified PF subset"},
+            "--window": {"help": 'Apery window, e.g. "(60,60)" (with --verify)'},
+        }),
+        "saps": ("glued family of embedding dimension s+4", _run_family_saps, (), False, {
+            **_A_P, "--numerical": {"required": True, "help": 'numerical generators, e.g. "2;3"'},
+        }),
+    }, (), False, {}),
+    "arf": ("Arf property, derived monoid, closure", _run_arf,
+            ("check", "derived", "closure"), True, {}),
+    "pi": ("offset-plus-monoid property", _run_pi, ("check", "decompose"), True, {}),
+    "identity": ("cross-checked identities", _run_identity,
+                 ("pf-ideal", "cardinality"), True, _ORDER),
+}
+
+
+def _add_commands(parser, table, dest, common):
+    """One subparser of ``parser`` per row of ``table``, named into ``dest``."""
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, (help_text, handler, choices, reads_input, options) in table.items():
+        sp = sub.add_parser(name, parents=[common], help=help_text)
+        if isinstance(handler, dict):
+            _add_commands(sp, handler, name, common)
+            continue
+        if choices:
+            sp.add_argument("action", choices=choices)
+        if reads_input:
+            group = sp.add_mutually_exclusive_group(required=True)
+            for flag, kwargs in _INPUT.items():
+                group.add_argument(flag, **kwargs)
+        for flag, kwargs in options.items():
+            sp.add_argument(flag, **kwargs)
+        sp.set_defaults(handler=handler)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -305,96 +371,10 @@ def build_parser() -> argparse.ArgumentParser:
     # the shared flags are accepted both before and after the subcommand;
     # SUPPRESS keeps a subparser from clobbering a value parsed up front
     common = argparse.ArgumentParser(add_help=False)
-    for target, default in ((parser, False), (common, argparse.SUPPRESS)):
-        target.add_argument(
-            "--json", action="store_true", default=default, help="emit one JSON document"
-        )
-    for target, default in ((parser, None), (common, argparse.SUPPRESS)):
-        target.add_argument(
-            "--budget",
-            type=int,
-            default=default,
-            help="gap-set box budget: at most N points per box",
-        )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
-
-    sp = add_parser("member", help="decide membership of a point")
-    _add_common(sp)
-    sp.add_argument("--point", required=True, help='point, e.g. "(7,4)"')
-    sp.set_defaults(handler=_run_member)
-
-    sp = add_parser("gaps", help="gap set, conductor, Hilbert basis")
-    _add_common(sp)
-    sp.set_defaults(handler=_run_gaps)
-
-    sp = add_parser("pf", help="pseudo-Frobenius elements and Betti-type")
-    _add_common(sp)
-    sp.set_defaults(handler=_run_pf)
-
-    sp = add_parser("frobenius", help="order-maximum gap")
-    _add_common(sp, order_flag=True)
-    sp.set_defaults(handler=_run_frobenius)
-
-    sp = add_parser("classify", help="symmetry classification report")
-    _add_common(sp, order_flag=True)
-    sp.set_defaults(handler=_run_classify)
-
-    sp = add_parser("omega", help="non-member part of the Frobenius ideal")
-    _add_common(sp, order_flag=True)
-    sp.set_defaults(handler=_run_omega)
-
-    sp = add_parser("apery", help="Apery set of a finite witness set")
-    _add_common(sp)
-    sp.add_argument("--elements", required=True, help='witness points, e.g. "(1,0);(0,3)"')
-    sp.set_defaults(handler=_run_apery)
-
-    sp = add_parser("wilf", help="extended Wilf report")
-    _add_common(sp, order_flag=True)
-    sp.set_defaults(handler=_run_wilf)
-
-    sp = add_parser("buchsbaum", help="doubled-ray gap test")
-    _add_common(sp)
-    sp.set_defaults(handler=_run_buchsbaum)
-
-    sp = add_parser("glue", help="validate a gluing and emit the result")
-    sp.add_argument("--s1", required=True, help="JSON file for the first factor")
-    sp.add_argument("--s2", required=True, help="JSON file for the second factor")
-    sp.add_argument("--s", required=True, help='gluing element, e.g. "[14]"')
-    sp.set_defaults(handler=_run_glue)
-
-    fam = add_parser("family", help="parametric families").add_subparsers(
-        dest="family", required=True
-    )
-    sp = fam.add_parser("sap", parents=[common], help="four-generator plane family")
-    sp.add_argument("-a", type=int, required=True)
-    sp.add_argument("-p", type=int, required=True)
-    sp.add_argument("--verify", action="store_true", help="verify the certified PF subset")
-    sp.add_argument("--window", help='Apery window, e.g. "(60,60)" (with --verify)')
-    sp.set_defaults(handler=_run_family_sap)
-    sp = fam.add_parser("saps", parents=[common], help="glued family of embedding dimension s+4")
-    sp.add_argument("-a", type=int, required=True)
-    sp.add_argument("-p", type=int, required=True)
-    sp.add_argument("--numerical", required=True, help='numerical generators, e.g. "2;3"')
-    sp.set_defaults(handler=_run_family_saps)
-
-    sp = add_parser("arf", help="Arf property, derived monoid, closure")
-    sp.add_argument("action", choices=["check", "derived", "closure"])
-    _add_common(sp)
-    sp.set_defaults(handler=_run_arf)
-
-    sp = add_parser("pi", help="offset-plus-monoid property")
-    sp.add_argument("action", choices=["check", "decompose"])
-    _add_common(sp)
-    sp.set_defaults(handler=_run_pi)
-
-    sp = add_parser("identity", help="cross-checked identities")
-    sp.add_argument("action", choices=["pf-ideal", "cardinality"])
-    _add_common(sp, order_flag=True)
-    sp.set_defaults(handler=_run_identity)
-
+    for flag, kwargs in _SHARED.items():
+        parser.add_argument(flag, **kwargs)
+        common.add_argument(flag, default=argparse.SUPPRESS, **kwargs)
+    _add_commands(parser, _COMMANDS, "command", common)
     return parser
 
 
@@ -428,101 +408,83 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-_NOT_PLAIN = object()
-
-
-def _plain_value(action: argparse.Action, token: str):
-    """What argparse stores for ``token`` as the one value of a plain store
-    action, or _NOT_PLAIN where it would fail or read the token otherwise."""
-    if token.startswith("-") or type(action) is not argparse._StoreAction or action.nargs is not None:
-        return _NOT_PLAIN
+def _plain_value(kwargs, token: str):
+    """What argparse stores for ``token`` as the value of an argument
+    declared by ``kwargs``, or None where it would fail or read the token
+    otherwise."""
+    if token.startswith("-"):
+        return None
     try:
-        value = token if action.type is None else action.type(token)
-    except (TypeError, ValueError, argparse.ArgumentTypeError):
-        return _NOT_PLAIN
-    return value if action.choices is None or value in action.choices else _NOT_PLAIN
+        value = kwargs.get("type", str)(token)
+    except ValueError:
+        return None
+    return value if value in kwargs.get("choices", (value,)) else None
 
 
-def _plain_args(root: argparse.ArgumentParser, argv):
-    """The Namespace ``root.parse_args(argv)`` returns, read straight off the
-    parsers' actions when argv has the plain form: the root's options, the
-    command, any subcommand and positionals right after it, then the
-    options of the last parser. An option is an exact option string and,
-    unless it stores a constant, one value that does not start with "-".
+def _read_options(argv, i: int, options, read: dict):
+    """Reads ``options`` from argv[i] on into ``read``, up to the first
+    token that does not start with "-"; returns that token's index, or None
+    at an unknown or repeated option or a value that is not plain."""
+    while i < len(argv) and argv[i].startswith("-"):
+        kwargs, dest = options.get(argv[i]), argv[i].lstrip("-")
+        if kwargs is None or dest in read:
+            return None
+        if kwargs.get("action") == "store_true":
+            read[dest], i = True, i + 1
+        elif i + 1 < len(argv) and (value := _plain_value(kwargs, argv[i + 1])) is not None:
+            read[dest], i = value, i + 2
+        else:
+            return None
+    return i
+
+
+def _plain_args(argv):
+    """The Namespace ``_parser().parse_args(argv)`` returns, read off the
+    grammar table when argv has the plain form: shared options, the command;
+    for family, shared options and the subcommand; the positional, if the
+    command has one; then the command's options. An option is an exact
+    option string and, unless it is a flag, one value that does not start
+    with "-".
 
     Returns None for any other argv, and wherever argparse would print or
     fail: help, an abbreviation, ``--opt=value``, a token starting with "-"
     where a value or positional belongs, an option given twice (or on both
     sides of the command), a bad type or choice, a missing required
-    argument or a group conflict. ``main`` hands those to argparse, so help
-    and every error stay argparse's own.
+    argument or input option, or two input options. ``main`` hands those
+    to argparse, so help and every error stay argparse's own.
     """
-    args, given, i, n = {}, set(), 0, len(argv)
-    parser = root
-    while True:
-        # each parser fills a fresh namespace that is merged over its
-        # parent's, as argparse's subparsers action does
-        level = {}
-        for action in parser._actions:
-            if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
-                level.setdefault(action.dest, action.default)
-        for dest, value in parser._defaults.items():
-            level.setdefault(dest, value)
-        positionals = parser._get_positional_actions()
-        seen, sub, k = set(), None, 0
-        while i < n and sub is None:
-            token = argv[i]
-            if token.startswith("-"):
-                # options come before the root's command or after the last
-                # positional of a parser
-                action = parser._option_string_actions.get(token)
-                if action is None or action.dest in given:
-                    return None
-                if k != len(positionals) and (k or parser is not root):
-                    return None
-                if isinstance(action, argparse._StoreConstAction):
-                    value, i = action.const, i + 1
-                elif i + 1 < n:
-                    value, i = _plain_value(action, argv[i + 1]), i + 2
-                else:
-                    return None
-            elif k < len(positionals):
-                action, k, i = positionals[k], k + 1, i + 1
-                if isinstance(action, argparse._SubParsersAction):
-                    value, sub = token, action.choices.get(token)
-                    if sub is None:
-                        return None
-                else:
-                    value = _plain_value(action, token)
-            else:
+    read, i, table, dest, options = {}, 0, _COMMANDS, "command", _SHARED
+    while isinstance(table, dict):
+        i = _read_options(argv, i, options, read)
+        if i is None or i == len(argv) or argv[i] not in table:
+            return None
+        # the command goes under dest, its own subcommand under its name
+        read[dest] = dest = argv[i]
+        _, table, choices, reads_input, own = table[dest]
+        options = {**_SHARED, **(_INPUT if reads_input else {}), **own}
+        i += 1
+        if choices:
+            if i == len(argv) or (value := _plain_value({"choices": choices}, argv[i])) is None:
                 return None
-            if value is _NOT_PLAIN:
+            read["action"], i = value, i + 1
+    if _read_options(argv, i, options, read) != len(argv):
+        return None
+    # a command that reads an input takes exactly one input option
+    if reads_input and sum(flag.lstrip("-") in read for flag in _INPUT) != 1:
+        return None
+    for flag, kwargs in options.items():
+        name = flag.lstrip("-")
+        if name not in read:
+            if kwargs.get("required"):
                 return None
-            level[action.dest] = value
-            given.add(action.dest)
-            seen.add(action)
-        # a str default that argparse stored would go through the type: left to it
-        for action in parser._actions:
-            if action not in seen and (
-                action.required
-                or action.type is not None
-                and isinstance(action.default, str)
-                and level.get(action.dest) is action.default
-            ):
-                return None
-        for group in parser._mutually_exclusive_groups:
-            hits = [a for a in group._group_actions if a in seen and level[a.dest] is not a.default]
-            if len(hits) > 1 or group.required and not hits:
-                return None
-        args.update(level)
-        if sub is None:
-            return argparse.Namespace(**args)
-        parser = sub
+            switch = kwargs.get("action") == "store_true"
+            read[name] = kwargs.get("default", False if switch else None)
+    return argparse.Namespace(handler=table, **read)
 
 
 def main(argv=None) -> int:
     parser = _parser()
-    args = _plain_args(parser, sys.argv[1:] if argv is None else argv)
+    args = _plain_args(sys.argv[1:] if argv is None else argv)
     if args is None:
         try:
             args = parser.parse_args(argv)

@@ -544,10 +544,10 @@ GRAMMAR_OPTIONS = {
 @st.composite
 def csg_argvs(draw, values):
     """An argv of the grammar in an order argparse takes: each shared flag
-    before or after the command, the options shuffled. ``values`` maps a
-    kind of value to a strategy."""
+    before the command, between family and its subcommand, or after them,
+    the options shuffled. ``values`` maps a kind of value to a strategy."""
     path, choices, required, optional, needs_input = draw(st.sampled_from(CSG_GRAMMAR))
-    head = list(path) + ([draw(st.sampled_from(choices))] if choices else [])
+    positional = [draw(st.sampled_from(choices))] if choices else []
     options = [[flag, draw(values[kind])] for flag, kind in required.items()]
     if needs_input:
         flag = draw(st.sampled_from(sorted(INPUT_OPTIONS)))
@@ -555,9 +555,13 @@ def csg_argvs(draw, values):
     for flag, kind in {**optional, **SHARED_OPTIONS}.items():
         if draw(st.booleans()):
             options.append([flag] if kind is None else [flag, draw(values[kind])])
-    before = [o for o in options if o[0] in SHARED_OPTIONS and draw(st.booleans())]
-    after = draw(st.permutations([o for o in options if o not in before]))
-    return list(itertools.chain(*before, head, *after))
+    # the shared flags that go in front of path[k]; len(path): after them
+    spot = {o[0]: draw(st.integers(0, len(path))) for o in options if o[0] in SHARED_OPTIONS}
+    after = draw(st.permutations([o for o in options if spot.get(o[0], len(path)) == len(path)]))
+    argv = []
+    for k, token in enumerate(path):
+        argv += itertools.chain(*(o for o in options if spot.get(o[0]) == k), [token])
+    return argv + positional + list(itertools.chain(*after))
 
 
 @st.composite
@@ -614,7 +618,7 @@ class TestPlainReader:
     @given(mutated(csg_argvs(PARSE_VALUES), st.one_of(ODD_TOKENS, st.sampled_from(["-h", "--help"]))))
     def test_matches_argparse(self, drawn):
         argv, was_mutated = drawn
-        read = cli._plain_args(cli._parser(), argv)
+        read = cli._plain_args(argv)
         expected = argparse_outcome(argv)
         if read is not None:
             assert vars(read) == expected

@@ -1,6 +1,8 @@
 """Leftovers of a deletion: a public name that is exported but no longer
 imported (or the reverse), an import that no code of its module reads, and
-a record constructor that only forwards its fields."""
+a record constructor that only forwards its fields. Also the csg grammar
+table: an option the plain reader would misread instead of leaving it to
+argparse."""
 
 import ast
 import pathlib
@@ -8,6 +10,7 @@ import pathlib
 import pytest
 
 import csemigroups
+from csemigroups import cli
 
 PACKAGE = pathlib.Path(csemigroups.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -99,3 +102,51 @@ class Defaults(_Record):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_record_forwards_its_fields(path):
     assert forwarding_inits(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+# the add_argument keywords cli._plain_args reads; type only as int and
+# action only as "store_true"
+PLAIN_KEYWORDS = {"help", "required", "default", "choices", "type", "action"}
+
+
+def table_options(table):
+    """(flag, keywords) of every option of a csg command table, its
+    subcommand tables included."""
+    for _, handler, _, _, options in table.values():
+        yield from options.items()
+        if isinstance(handler, dict):
+            yield from table_options(handler)
+
+
+def unplain(options):
+    """The flags among (flag, keywords) pairs that the plain reader would
+    read otherwise than argparse does."""
+    return [
+        flag
+        for flag, kwargs in options
+        if set(kwargs) - PLAIN_KEYWORDS
+        or kwargs.get("type", int) is not int
+        or kwargs.get("action", "store_true") != "store_true"
+        # argparse passes a str default through the type
+        or "type" in kwargs and isinstance(kwargs.get("default"), str)
+    ]
+
+
+def test_unplain_option_is_found():
+    options = {
+        "--list": {"nargs": "+"},
+        "--many": {"action": "append"},
+        "--ratio": {"type": float},
+        "--count": {"type": int, "default": "3"},
+        "--n": {"type": int, "required": True, "help": "n"},
+        "--on": {"action": "store_true", "help": "on"},
+        "--pick": {"choices": ("x", "y"), "default": "x"},
+    }
+    table = {"c": ("", {"s": ("", None, (), False, options)}, (), False, {})}
+    assert unplain(table_options(table)) == ["--list", "--many", "--ratio", "--count"]
+
+
+def test_grammar_table_uses_only_plain_keywords():
+    options = [*cli._SHARED.items(), *cli._INPUT.items(), *table_options(cli._COMMANDS)]
+    assert {"--json", "--gens", "--point", "--order", "-a", "--verify", "--s"} <= dict(options).keys()
+    assert unplain(options) == []
