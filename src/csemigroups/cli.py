@@ -26,7 +26,6 @@ import argparse
 import functools
 import itertools
 import json
-import re
 import sys
 
 from . import arf as arf_mod
@@ -62,35 +61,55 @@ def parse_point(text: str):
     return tuple(int(s) for s in parts)
 
 
-_SPACE = r"[ \t\n\r\f\v]*"
-_INTEGER = r"-?[0-9]+"
+# deleting these leaves nothing of a canonical point list; JSON reads
+# the same whitespace
+_CANONICAL = str.maketrans("", "", "0123456789-(),; \t\n\r")
+_AS_JSON = str.maketrans("();", "[],")
 
 
-@functools.lru_cache(maxsize=32)
-def _canonical_list(d: int) -> re.Pattern:
-    """A canonical list of d-dimensional points: "(x,y);(u,v)", or bare
-    integers such as "4;6;9" when d = 1, with whitespace around any token.
-    Compiled on first use; the pattern's size does not grow with d."""
-    point = rf"\({_SPACE}{_INTEGER}(?:{_SPACE},{_SPACE}{_INTEGER}){{{d - 1}}}{_SPACE}\)"
-    if d == 1:
-        point = f"(?:{point}|{_INTEGER})"
-    chunk = f"{_SPACE}{point}{_SPACE}"
-    return re.compile(f"{chunk}(?:;{chunk})*")
+def _bulk_points(text: str):
+    """The points of a canonical list, read by one ``json.loads``; None for
+    any other text and for the canonical lists that JSON refuses (a leading
+    zero, a form feed, an integer past the digit limit).
+
+    A canonical list is ";"-separated chunks, each a parenthesized tuple of
+    integers or, in dimension one, a bare integer, with whitespace around
+    any token. With "(", ")" and ";" turned into "[", "]" and "," it is a
+    JSON array, and JSON reads an integer as ``int`` does. Other texts of
+    the same characters can parse too ("1,2;3,4", "((1))", "(1;2),(3,4)"),
+    so the array counts only if it has one item per ";"-separated chunk,
+    and either the text has no "(" (then every item is an integer) or the
+    items are lists of one nonzero length, one per "(" (so none nests), and
+    ");(" stands, whitespace removed, at every ";".
+    """
+    if text.translate(_CANONICAL):
+        return None
+    try:
+        items = json.loads("[" + text.translate(_AS_JSON) + "]")
+    except (ValueError, RecursionError):
+        return None
+    n = text.count(";") + 1
+    if len(items) != n:
+        return None
+    if "(" not in text:
+        return list(zip(items))
+    groups = text.count("(") == n == "".join(text.split()).count(");(") + 1
+    if groups and set(map(type, items)) == {list} and len(set(map(len, items))) == 1 <= len(items[0]):
+        return list(map(tuple, items))
+    return None
 
 
 def parse_point_list(text: str):
     """Semicolon-separated points, e.g. "(0,1);(3,0)" or "4;6;9".
 
-    A canonical list, its dimension read from the commas of the first
-    chunk, is read in bulk: in such a text the integers are exactly the
-    coordinates, in order. Any other text goes chunk by chunk through
-    ``parse_point``, which also takes the lenient forms ("+5", blank parts,
+    A canonical list is read in bulk (``_bulk_points``). Any other text
+    goes chunk by chunk through ``parse_point``, which reads a canonical
+    list the same way and also takes the lenient forms ("+5", blank parts,
     JSON chunks) and names what is wrong.
     """
-    end = text.find(";")
-    d = text.count(",", 0, len(text) if end < 0 else end) + 1
-    if _canonical_list(d).fullmatch(text):
-        return list(zip(*[map(int, re.findall(_INTEGER, text))] * d))
+    points = _bulk_points(text)
+    if points is not None:
+        return points
     points = [parse_point(chunk) for chunk in text.split(";") if chunk.strip()]
     if not points:
         raise ValueError("empty point list")
@@ -132,10 +151,10 @@ def _load_file(path: str, kinds=("gens", "gaps")):
 
 def _input_source(args):
     """Returns ("gens", points, d) or ("gaps", points, d) from the one source."""
-    if getattr(args, "gens", None) is not None:
+    if args.gens is not None:
         pts = parse_point_list(args.gens)
         return "gens", pts, len(pts[0])
-    if getattr(args, "gaps", None) is not None:
+    if args.gaps is not None:
         pts = parse_point_list(args.gaps)
         return "gaps", pts, len(pts[0])
     return _load_file(args.file)
@@ -153,10 +172,6 @@ def _gap_semigroup(args) -> GapSemigroup:
     if isinstance(sem, AffineSemigroup):
         return from_generators(sem, budget=_budget(args))
     return sem
-
-
-def _term_order(args) -> TermOrder:
-    return TermOrder(getattr(args, "order", "grlex"))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +200,7 @@ def _run_pf(args):
 
 
 def _run_frobenius(args):
-    order = _term_order(args)
+    order = TermOrder(args.order)
     return {
         "frobenius": frobenius_element(_gap_semigroup(args), order),
         "order": order.to_json(),
@@ -193,12 +208,12 @@ def _run_frobenius(args):
 
 
 def _run_classify(args):
-    return classify(_gap_semigroup(args), _term_order(args)).to_json()
+    return classify(_gap_semigroup(args), TermOrder(args.order)).to_json()
 
 
 def _run_omega(args):
     gs = _gap_semigroup(args)
-    order = _term_order(args)
+    order = TermOrder(args.order)
     return {
         "omega_extra": omega_extra(gs, order),
         "frobenius": frobenius_element(gs, order),
@@ -214,7 +229,7 @@ def _run_apery(args):
 
 
 def _run_wilf(args):
-    return wilf_report(_gap_semigroup(args), _term_order(args)).to_json()
+    return wilf_report(_gap_semigroup(args), TermOrder(args.order)).to_json()
 
 
 def _run_buchsbaum(args):
@@ -283,7 +298,7 @@ def _run_identity(args):
     if args.action == "pf-ideal":
         # (S - S*) minus S is PF: z + g in S for each basis element g is PF's test
         return {"pf": pseudo_frobenius(gs), "matches_direct": True}
-    lhs, rhs = cardinality_identity(gs, _term_order(args))
+    lhs, rhs = cardinality_identity(gs, TermOrder(args.order))
     return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
 
 

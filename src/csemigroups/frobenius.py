@@ -15,7 +15,7 @@ over the gaps.
 from __future__ import annotations
 
 from math import prod
-from operator import lt, rshift
+from operator import rshift
 from typing import Optional, Sequence
 
 from . import lattice
@@ -27,7 +27,7 @@ from .errors import (
     NotNatural,
 )
 from .gapsemigroup import GapSemigroup, _axis_multiples
-from .lattice import GRLEX, Point, TermOrder, _Box, _Record, grlex_sorted
+from .lattice import GRLEX, Point, TermOrder, _bits, _Box, _Record, grlex_sorted
 
 
 def pseudo_frobenius(gs: GapSemigroup) -> tuple[Point, ...]:
@@ -35,18 +35,16 @@ def pseudo_frobenius(gs: GapSemigroup) -> tuple[Point, ...]:
 
     Checking the basis suffices: any nonzero member is a basis element plus a
     member, and S is closed under addition. Only the basis elements a < c
-    coordinatewise need a shift: a gap f has f < c, so if a_i >= c_i on some
-    axis i then (f + a)_i >= c_i, past every gap, and f + a is a member. The
-    basis lies in the conductor box [0, 2c), so in it the gaps f with f + a
-    a gap are the gap mask shifted down by a: f < c and a < 2c, so f + a
-    never leaves its row.
+    coordinatewise need a shift, the bits of ``gs.low_basis``: a gap f has
+    f < c, so if a_i >= c_i on some axis i then (f + a)_i >= c_i, past every
+    gap, and f + a is a member. In the conductor box the gaps f with f + a
+    a gap are the gap mask shifted down by index(a): f + a < 2c never
+    leaves its row.
     """
-    box, c = gs.box, gs.conductor
     gaps = pf = gs.gap_mask
-    for a in gs.hilbert_basis:
-        if all(map(lt, a, c)):
-            pf &= ~(gaps >> box.index(a))
-    return tuple(box.grlex_points(pf))
+    for i in _bits(gs.low_basis):
+        pf &= ~(gaps >> i)
+    return tuple(gs.box.grlex_points(pf))
 
 
 def betti_type(gs: GapSemigroup) -> int:
@@ -92,15 +90,19 @@ def omega_extra(gs: GapSemigroup, order: TermOrder = GRLEX) -> tuple[Point, ...]
     ideal is S plus exactly these gaps; points with F - z outside N^d count
     as F - z not in S. On the mask: for g <= F, index(F - g) = index(F) -
     index(g), so reversing the member bits at or below index(F) puts the
-    bit of F - g at index(g). Those g, kept to the down-set of F, are the
-    gaps that leave; every other gap is in the output.
+    bit of F - g at index(g). Those g are the gaps that leave; every other
+    gap is in the output. A gap g not below F reads a clear bit there: at
+    the last axis j with g_j > F_j the difference of the indices borrows,
+    so its coordinate j is F_j - g_j + 4c_j, in the row's padding
+    (3c_j, 4c_j) past the box [0, 2c), where no member bit is set, or the
+    difference is negative and past the reversed bits.
     """
     F = frobenius_element(gs, order)
     box, gaps = gs.box, gs.gap_mask
     n = box.index(F) + 1
     members = box.full & ~gaps & ((1 << n) - 1)
     mirrored = int(format(members, f"0{n}b")[::-1], 2)
-    return tuple(box.grlex_points(gaps & ~(mirrored & box.below(F))))
+    return tuple(box.grlex_points(gaps & ~mirrored))
 
 
 class FrobeniusReport(_Record):

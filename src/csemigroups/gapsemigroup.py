@@ -3,7 +3,8 @@
 A GapSemigroup stores the complement H(S) of a cofinite submonoid S of N^d
 as one bitmask of its conductor box [0, 2c), with the canonical conductor c
 (componentwise one above the gap maxima; every p >= c is a member) and the
-Hilbert basis. The gap points are decoded from the mask only when asked for.
+mask of the Hilbert-basis elements below c, which is all that PF reads. The
+gap points and the whole Hilbert basis are found only when asked for.
 
 Construction is either from an explicit gap set or from generators. From
 generators, the Apery set Ap(S, E) of S with respect to its least pure axis
@@ -12,7 +13,8 @@ holds its points near that axis. With one per class mod E in each, they
 bound a box whose non-members are the gaps; else a slice test names a slice
 of infinitely many gaps. A box past the budget gives BudgetExceeded. The
 gap box's mask, or a given gap set's, moves into the conductor box, where
-one closure pass validates complement closure and finds the Hilbert basis.
+one closure pass over [0, c) validates complement closure and finds the
+basis elements below c; the whole basis takes a pass over [0, 2c).
 """
 
 from __future__ import annotations
@@ -55,18 +57,22 @@ class GapSemigroup:
     any box that holds them. ``_Box.fit`` finds the conductor c and moves
     the mask into the conductor box [0, 2c), c at least 1, which is then
     ``box``; the members of the box are the rest of it. The closure pass on
-    that mask rejects a gap set whose complement is not a monoid and finds
-    the Hilbert basis. Equality and the hash read (dimension, conductor,
-    gap_mask), which is canonical because the conductor fixes the box.
+    the members below c rejects a gap set whose complement is not a monoid
+    and leaves ``low_basis``, the mask of the basis elements below c; the
+    pass over the whole box finds ``hilbert_basis`` on its first read.
+    Equality and the hash read (dimension, conductor, gap_mask), which is
+    canonical because the conductor fixes the box.
     """
 
-    __slots__ = ("dimension", "conductor", "box", "gap_mask", "_basis", "_gaps")
+    __slots__ = ("dimension", "conductor", "box", "gap_mask", "low_basis", "_basis", "_gaps")
 
     def __init__(self, dimension: int, box: _Box, gap_mask: int):
         self.dimension = dimension
         self.conductor, self.box, self.gap_mask = box.fit(gap_mask)
-        self._basis = _closure_pass(self.box, self.gap_mask)
-        self._gaps = None
+        # without gaps c is 0, and below(c - 1) is empty
+        below_c = self.box.below([v - 1 for v in self.conductor])
+        self.low_basis = _closure_pass(self.box, below_c & ~self.gap_mask, self.gap_mask)
+        self._basis = self._gaps = None
 
     @property
     def gaps(self) -> frozenset[Point]:
@@ -109,7 +115,11 @@ class GapSemigroup:
 
     @property
     def hilbert_basis(self) -> tuple[Point, ...]:
-        """Minimal generating set, found by the closure pass on construction."""
+        """Minimal generating set in graded-lex order, found by the closure
+        pass over the conductor box on first use and kept."""
+        if self._basis is None:
+            basis = _closure_pass(self.box, self.box.full & ~self.gap_mask, self.gap_mask)
+            self._basis = tuple(self.box.grlex_points(basis))
         return self._basis
 
     def to_json(self) -> dict:
@@ -120,24 +130,22 @@ class GapSemigroup:
 def from_gaps(dimension: int, gaps: Iterable[Sequence[int]]) -> GapSemigroup:
     """Build the semigroup N^d minus the given gaps, validating closure.
 
-    The mask is written straight into the conductor box, and the points
-    given are kept as the decoded ``gaps``. Dimension and sign are checked
-    on the lengths and the coordinate columns; only when a check fails are
-    the points walked one by one, in the set's order, to name the first
-    bad one.
+    The mask is written from the points given straight into the conductor
+    box, and the gap points are decoded from it only when read. Dimension
+    and sign are checked on the lengths and the coordinate columns; only
+    when a check fails are the points made a set and walked one by one, in
+    the set's order, to name the first bad one.
     """
-    gapset = frozenset(map(tuple, gaps))
-    columns = list(zip(*gapset))
-    if not set(map(len, gapset)) <= {dimension} or any(min(col) < 0 for col in columns):
-        for g in gapset:
+    points = list(gaps)
+    columns = list(zip(*points))
+    if not set(map(len, points)) <= {dimension} or any(min(col) < 0 for col in columns):
+        for g in frozenset(map(tuple, points)):
             if len(g) != dimension:
                 raise DimensionMismatch(f"gap {g} in dimension {dimension}")
             if any(v < 0 for v in g):
                 raise NotNatural(g)
-    box = _Box([2 + 2 * max(col) for col in columns] if gapset else [2] * dimension)
-    gs = GapSemigroup(dimension, box, box.mask(gapset))
-    gs._gaps = gapset
-    return gs
+    box = _Box([2 + 2 * max(col) for col in columns] if points else [2] * dimension)
+    return GapSemigroup(dimension, box, box.mask(points))
 
 
 # ---------------------------------------------------------------------------

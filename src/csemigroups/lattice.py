@@ -349,13 +349,18 @@ class _Box:
     def below(self, p: Sequence[int]) -> int:
         """The points of the box at or below p coordinatewise; p in the box.
 
-        Innermost coordinate first, the mask is copied p_i + 1 times, s_i
-        apart, by one multiplication with 1 + 2^s_i + ... + 2^(p_i s_i):
-        the copies so far lie below s_i, so no two of them overlap.
+        Innermost coordinate first, the mask is copied s_i apart by doubling
+        and cut to its first p_i + 1 copies: the copies so far lie below
+        s_i, so no two of them overlap. Each step is one pass over the
+        mask; a division by 2^s_i - 1 would cost the square of its size.
         """
         mask = 1
         for v, s in zip(reversed(p), reversed(self.strides)):
-            mask *= ((1 << (v + 1) * s) - 1) // ((1 << s) - 1)
+            k = 1
+            while k <= v:
+                mask |= mask << k * s
+                k *= 2
+            mask &= (1 << (v + 1) * s) - 1
         return mask
 
     def up(self, mask: int, shift=lshift) -> int:
@@ -375,16 +380,21 @@ class _Box:
         return mask
 
 
+def _bits(mask: int) -> list[int]:
+    """The indices of the set bits, lowest first: the places of "1" in the
+    mask's binary digits (a string search, so a sparse mask costs little
+    more than its digits)."""
+    return list(map(re.Match.start, re.finditer("1", bin(mask)[:1:-1])))
+
+
 def _decode(strides: Sequence[int], mask: int) -> list[Point]:
     """The points of the set bits of a box mask, in index order.
 
-    The set bits' indices are the places of "1" in the mask's binary
-    digits, lowest first (a string search, so a sparse mask costs little
-    more than its digits), and the coordinates come column by column: one
-    ``//`` and one ``%`` list per stride. Inside the box, index order is
-    lex order.
+    The coordinates of the set bits' indices (``_bits``) come column by
+    column: one ``//`` and one ``%`` list per stride. Inside the box, index
+    order is lex order.
     """
-    indices = list(map(re.Match.start, re.finditer("1", bin(mask)[:1:-1])))
+    indices = _bits(mask)
     columns = []
     for s in strides[:-1]:
         columns.append(list(map(floordiv, indices, itertools.repeat(s))))
@@ -428,21 +438,23 @@ def _generated(box: _Box, gens: Iterable[Sequence[int]]) -> int:
     return mask
 
 
-def _closure_pass(box: _Box, gap_mask: int) -> tuple[Point, ...]:
-    """The indecomposable members of the box; NotClosed unless they close.
+def _closure_pass(box: _Box, members: int, gap_mask: int) -> int:
+    """The mask of the indecomposable members; NotClosed unless they close.
 
-    The members are the box minus the gaps, and they close when every sum
-    of two that stays in the box is a member. Points below x have smaller
-    indices, so by induction on the index the lowest nonzero member not
-    reached as b + member for a found indecomposable b is the next
-    indecomposable, and the members are closed iff no b + member is a gap.
-    On the conductor box [0, 2c) of a gap set (c at least 1) these are the
-    Hilbert basis and complement closure: a member s with s_i >= 2c_i
-    splits off c_i * e_i.
+    ``members`` holds the points of a down-set D of the box that are not
+    gaps, all gaps lying in D. They close when every sum of two that lies
+    in D is a member. Points below x have smaller indices, so by induction
+    on the index the lowest nonzero member not reached as b + member for a
+    found indecomposable b is the next indecomposable, and the members are
+    closed iff no b + member is a gap. On the conductor box [0, 2c) of a
+    gap set (c at least 1) these are the Hilbert basis and complement
+    closure: a member s with s_i >= 2c_i splits off c_i * e_i. With D =
+    [0, c) they are the basis elements below c, and the NotClosed is the
+    same: a gap y + z has y, z < c, and a basis element b with some
+    b_i >= c_i neither reaches a gap nor clears a point below c.
     """
     if gap_mask & 1:
         raise NotClosed(box.point(0), box.point(0))
-    members = box.full & ~gap_mask
     left = members & ~1
     basis = 0
     while left:
@@ -454,7 +466,7 @@ def _closure_pass(box: _Box, gap_mask: int) -> tuple[Point, ...]:
             raise NotClosed(box.point((clash & -clash).bit_length() - 1), box.point(i))
         basis |= low
         left &= ~sums
-    return tuple(sorted(_decode(box.strides, basis), key=sum))
+    return basis
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,38 @@ closure, and Arf witnesses are searched by raw triple loops.
 
 import functools
 import itertools
+import signal
 
 import pytest
 from hypothesis import strategies as st
 
 from csemigroups import AffineSemigroup, from_generators
-from csemigroups.errors import DimensionMismatch, OrderNotPredecessorFinite
+from csemigroups.errors import DimensionMismatch, NotClosed, OrderNotPredecessorFinite
 from csemigroups.lattice import LESS, partial_leq
+
+# a test that runs longer fails, named, instead of hanging the suite;
+# pytest --durations=10 shows how far below this the slowest tests stay
+TEST_SECONDS = 120
+
+
+@pytest.fixture(autouse=True)
+def time_limit(request):
+    """Arms a SIGALRM timer for each test, where the platform has one."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def overrun(signum, frame):
+        pytest.fail(f"{request.node.nodeid} ran past {TEST_SECONDS} s", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.setitimer(signal.ITIMER_REAL, TEST_SECONDS)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
 
 # Worked example generator lists used across the suite.
 GENS_S2 = [(0, 1), (3, 0), (4, 0), (1, 4), (5, 0), (2, 7)]
@@ -107,6 +132,27 @@ def enumerate_preceding(order, p):
                     yield q
 
     return generate()
+
+
+def whole_box_closure_pass(box, gap_mask):
+    """The Hilbert basis of the conductor box's members in graded-lex
+    order, or NotClosed: one pass over the whole box [0, 2c), the oracle of
+    the pass over [0, c) that validates a gap set."""
+    if gap_mask & 1:
+        raise NotClosed(box.point(0), box.point(0))
+    members = box.full & ~gap_mask
+    left = members & ~1
+    basis = 0
+    while left:
+        low = left & -left
+        i = low.bit_length() - 1
+        sums = members << i
+        clash = sums & gap_mask
+        if clash:
+            raise NotClosed(box.point((clash & -clash).bit_length() - 1), box.point(i))
+        basis |= low
+        left &= ~sums
+    return tuple(sorted(box.points(basis), key=sum))
 
 
 def box_points(hi):

@@ -16,6 +16,7 @@ from conftest import (
 from csemigroups import arf, membership
 from csemigroups.arf import (
     PIMonoid,
+    PIStatus,
     arf_closure,
     arf_derived,
     is_arf,
@@ -173,6 +174,13 @@ class TestIsPI:
         # <4,6,9>: 6 + 6 - 4 = 8 ok but 6 + 9 - 4 = 11 is a gap
         status = is_pi(AffineSemigroup(1, [(4,), (6,), (9,)]))
         assert status.attained and status.is_pi is False
+
+    def test_only_a_diagonal_pair_fails(self):
+        # <3,4>: 3 + 3 - 3 and 3 + 4 - 3 are members, only 4 + 4 - 3 = 5
+        # is a gap, so a check that skips the pairs g = h answers True
+        for sem in (AffineSemigroup(1, [(3,), (4,)]), from_gaps(1, [(1,), (2,), (5,)])):
+            status = is_pi(sem)
+            assert status == PIStatus((3,), True, False)
 
     def test_gap_form_input(self, s3):
         # cofinite plane semigroups contain far points on both axes, so the

@@ -58,6 +58,48 @@ class TestParsing:
         text = data.draw(point_list_texts())
         assert _outcome(parse_point_list, text) == _outcome(_per_chunk_point_list, text)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_bulk_read_matches_per_chunk_parser(self, data):
+        # a canonical list in JSON's whitespace takes the one json.loads
+        text = data.draw(canonical_list_texts())
+        assert cli._bulk_points(text) == _per_chunk_point_list(text)
+
+    @pytest.mark.parametrize("text, expected", [
+        ("1,2;3,4", [(1, 2), (3, 4)]),
+        ("(1);2", [(1,), (2,)]),
+        ("007", [(7,)]),
+        ("(1,2),(3,4)", "invalid literal for int() with base 10: '2)'"),
+        ("((1,2))", "invalid literal for int() with base 10: '(1'"),
+        ("()", "empty point"),
+        ("(1,2);(3)", "mixed dimensions in point list: [1, 2]"),
+        (" ", "empty point list"),
+        ("1;2;", [(1,), (2,)]),
+        ("\f1", [(1,)]),
+        ("-0", [(0,)]),
+        ("[1,2];[3,4]", [(1, 2), (3, 4)]),
+        # a ";" inside a tuple and a "," between two: the counts alone agree
+        ("(1;2),(3,4)", "invalid literal for int() with base 10: '(1'"),
+    ], ids=repr)
+    def test_edge_texts(self, text, expected):
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as err:
+                parse_point_list(text)
+            assert str(err.value) == expected
+        else:
+            assert parse_point_list(text) == expected
+
+    @pytest.mark.parametrize("text, chunk", [
+        ("9" * 5000, "9" * 5000),
+        (f"({'9' * 5000},1);(2,3)", "9" * 5000),
+        (f"1;{'9' * 5000}", "9" * 5000),
+        # nested deeper than json.loads recurses
+        ("(" * 3000 + ";" * 3000, "(" * 3000),
+    ], ids=["digits", "digits-in-tuple", "digits-second", "nesting"])
+    def test_texts_past_the_json_limits(self, text, chunk):
+        # the ValueError that int() gives for the first bad chunk
+        assert _outcome(parse_point_list, text) == _outcome(int, chunk)
+
 
 def _per_chunk_point_list(text):
     """The point-list grammar chunk by chunk: every ";" part that is not
@@ -111,6 +153,21 @@ def point_list_texts(draw):
         chunks.append(draw(_SPACE) + chunk + draw(_SPACE))
     for _ in range(draw(st.integers(0, 2))):
         chunks.insert(draw(st.integers(0, len(chunks))), draw(_ODD_CHUNK))
+    return ";".join(chunks)
+
+
+@st.composite
+def canonical_list_texts(draw):
+    """Canonical lists in d = 1..3 (bare integers or tuples in d = 1), with
+    JSON whitespace around any token."""
+    space = st.sampled_from(["", "", " ", "\t", "\n", " \r\n"])
+    d = draw(st.integers(1, 3))
+    bare = d == 1 and draw(st.booleans())
+    chunks = []
+    for _ in range(draw(st.integers(1, 6))):
+        values = [draw(space) + str(draw(st.integers(-(10**30), 10**30))) + draw(space) for _ in range(d)]
+        chunk = values[0] if bare else "(" + ",".join(values) + ")"
+        chunks.append(draw(space) + chunk + draw(space))
     return ";".join(chunks)
 
 

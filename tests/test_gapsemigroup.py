@@ -15,9 +15,11 @@ from conftest import (
     GENS_SAP31,
     box_points,
     closure_in_box,
+    finite_gap_sets,
     full_cone_lists,
     gap_universe,
     mask_to_points,
+    whole_box_closure_pass,
 )
 from csemigroups.arf import arf_derived, is_arf
 from csemigroups.conjectures import buchsbaum_report, wilf_report
@@ -38,6 +40,7 @@ from csemigroups.frobenius import (
 from csemigroups import gapsemigroup
 from csemigroups.gapsemigroup import (
     Budget,
+    GapSemigroup,
     _axis_multiples,
     _tube_apery,
     from_gaps,
@@ -195,6 +198,36 @@ def _brute_derived_dset_sporadic(d, gaps):
 
 
 class TestClosurePass:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_validation_below_conductor_matches_whole_box(self, data):
+        # random subsets of boxes in d = 1..3, most not closed, and closed
+        # gap sets: the pass over [0, c) names the NotClosed of the pass
+        # over [0, 2c), keeps the basis below c, and the basis read later
+        # is the whole pass's
+        if data.draw(st.integers(0, 2)):
+            d = data.draw(st.integers(1, 3))
+            extent = data.draw(st.lists(st.integers(1, (16, 6, 3)[d - 1]), min_size=d, max_size=d))
+            box = _Box(extent)
+            mask = data.draw(st.integers(0, box.full)) & box.full
+            if data.draw(st.integers(0, 3)):
+                mask &= ~1
+        else:
+            gs = data.draw(finite_gap_sets())
+            d, box, mask = gs.dimension, gs.box, gs.gap_mask
+        c, conductor_box, conductor_mask = box.fit(mask)
+        try:
+            expected = whole_box_closure_pass(conductor_box, conductor_mask)
+        except NotClosed as exc:
+            with pytest.raises(NotClosed) as err:
+                GapSemigroup(d, box, mask)
+            assert (err.value.gap, err.value.part) == (exc.gap, exc.part)
+            return
+        gs = GapSemigroup(d, box, mask)
+        below_c = {b for b in expected if all(map(operator.lt, b, c))}
+        assert set(gs.box.points(gs.low_basis)) == below_c
+        assert gs.hilbert_basis == expected
+
     @pytest.mark.parametrize("bound", [(3, 3), (1, 1, 1), (10,)])
     def test_whole_universe(self, bound):
         # every subset of the box is accepted iff it is marked valid; the

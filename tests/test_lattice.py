@@ -259,6 +259,16 @@ class TestBox:
             every = itertools.product(*(range(e) for e in extent))
             assert box.full == box.mask(every), extent
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_below_is_the_down_set(self, d):
+        for extent in itertools.product(range(1, 5), repeat=d):
+            box = _Box(extent)
+            for p in itertools.product(*(range(e) for e in extent)):
+                down = itertools.product(*(range(v + 1) for v in p))
+                assert box.below(p) == box.mask(down), (extent, p)
+        # the conductor of no gaps is 0, and the box below it is empty
+        assert _Box((2,) * d).below((-1,) * d) == 0
+
     @staticmethod
     def _check_fit(extent, points):
         c, box, mask = _Box(extent).fit(_Box(extent).mask(points))
