@@ -219,6 +219,15 @@ def prop79_check(
     that its shift by a lands inside the Arf closure of the semigroup
     generated by a and a + each generator. The shifted semigroup must admit
     a finite gap set for the closure to be computable.
+
+    The window box comes from ``membership._window``, so a window past
+    MEMBER_BOX_BITS bits raises BudgetExceeded before it is allocated. Only
+    d = 1 gets that far: in higher dimension every generator of the shifted
+    semigroup is positive wherever a is, so some axis has no pure generator
+    and NotFullCone comes first. The cap allows windows up to about 2^25,
+    and the chain sums take one shift per u up to half the window: a window
+    of 10^6 still runs for minutes. No budget bounds that loop yet (ROADMAP
+    item 7).
     """
     a = tuple(a)
     gens = _check_chain_hypotheses(gens)
@@ -234,7 +243,7 @@ def prop79_check(
         window = tuple(window)
     base = AffineSemigroup(d, [a] + gens)  # validates the input
     # rows 2(w + 1) wide hold every z + u with z, u <= w
-    box = _Box(tuple(w + 1 for w in window))
+    box = _window(tuple(w + 1 for w in window), "window")
     stage = _generated(box, base.generators)
     for _ in range(k):
         new = stage

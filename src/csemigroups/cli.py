@@ -119,10 +119,6 @@ def parse_point_list(text: str):
     return points
 
 
-def _budget(args) -> Budget:
-    return Budget() if args.budget is None else Budget(max_work=args.budget)
-
-
 def _load_file(path: str, kinds=("gens", "gaps")):
     """(kind, points, d) from a JSON file.
 
@@ -149,28 +145,25 @@ def _load_file(path: str, kinds=("gens", "gaps")):
     raise ValueError(f"{path}: expected a " + " or ".join(f"'{k}'" for k in kinds) + " key")
 
 
-def _input_source(args):
-    """Returns ("gens", points, d) or ("gaps", points, d) from the one source."""
-    if args.gens is not None:
-        pts = parse_point_list(args.gens)
-        return "gens", pts, len(pts[0])
-    if args.gaps is not None:
-        pts = parse_point_list(args.gaps)
-        return "gaps", pts, len(pts[0])
-    return _load_file(args.file)
-
-
 def _semigroup(args):
-    """The input as given: an AffineSemigroup from generators, a validated
-    GapSemigroup from gaps; no gap set is built from generators."""
-    kind, pts, d = _input_source(args)
+    """The input as given, from its one source (--gens, --gaps or --file):
+    an AffineSemigroup from generators, a validated GapSemigroup from gaps;
+    no gap set is built from generators."""
+    if args.gens is None and args.gaps is None:
+        kind, pts, d = _load_file(args.file)
+    else:
+        kind = "gaps" if args.gens is None else "gens"
+        pts = parse_point_list(getattr(args, kind))
+        d = len(pts[0])
     return AffineSemigroup(d, pts) if kind == "gens" else from_gaps(d, pts)
 
 
 def _gap_semigroup(args) -> GapSemigroup:
+    """The input as a GapSemigroup; generators are scanned under --budget."""
     sem = _semigroup(args)
     if isinstance(sem, AffineSemigroup):
-        return from_generators(sem, budget=_budget(args))
+        budget = Budget() if args.budget is None else Budget(max_work=args.budget)
+        return from_generators(sem, budget=budget)
     return sem
 
 
@@ -414,7 +407,8 @@ def _render_text(payload, indent=0) -> list[str]:
 
 @functools.lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses, built on its first call and not on import.
+    """The parser ``main`` hands every argv that is not plain, built the
+    first time one comes, not on import and not for a plain argv.
 
     Parsing leaves the parser as it was, and argparse looks up sys.stdout,
     sys.stderr and the terminal width only when it prints, so one parser
@@ -498,11 +492,10 @@ def _plain_args(argv):
 
 
 def main(argv=None) -> int:
-    parser = _parser()
     args = _plain_args(sys.argv[1:] if argv is None else argv)
     if args is None:
         try:
-            args = parser.parse_args(argv)
+            args = _parser().parse_args(argv)
         except SystemExit as exc:  # argparse has printed its message
             return int(exc.code or 0)
     if args.budget is not None and args.budget < 1:

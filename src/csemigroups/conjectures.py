@@ -13,7 +13,7 @@ of two distinct extremal rays.
 from __future__ import annotations
 
 from . import lattice
-from .errors import DimensionOne, EmptyGapSet, OrderNotPredecessorFinite
+from .errors import DimensionOne, EmptyGapSet
 from .frobenius import frobenius_element, pseudo_frobenius
 from .gapsemigroup import GapSemigroup, _axis_multiples
 from .lattice import GRLEX, TermOrder, _Record, count_preceding
@@ -32,8 +32,6 @@ def wilf_report(gs: GapSemigroup, order: TermOrder = GRLEX) -> WilfReport:
     """
     if not gs.gap_mask:
         raise EmptyGapSet("the Wilf report needs at least one gap")
-    if not order.is_predecessor_finite(gs.dimension):
-        raise OrderNotPredecessorFinite(f"{order.kind} in dimension {gs.dimension}")
     F = frobenius_element(gs, order)
     sporadic = count_preceding(order, F) - (gs.genus - 1)
     e = len(gs.hilbert_basis)
@@ -65,7 +63,7 @@ def buchsbaum_report(gs: GapSemigroup) -> BuchsbaumReport:
     if not gs.gap_mask:
         raise EmptyGapSet("the Buchsbaum test needs at least one gap")
     mult = _axis_multiples(gs.hilbert_basis, gs.dimension)
-    rays = tuple(lattice.scale(m, lattice.unit(gs.dimension, i)) for i, m in enumerate(mult))
+    rays = tuple(tuple(m if j == i else 0 for j in range(len(mult))) for i, m in enumerate(mult))
     box, gaps = gs.box, gs.gap_mask
     once = twice = 0
     for r in rays:

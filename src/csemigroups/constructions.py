@@ -254,7 +254,7 @@ def family_saps(a: int, p: int, numerical_gens: Sequence[int]) -> SapsFamily:
     mu = sum(ngens)
     ray = (a, q)
     scaled_family = AffineSemigroup(2, [lattice.scale(mu, v) for v in _family_generators(a, p)])
-    scaled_numerical = AffineSemigroup(2, [lattice.scale(n, ray) for n in ngens])
+    scaled_numerical = scale_numerical(ngens, ray)
     s = lattice.scale(mu, ray)
     glued = glue(GluingSpec(scaled_family, scaled_numerical, s))
     if len(glued.generators) != len(ngens) + 4:

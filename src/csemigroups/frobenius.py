@@ -66,7 +66,7 @@ def frobenius_element(gs: GapSemigroup, order: TermOrder = GRLEX) -> Point:
     below, top = box.up(gaps, rshift), gaps
     for s in box.strides:
         top &= ~(below >> s)
-    return order.max(box.points(top))
+    return max(box.points(top), key=order.key)
 
 
 def cover_witness(gs: GapSemigroup, x: Sequence[int]) -> Optional[Point]:

@@ -21,8 +21,6 @@ from .errors import DimensionMismatch, NotClosed, OrderNotPredecessorFinite
 
 Point = tuple[int, ...]
 
-LESS, EQUAL, GREATER = -1, 0, 1
-
 
 def check_same_dimension(p: Sequence[int], q: Sequence[int]) -> None:
     if len(p) != len(q):
@@ -54,10 +52,6 @@ def is_zero(p: Sequence[int]) -> bool:
 
 def zero(dimension: int) -> Point:
     return (0,) * dimension
-
-
-def unit(dimension: int, axis: int) -> Point:
-    return tuple(1 if i == axis else 0 for i in range(dimension))
 
 
 def partial_leq(p: Point, q: Point) -> bool:
@@ -168,15 +162,6 @@ class TermOrder(_Record):
         base = self._permuted(p)
         return base if self.kind == "lex" else (sum(p),) + base
 
-    def cmp(self, p: Point, q: Point) -> int:
-        """-1, 0 or 1 as p precedes, equals or follows q under the order."""
-        check_same_dimension(p, q)
-        kp, kq = self.key(p), self.key(q)
-        return LESS if kp < kq else GREATER if kp > kq else EQUAL
-
-    def max(self, points) -> Point:
-        return max(points, key=self.key)
-
     def is_predecessor_finite(self, dimension: int) -> bool:
         """True when every point has finitely many predecessors (grlex; lex only in d=1)."""
         return self.kind == "grlex" or dimension <= 1
@@ -186,10 +171,6 @@ class TermOrder(_Record):
         if self.perm is not None:
             d["perm"] = list(self.perm)
         return d
-
-    @classmethod
-    def from_json(cls, data: dict) -> "TermOrder":
-        return cls(data["kind"], tuple(data["perm"]) if "perm" in data else None)
 
 
 GRLEX = TermOrder("grlex")
@@ -209,19 +190,18 @@ def grlex_sorted(points: Iterable[Point]) -> list[Point]:
 def count_preceding(order: TermOrder, p: Point) -> int:
     """The number of points q of N^d that strictly precede p, in closed form.
 
-    In d = 1 it is p. For grlex, the points of degree below n = deg p
-    number C(n - 1 + d, d). A point q of degree n precedes p when, in the
-    permuted coordinates, it first differs at position t with q_t < p_t;
-    with r the degree left after the first t coordinates of p and
-    k = d - 1 - t coordinates after t, the choices q_t = v < p_t leave
-    sum over v of C(r - v + k - 1, k - 1) = C(r + k, k) - C(r - p_t + k, k)
-    points. The last position allows none.
+    For grlex, the points of degree below n = deg p number C(n - 1 + d, d);
+    in d = 1 that is C(p_0, 1) = p_0, all of them, and the loop below is
+    empty. A point q of degree n precedes p when, in the permuted
+    coordinates, it first differs at position t with q_t < p_t; with r the
+    degree left after the first t coordinates of p and k = d - 1 - t
+    coordinates after t, the choices q_t = v < p_t leave sum over v of
+    C(r - v + k - 1, k - 1) = C(r + k, k) - C(r - p_t + k, k) points. The
+    last position allows none.
     """
     d = len(p)
     if not order.is_predecessor_finite(d):
         raise OrderNotPredecessorFinite(f"{order.kind} in dimension {d}")
-    if d == 1:
-        return p[0]
     r = sum(p)
     count = comb(r - 1 + d, d)
     for t, v in enumerate(order._permuted(p)[:-1]):
@@ -337,8 +317,18 @@ class _Box:
         return int(out[::-1], 2)
 
     def points(self, mask: int) -> list[Point]:
-        """The points of the set bits, in index (row-major) order."""
-        return _decode(self.strides, mask)
+        """The points of the set bits, in index order: lex order inside the box.
+
+        The coordinates of the set bits' indices (``_bits``) come column by
+        column: one ``//`` and one ``%`` list per stride.
+        """
+        indices = _bits(mask)
+        columns = []
+        for s in self.strides[:-1]:
+            columns.append(list(map(floordiv, indices, itertools.repeat(s))))
+            indices = list(map(mod, indices, itertools.repeat(s)))
+        columns.append(indices)
+        return list(zip(*columns))
 
     def grlex_points(self, mask: int) -> list[Point]:
         """The points of the set bits, all inside the box, in graded-lex
@@ -385,22 +375,6 @@ def _bits(mask: int) -> list[int]:
     mask's binary digits (a string search, so a sparse mask costs little
     more than its digits)."""
     return list(map(re.Match.start, re.finditer("1", bin(mask)[:1:-1])))
-
-
-def _decode(strides: Sequence[int], mask: int) -> list[Point]:
-    """The points of the set bits of a box mask, in index order.
-
-    The coordinates of the set bits' indices (``_bits``) come column by
-    column: one ``//`` and one ``%`` list per stride. Inside the box, index
-    order is lex order.
-    """
-    indices = _bits(mask)
-    columns = []
-    for s in strides[:-1]:
-        columns.append(list(map(floordiv, indices, itertools.repeat(s))))
-        indices = list(map(mod, indices, itertools.repeat(s)))
-    columns.append(indices)
-    return list(zip(*columns))
 
 
 def _generated(box: _Box, gens: Iterable[Sequence[int]]) -> int:

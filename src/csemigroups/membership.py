@@ -10,9 +10,10 @@ decided by descent: p is a member iff p - g is one for some generator g,
 down to the box, where the mask answers; a descent that sees more than
 ``FAR_SEARCH_POINTS`` points raises BudgetExceeded. ``minimalize`` reads
 the same kernel, one generator at a time, each in its own box. The scans
-of PI decompositions and of the (a, p) family build their one box through
-``_window``, which holds the same cap but raises BudgetExceeded past it,
-so this module alone sets the window policy.
+of PI decompositions, of ``arf.prop79_check`` and of the (a, p) family
+build their one box through ``_window``, which holds the same cap but
+raises BudgetExceeded past it, so this module alone sets the window
+policy.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from csemigroups import AffineSemigroup, from_generators
 from csemigroups.errors import DimensionMismatch, NotClosed, OrderNotPredecessorFinite
-from csemigroups.lattice import LESS, partial_leq
+from csemigroups.lattice import partial_leq
 
 # a test that runs longer fails, named, instead of hanging the suite;
 # pytest --durations=10 shows how far below this the slowest tests stay
@@ -128,7 +128,7 @@ def enumerate_preceding(order, p):
         deg = sum(p)
         for s in range(deg + 1):
             for q in compositions(s, d):
-                if s < deg or order.cmp(q, p) == LESS:
+                if s < deg or order.key(q) < order.key(p):
                     yield q
 
     return generate()

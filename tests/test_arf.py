@@ -369,6 +369,12 @@ class TestShiftedClosureContainment:
         with pytest.raises(NotFullCone):
             prop79_check((1, 1), [(1, 1), (2, 2)], 1)
 
+    def test_window_box_past_the_member_budget(self):
+        # [0, 2^25] takes 2^26 + 2 bits, just past the cap; an uncapped box
+        # would decode the stage <2, 3, 4> there, about 2^25 points
+        with pytest.raises(BudgetExceeded):
+            prop79_check((3,), [(2,), (4,)], 0, (2**25,))
+
     def test_antichain_rejected(self):
         with pytest.raises(HypothesisFailed) as err:
             prop79_check((1, 1), [(1, 0), (0, 1)], 0)

@@ -291,6 +291,13 @@ class TestGoldenOutputs:
         assert data["steps"] == 1
         assert [4, 2] in data["gaps"] and [7, 2] not in data["gaps"]
 
+    def test_arf_derived(self, capsys):
+        code, out = run(capsys, "--json", "arf", "derived", "--gens", "(0,1);(3,0);(5,0);(1,3);(2,3)")
+        assert code == 0
+        assert out == (
+            '{"d":2,"gaps":[[1,0],[1,1],[2,0],[1,2],[2,1],[2,2],[4,0],[4,1],[4,2]]}\n'
+        )
+
     def test_pi_decompose(self, capsys):
         code, data = run_json(
             capsys, "pi", "decompose", "--gens",
@@ -400,6 +407,11 @@ class TestErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "usage error: generator (-1, 0) has a negative coordinate\n"
+
+    def test_family_saps_zero_generator_is_bad_params(self, capsys):
+        code, out = run(capsys, "--json", "family", "saps", "-a", "3", "-p", "1", "--numerical", "0;3")
+        assert code == 1
+        assert out == '{"detail":"numerical generators must be positive integers","error":"BadParams"}\n'
 
     def test_family_saps_over_n_is_a_domain_error(self, capsys):
         code, data = run_json(capsys, "family", "saps", "-a", "3", "-p", "1", "--numerical", "1")
@@ -531,9 +543,9 @@ class TestSharedParser:
             "argparse.ArgumentParser.__init__ = counted\n"
             "import csemigroups.cli\n"
             "counts = [len(built)]\n"
-            "for _ in range(2):\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        csemigroups.cli.main(['pf', '--gens', '4;6;9'])\n"
+            "for argv in (['pf', '--gens', '4;6;9'], ['pf', '--gens', '4;6;9'], ['pf'], ['pf']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            "        csemigroups.cli.main(argv)\n"
             "    counts.append(len(built))\n"
             "print(counts)\n"
         )
@@ -545,9 +557,19 @@ class TestSharedParser:
             timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        before, first, second = json.loads(proc.stdout)
-        assert before == 0
-        assert first == second > 0
+        # plain argvs build no parser; the first usage error builds the one
+        # every later call shares
+        before, plain, plain_again, usage, usage_again = json.loads(proc.stdout)
+        assert before == plain == plain_again == 0
+        assert usage == usage_again > 0
+
+    def test_plain_argv_builds_no_parser(self, capsys):
+        cli._parser.cache_clear()
+        assert main(["--json", "pf", "--gens", "4;6;9"]) == 0
+        assert main(["family", "sap", "-a", "3", "-p", "1"]) == 0
+        assert cli._parser.cache_info().currsize == 0
+        assert main(["pf", "--gens", "4;6;9", "--frobnicate"]) == 2
+        assert cli._parser.cache_info().currsize == 1
 
 
 class TestImportCost:

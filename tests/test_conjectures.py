@@ -44,7 +44,7 @@ class TestWilf:
             assert r.n_frobenius == frobenius_number + 1
 
     def test_lex_rejected_in_plane(self, s2):
-        with pytest.raises(OrderNotPredecessorFinite):
+        with pytest.raises(OrderNotPredecessorFinite, match="^lex in dimension 2$"):
             wilf_report(s2, LEX)
 
     def test_three_dimensional_counts(self):

@@ -249,7 +249,7 @@ class TestClosurePass:
                     assert wilf_report(gs).sporadic == sporadic, sorted(gaps)
                     perm = tuple(reversed(range(d)))
                     for order in (GRLEX, LEX, TermOrder("lex", perm)):
-                        assert frobenius_element(gs, order) == order.max(gaps), sorted(gaps)
+                        assert frobenius_element(gs, order) == max(gaps, key=order.key), sorted(gaps)
                 if gaps and d >= 2:
                     assert set(buchsbaum_report(gs).d_set) == d_set, sorted(gaps)
                 continue
