@@ -14,19 +14,20 @@ its other options as ``add_argument`` keywords. ``build_parser`` builds the
 argparse parser from the table. ``main`` walks an argv in the plain form
 that real calls use, ``[--json] [--budget N] command [sub] [positional]
 (--opt value | --flag)...`` (the shared flags also between family and its
-subcommand), against the same table (``_plain_args``) into the Namespace
-argparse would build. Every other argv, help and every usage error among
-them, goes through ``parse_args`` itself, so their output is argparse's
-own.
+subcommand), against the same table (``_plain_args``) into a namespace
+with the attributes argparse would set. Every other argv, help and every
+usage error among them, goes through ``parse_args`` itself, so their output
+is argparse's own. argparse is imported only where the parser is built, so
+a plain argv never loads it.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import itertools
 import json
 import sys
+import types
 
 from . import arf as arf_mod
 from . import constructions as cons
@@ -370,8 +371,11 @@ def _add_commands(parser, table, dest, common):
         sp.set_defaults(handler=handler)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """A new parser for the ``csg`` command line; ``main`` shares one."""
+def build_parser():
+    """A new argparse parser for the ``csg`` command line; ``main`` shares
+    one. argparse is imported here, so a plain argv never loads it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="csg",
         description="Exact invariants of finite-gap semigroups in N^d.",
@@ -406,7 +410,7 @@ def _render_text(payload, indent=0) -> list[str]:
 
 
 @functools.lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
+def _parser():
     """The parser ``main`` hands every argv that is not plain, built the
     first time one comes, not on import and not for a plain argv.
 
@@ -448,12 +452,12 @@ def _read_options(argv, i: int, options, read: dict):
 
 
 def _plain_args(argv):
-    """The Namespace ``_parser().parse_args(argv)`` returns, read off the
-    grammar table when argv has the plain form: shared options, the command;
-    for family, shared options and the subcommand; the positional, if the
-    command has one; then the command's options. An option is an exact
-    option string and, unless it is a flag, one value that does not start
-    with "-".
+    """The attributes of the Namespace ``_parser().parse_args(argv)``
+    returns, in a SimpleNamespace, read off the grammar table when argv has
+    the plain form: shared options, the command; for family, shared options
+    and the subcommand; the positional, if the command has one; then the
+    command's options. An option is an exact option string and, unless it
+    is a flag, one value that does not start with "-".
 
     Returns None for any other argv, and wherever argparse would print or
     fail: help, an abbreviation, ``--opt=value``, a token starting with "-"
@@ -488,7 +492,7 @@ def _plain_args(argv):
                 return None
             switch = kwargs.get("action") == "store_true"
             read[name] = kwargs.get("default", False if switch else None)
-    return argparse.Namespace(handler=table, **read)
+    return types.SimpleNamespace(handler=table, **read)
 
 
 def main(argv=None) -> int:

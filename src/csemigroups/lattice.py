@@ -461,35 +461,25 @@ class IntegerLattice(_Record):
 def _reduce_rows(rows: list[list[int]], ncols: int) -> int:
     """In-place row HNF of the first ``ncols`` columns; returns the rank.
 
-    Pivots are read off the first ``ncols`` columns only, but every swap,
-    combination and negation acts on whole rows, so any columns past
-    ``ncols`` end up holding the same integer combination of the input rows
-    as the reduced columns beside them.
+    Column by column, Euclid's algorithm on row pairs folds each row below
+    the pivot row into it: (pivot row, row) becomes (row, pivot row - q *
+    row) until the row's entry is 0, which leaves the gcd of the column in
+    the pivot row. The pivot is made positive and the rows above it are
+    reduced into [0, pivot). Pivots are read off the first ``ncols``
+    columns only, but every step (a swap, a negation, a whole row minus a
+    multiple of another) is unimodular and acts on whole rows, so any
+    columns past ``ncols`` end up holding the same integer combination of
+    the input rows as the reduced columns beside them.
     """
-
-    def combine(i, j, q):
-        # row_i -= q * row_j
-        rows[i] = [a - q * b for a, b in zip(rows[i], rows[j])]
-
     m = len(rows)
     r = 0
     for c in range(ncols):
         if r == m:
             break
-        while True:
-            nz = [i for i in range(r, m) if rows[i][c] != 0]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: abs(rows[i][c]))
-            rows[r], rows[i0] = rows[i0], rows[r]
-            done = True
-            for i in range(r + 1, m):
-                if rows[i][c] != 0:
-                    combine(i, r, rows[i][c] // rows[r][c])
-                    if rows[i][c] != 0:
-                        done = False
-            if done:
-                break
+        for i in range(r + 1, m):
+            while rows[i][c]:
+                q = rows[r][c] // rows[i][c]
+                rows[r], rows[i] = rows[i], [a - q * b for a, b in zip(rows[r], rows[i])]
         if rows[r][c] == 0:
             continue
         if rows[r][c] < 0:
@@ -497,7 +487,7 @@ def _reduce_rows(rows: list[list[int]], ncols: int) -> int:
         for i in range(r):
             q = rows[i][c] // rows[r][c]
             if q:
-                combine(i, r, q)
+                rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
         r += 1
     return r
 
@@ -523,18 +513,9 @@ def lattice_from(vectors: Sequence[Sequence[int]], dimension: Optional[int] = No
 
 
 def lattice_member(lattice: IntegerLattice, p: Sequence[int]) -> bool:
-    """Decide p in L by successive reduction against the HNF rows."""
-    if len(p) != lattice.dimension:
-        raise DimensionMismatch(f"point of length {len(p)} in dimension {lattice.dimension}")
-    res = list(p)
-    for row in lattice.basis:
-        c = next(i for i, v in enumerate(row) if v != 0)
-        q, rem = divmod(res[c], row[c])
-        if rem:
-            return False
-        for i in range(c, lattice.dimension):
-            res[i] -= q * row[i]
-    return all(v == 0 for v in res)
+    """Decide p in L: the canonical basis of L + Zp is the basis of L
+    exactly when p already lies in L."""
+    return hermite_normal_form(lattice.basis + (p,), lattice.dimension) == lattice.basis
 
 
 def lattice_intersect(l1: IntegerLattice, l2: IntegerLattice) -> IntegerLattice:

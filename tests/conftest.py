@@ -2,7 +2,9 @@
 
 The oracles here deliberately avoid the library's own algorithms: membership
 is forward closure from zero, gap sets come from window scans over that
-closure, and Arf witnesses are searched by raw triple loops.
+closure, Arf witnesses are searched by raw triple loops, and the Hermite
+normal form takes the smallest pivot. The census (``frobenius_tree``) is
+built on the library's kernels and checked against known counts.
 """
 
 import functools
@@ -12,9 +14,10 @@ import signal
 import pytest
 from hypothesis import strategies as st
 
-from csemigroups import AffineSemigroup, from_generators
+from csemigroups import AffineSemigroup, GapSemigroup, from_generators
 from csemigroups.errors import DimensionMismatch, NotClosed, OrderNotPredecessorFinite
-from csemigroups.lattice import partial_leq
+from csemigroups.frobenius import frobenius_element
+from csemigroups.lattice import GRLEX, _Box, partial_leq
 
 # a test that runs longer fails, named, instead of hanging the suite;
 # pytest --durations=10 shows how far below this the slowest tests stay
@@ -153,6 +156,102 @@ def whole_box_closure_pass(box, gap_mask):
         basis |= low
         left &= ~sums
     return tuple(sorted(box.points(basis), key=sum))
+
+
+def smallest_pivot_reduce_rows(rows, ncols):
+    """In-place row HNF of the first ``ncols`` columns by the smallest
+    pivot, returning the rank: the oracle of ``lattice._reduce_rows``. Per
+    column, the row with the least nonzero entry is swapped up and reduces
+    the rows below, until they clear; then the pivot is made positive and
+    the rows above are reduced into [0, pivot). Every step acts on whole
+    rows, so columns past ``ncols`` follow along."""
+
+    def combine(i, j, q):
+        rows[i] = [a - q * b for a, b in zip(rows[i], rows[j])]
+
+    m = len(rows)
+    r = 0
+    for c in range(ncols):
+        if r == m:
+            break
+        while True:
+            nz = [i for i in range(r, m) if rows[i][c] != 0]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: abs(rows[i][c]))
+            rows[r], rows[i0] = rows[i0], rows[r]
+            done = True
+            for i in range(r + 1, m):
+                if rows[i][c] != 0:
+                    combine(i, r, rows[i][c] // rows[r][c])
+                    if rows[i][c] != 0:
+                        done = False
+            if done:
+                break
+        if rows[r][c] == 0:
+            continue
+        if rows[r][c] < 0:
+            rows[r] = [-v for v in rows[r]]
+        for i in range(r):
+            q = rows[i][c] // rows[r][c]
+            if q:
+                combine(i, r, q)
+        r += 1
+    return r
+
+
+def smallest_pivot_hnf(vectors, dimension):
+    """The canonical row-HNF basis of the span of ``vectors``, by
+    ``smallest_pivot_reduce_rows``."""
+    rows = [list(v) for v in vectors]
+    rank = smallest_pivot_reduce_rows(rows, dimension)
+    return tuple(tuple(row) for row in rows[:rank])
+
+
+def smallest_pivot_meet(basis1, basis2, dimension):
+    """The canonical basis of the meet of two lattices given by HNF bases:
+    the rows of basis1 (each doubled) and of -basis2 (each padded with
+    zeros) reduced on the first ``dimension`` columns, then the HNF of the
+    second halves of the rows that vanish there."""
+    rows = [list(row) * 2 for row in basis1]
+    rows += [[-v for v in row] + [0] * dimension for row in basis2]
+    rank = smallest_pivot_reduce_rows(rows, dimension)
+    return smallest_pivot_hnf([row[dimension:] for row in rows[rank:]], dimension)
+
+
+def reduction_loop_member(basis, p):
+    """p in the lattice of an HNF basis, by reducing p against the rows in
+    turn: each pivot must divide what is left in its column, and nothing
+    may be left at the end."""
+    res = list(p)
+    for row in basis:
+        c = next(i for i, v in enumerate(row) if v != 0)
+        q, rem = divmod(res[c], row[c])
+        if rem:
+            return False
+        res = [a - q * b for a, b in zip(res, row)]
+    return not any(res)
+
+
+@functools.lru_cache(maxsize=None)
+def frobenius_tree(dimension, max_genus):
+    """Every full-cone semigroup of N^d of genus at most ``max_genus``, one
+    tuple per genus, by the Frobenius tree: the root is N^d, and the
+    children of S are S \\ {h} for each Hilbert-basis element h after the
+    graded-lex Frobenius element F(S), so each semigroup appears exactly
+    once. h lies below 2c, inside the box of S."""
+    level = (GapSemigroup(dimension, _Box((2,) * dimension), 0),)
+    levels = [level]
+    for _ in range(max_genus):
+        children = []
+        for s in level:
+            last = GRLEX.key(frobenius_element(s)) if s.gap_mask else None
+            for h in s.hilbert_basis:
+                if last is None or GRLEX.key(h) > last:
+                    children.append(GapSemigroup(dimension, s.box, s.gap_mask | 1 << s.box.index(h)))
+        level = tuple(children)
+        levels.append(level)
+    return tuple(levels)
 
 
 def box_points(hi):

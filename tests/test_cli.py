@@ -591,6 +591,24 @@ class TestImportCost:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_plain_call_loads_no_argparse(self):
+        script = (
+            "import contextlib, io, sys\n"
+            "import csemigroups.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = csemigroups.cli.main(['--json', 'pf', '--gens', '4;6;9'])\n"
+            "print(code, 'argparse' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "False"]
+
 
 # The csg grammar written out by hand, apart from build_parser: the command
 # tokens, the positional's choices, the required and the optional options

@@ -16,6 +16,7 @@ from conftest import (
     box_points,
     closure_in_box,
     finite_gap_sets,
+    frobenius_tree,
     full_cone_lists,
     gap_universe,
     mask_to_points,
@@ -815,3 +816,25 @@ class TestInvariants:
     def test_json_round_trip(self, s2):
         data = s2.to_json()
         assert from_gaps(data["d"], [tuple(g) for g in data["gaps"]]) == s2
+
+
+# the number of full-cone semigroups of each genus 0, 1, ...
+CENSUS_COUNTS = {2: (1, 2, 7, 23, 71, 210, 638), 3: (1, 3, 15, 67, 292)}
+
+
+class TestCensus:
+    @pytest.mark.parametrize("d", sorted(CENSUS_COUNTS))
+    def test_counts_by_genus(self, d):
+        counts = CENSUS_COUNTS[d]
+        levels = frobenius_tree(d, len(counts) - 1)
+        assert tuple(map(len, levels)) == counts
+        assert all(s.genus == g for g, level in enumerate(levels) for s in level)
+        assert len({s for level in levels for s in level}) == sum(counts)
+
+    @pytest.mark.parametrize("d", sorted(CENSUS_COUNTS))
+    def test_round_trip_through_hilbert_basis(self, d):
+        # every semigroup of the census: 952 in d = 2, 378 in d = 3
+        for level in frobenius_tree(d, len(CENSUS_COUNTS[d]) - 1):
+            for gs in level:
+                assert from_generators(gs.hilbert_basis) == gs, gs
+                assert minimalize(gs.hilbert_basis, d).generators == gs.hilbert_basis, gs

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import closure_in_box, enumerate_box, enumerate_preceding
+from conftest import (
+    closure_in_box,
+    enumerate_box,
+    enumerate_preceding,
+    reduction_loop_member,
+    smallest_pivot_hnf,
+    smallest_pivot_meet,
+)
 from csemigroups.errors import DimensionMismatch, OrderNotPredecessorFinite
 from csemigroups.lattice import (
     GRLEX,
@@ -25,6 +32,36 @@ from csemigroups.lattice import (
 )
 
 points2 = st.tuples(st.integers(0, 30), st.integers(0, 30))
+
+
+@st.composite
+def generating_sets(draw, dimension):
+    """0..8 vectors of Z^dimension: entries up to 3, 10^3 or 10^30 in size,
+    zero vectors, and integer combinations of the vectors drawn before."""
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(("entries", "zero", "combination")), max_size=8)):
+        if kind == "zero":
+            rows.append((0,) * dimension)
+        elif kind == "combination" and rows:
+            ks = draw(st.lists(st.integers(-5, 5), min_size=len(rows), max_size=len(rows)))
+            rows.append(tuple(sum(k * row[j] for k, row in zip(ks, rows)) for j in range(dimension)))
+        else:
+            bound = draw(st.sampled_from((3, 10**3, 10**30)))
+            entries = st.integers(-bound, bound)
+            rows.append(tuple(draw(st.lists(entries, min_size=dimension, max_size=dimension))))
+    return rows
+
+
+def assert_canonical(basis, dimension):
+    """Nonzero rows of length ``dimension`` whose positive pivots move
+    right, with zeros below each pivot and entries above it in [0, pivot)."""
+    pivots = [next(c for c, v in enumerate(row) if v) for row in basis]
+    assert all(len(row) == dimension for row in basis)
+    assert pivots == sorted(set(pivots))
+    for r, (row, c) in enumerate(zip(basis, pivots)):
+        assert row[c] > 0
+        assert all(other[c] == 0 for other in basis[r + 1:])
+        assert all(0 <= other[c] < row[c] for other in basis[:r])
 
 
 class TestPartialOrder:
@@ -207,6 +244,39 @@ class TestLattice:
             assert lattice_member(meet, p) == (
                 lattice_member(l1, p) and lattice_member(l2, p)
             )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda d: st.tuples(st.just(d), generating_sets(d))))
+    def test_hnf_matches_smallest_pivot_oracle(self, drawn):
+        d, vectors = drawn
+        basis = hermite_normal_form(vectors, d)
+        assert basis == smallest_pivot_hnf(vectors, d)
+        assert_canonical(basis, d)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda d: st.tuples(st.just(d), generating_sets(d), generating_sets(d))))
+    def test_intersection_matches_smallest_pivot_oracle(self, drawn):
+        d, v1, v2 = drawn
+        l1, l2 = lattice_from(v1, d), lattice_from(v2, d)
+        meet = lattice_intersect(l1, l2).basis
+        assert meet == smallest_pivot_meet(l1.basis, l2.basis, d)
+        assert_canonical(meet, d)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(lambda d: st.tuples(st.just(d), generating_sets(d))),
+        st.lists(st.integers(-6, 6), min_size=8, max_size=8),
+        st.lists(st.integers(-2, 2), min_size=5, max_size=5),
+    )
+    def test_member_matches_reduction_loop_oracle(self, drawn, ks, shift):
+        # a combination of the vectors, which lies in the lattice, and the
+        # same point moved off it by a small shift, which mostly does not
+        d, vectors = drawn
+        lat = lattice_from(vectors, d)
+        p = tuple(sum(k * v[j] for k, v in zip(ks, vectors)) for j in range(d))
+        assert lattice_member(lat, p)
+        for q in (p, tuple(a + b for a, b in zip(p, shift))):
+            assert lattice_member(lat, q) == reduction_loop_member(lat.basis, q)
 
     @pytest.mark.parametrize(
         "v1,v2",
