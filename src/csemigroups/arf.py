@@ -31,6 +31,15 @@ def _chain_sums(box: _Box, members: int, top: Sequence[int]) -> Iterator[int]:
         yield (members & box.up(members & (members << i))) << i
 
 
+def _derived(box: _Box, gaps: int, top: Sequence[int]) -> int:
+    """The gaps left by one derived step: those that no chain sum z + u of
+    the members box.full & ~gaps reaches. Every gap must lie at or below
+    ``top``, and the box must hold the sums (``_chain_sums``)."""
+    for sums in _chain_sums(box, box.full & ~gaps, top):
+        gaps &= ~sums
+    return gaps
+
+
 def arf_derived(gs: GapSemigroup) -> GapSemigroup:
     """The derived monoid: adjoin y + z - x for all member chains x <= y <= z.
 
@@ -41,11 +50,8 @@ def arf_derived(gs: GapSemigroup) -> GapSemigroup:
     union over u in [0, c) of (M & up(M & (M << u))) << u, and z + u < 3c
     stays within the 4c-wide rows of that box.
     """
-    box, gaps = gs.box, gs.gap_mask
-    left = gaps
-    for sums in _chain_sums(box, box.full & ~gaps, [c - 1 for c in gs.conductor]):
-        left &= ~sums
-    return GapSemigroup(gs.dimension, box, left)
+    top = [c - 1 for c in gs.conductor]
+    return GapSemigroup(gs.dimension, gs.box, _derived(gs.box, gs.gap_mask, top))
 
 
 def is_arf(gs: GapSemigroup) -> bool:
@@ -58,18 +64,19 @@ def is_arf(gs: GapSemigroup) -> bool:
 def arf_closure(gs: GapSemigroup) -> tuple[GapSemigroup, int]:
     """Iterate the derived monoid to its fixpoint; returns (closure, steps).
 
-    ``arf_derived`` only clears gap bits, so the genus never grows: each
+    A derived step only clears gap bits, so the genus never grows: each
     step that is not the fixpoint strictly shrinks the gap set, and at most
-    genus(gs) steps occur.
+    genus(gs) steps occur. The steps run on the gap mask alone, each moved
+    into its conductor box by ``_Box.fit``; intermediate steps are not
+    rebuilt as semigroups or revalidated, and the closure pass validates
+    the fixpoint once.
     """
-    current = gs
+    c, box, gaps = gs.conductor, gs.box, gs.gap_mask
     steps = 0
-    while True:
-        nxt = arf_derived(current)
-        if nxt.genus == current.genus:
-            return current, steps
-        current = nxt
+    while (left := _derived(box, gaps, [v - 1 for v in c])) != gaps:
+        c, box, gaps = box.fit(left)
         steps += 1
+    return GapSemigroup(gs.dimension, box, gaps), steps
 
 
 class PIMonoid(_Record):
@@ -244,15 +251,12 @@ def prop79_check(
     base = AffineSemigroup(d, [a] + gens)  # validates the input
     # rows 2(w + 1) wide hold every z + u with z, u <= w
     box = _window(tuple(w + 1 for w in window), "window")
-    stage = _generated(box, base.generators)
+    gaps = box.full & ~_generated(box, base.generators)
     for _ in range(k):
-        new = stage
-        for sums in _chain_sums(box, stage, window):
-            new |= sums & box.full
-        if new == stage:
+        gaps, last = _derived(box, gaps, window), gaps
+        if gaps == last:
             break
-        stage = new
-    return all(lattice.add(a, s) in closure for s in box.points(stage))
+    return all(lattice.add(a, s) in closure for s in box.points(box.full & ~gaps))
 
 
 def prop710_check(a: Sequence[int], gens: Sequence[Sequence[int]]) -> bool:

@@ -174,8 +174,8 @@ def _gap_semigroup(args) -> GapSemigroup:
 
 
 def _run_member(args):
-    point = parse_point(args.point)
     sem = _semigroup(args)
+    point = parse_point(args.point)
     return {"point": point, "member": len(point) == sem.dimension and point in sem}
 
 

@@ -6,8 +6,8 @@ under a predecessor-finite term order and checks
     sporadic * embedding_dimension >= genus + sporadic + 1.
 
 The Buchsbaum test compares the pseudo-Frobenius set with the set of gaps
-(inside the group generated by S) that land in S after adding twice either
-of two distinct extremal rays.
+(inside the group generated by S) that land in S after adding twice r_i
+and also after adding twice r_j, for two distinct extremal rays r_i, r_j.
 """
 
 from __future__ import annotations

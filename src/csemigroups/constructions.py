@@ -239,9 +239,7 @@ def family_saps(a: int, p: int, numerical_gens: Sequence[int]) -> SapsFamily:
     ngens = sorted({int(n) for n in numerical_gens})
     if not ngens or ngens[0] < 1:
         raise BadParams("numerical generators must be positive integers")
-    g = 0
-    for n in ngens:
-        g = gcd(g, n)
+    g = gcd(*ngens)
     if g != 1:
         raise BadParams(f"numerical generators must have gcd 1, got {g}")
     minimal = minimalize([(n,) for n in ngens], 1)

@@ -229,19 +229,12 @@ class _Box:
 
     def __init__(self, extent: Sequence[int]):
         self.extent = tuple(extent)
-        strides = []
-        step = full = 1
+        # an axis steps over the rows of every axis after it, each 2e wide
+        strides = [1]
         for e in reversed(self.extent):
-            strides.append(step)
-            # e copies of the inner box, one per row, by doubling
-            k = 1
-            while k < e:
-                full |= full << (k * step)
-                k *= 2
-            full &= (1 << (e * step)) - 1
-            step *= 2 * e
-        self.strides = strides[::-1]
-        self.full = full
+            strides.append(strides[-1] * 2 * e)
+        self.strides = strides[-2::-1]
+        self.full = self.below([e - 1 for e in self.extent])
 
     def index(self, p: Sequence[int]) -> int:
         return sum(map(mul, p, self.strides))

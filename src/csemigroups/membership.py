@@ -93,10 +93,10 @@ class AffineSemigroup:
 
     def cover(self, p: Sequence[int]) -> tuple[_Box, bytes]:
         """The cached (box, bits) pair, first grown to hold p if the budget allows."""
+        if len(p) != self.dimension:
+            raise DimensionMismatch(f"point {tuple(p)} in dimension {self.dimension}")
         box, bits = self._cache
         if not all(map(lt, p, box.extent)):
-            if len(p) != self.dimension:
-                raise DimensionMismatch(f"point {tuple(p)} in dimension {self.dimension}")
             extent = tuple(max(v + 1, e) for v, e in zip(p, box.extent))
             if _box_bits(extent) <= MEMBER_BOX_BITS:
                 box = _Box(extent)

@@ -4,7 +4,9 @@ The oracles here deliberately avoid the library's own algorithms: membership
 is forward closure from zero, gap sets come from window scans over that
 closure, Arf witnesses are searched by raw triple loops, and the Hermite
 normal form takes the smallest pivot. The census (``frobenius_tree``) is
-built on the library's kernels and checked against known counts.
+built on the library's kernels and checked against known counts, and the
+Arf oracles run the library's chain sums step by step: one validated
+semigroup per derived step, and the derived stage in members form.
 """
 
 import functools
@@ -15,9 +17,10 @@ import pytest
 from hypothesis import strategies as st
 
 from csemigroups import AffineSemigroup, GapSemigroup, from_generators
+from csemigroups.arf import _chain_sums
 from csemigroups.errors import DimensionMismatch, NotClosed, OrderNotPredecessorFinite
 from csemigroups.frobenius import frobenius_element
-from csemigroups.lattice import GRLEX, _Box, partial_leq
+from csemigroups.lattice import GRLEX, _Box, _generated, partial_leq
 
 # a test that runs longer fails, named, instead of hanging the suite;
 # pytest --durations=10 shows how far below this the slowest tests stay
@@ -272,6 +275,42 @@ def arf_violation(member, window):
                 if not member(v):
                     return (x, y, z)
     return None
+
+
+def per_step_derived(gs):
+    """The derived monoid of gs, built and validated as a semigroup: the
+    gaps of the conductor box that no chain sum of its members reaches."""
+    box, gaps = gs.box, gs.gap_mask
+    left = gaps
+    for sums in _chain_sums(box, box.full & ~gaps, [c - 1 for c in gs.conductor]):
+        left &= ~sums
+    return GapSemigroup(gs.dimension, box, left)
+
+
+def per_step_arf_closure(gs):
+    """(closure, steps): ``per_step_derived`` until the genus stays, each
+    step a semigroup of its own."""
+    current, steps = gs, 0
+    while True:
+        nxt = per_step_derived(current)
+        if nxt.genus == current.genus:
+            return current, steps
+        current, steps = nxt, steps + 1
+
+
+def members_form_stage(box, gens, window, k):
+    """The mask of the k-th derived stage of the monoid generated by gens
+    inside the box: the members gain the chain sums z + u <= window that
+    land in the box, k times or until they stop growing."""
+    stage = _generated(box, gens)
+    for _ in range(k):
+        new = stage
+        for sums in _chain_sums(box, stage, window):
+            new |= sums & box.full
+        if new == stage:
+            break
+        stage = new
+    return stage
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,5 +1,6 @@
 import random
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,8 +11,12 @@ from conftest import (
     arf_violation,
     box_points,
     count_member_calls,
+    frobenius_tree,
     gap_universe,
     mask_to_points,
+    members_form_stage,
+    per_step_arf_closure,
+    per_step_derived,
 )
 from csemigroups import arf, membership
 from csemigroups.arf import (
@@ -28,7 +33,7 @@ from csemigroups.arf import (
 )
 from csemigroups.errors import BudgetExceeded, HypothesisFailed, NotFullCone, NotPI
 from csemigroups.gapsemigroup import from_gaps, from_generators
-from csemigroups.membership import AffineSemigroup, minimalize
+from csemigroups.membership import AffineSemigroup, _window, minimalize
 
 S77_DERIVED_GAPS = {
     (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2), (4, 0), (4, 1), (4, 2),
@@ -348,6 +353,42 @@ class TestPIDecomposeOracle:
         pim = pi_decompose(gs)
         assert pim.offset == (gens[0],)
         assert first_mismatch(gs, pim, pi_window(pim.offset, gs.conductor)) is None
+
+
+class TestStepOracles:
+    @pytest.mark.parametrize("d,genus", [(1, 12), (2, 6), (3, 4)])
+    def test_census_matches_the_per_step_loop(self, d, genus):
+        # the closure steps on gap masks and validates the fixpoint only
+        for level in frobenius_tree(d, genus):
+            for gs in level:
+                assert arf_derived(gs) == per_step_derived(gs), gs
+                assert arf_closure(gs) == per_step_arf_closure(gs), gs
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 12),
+        # pair domination: no generator above twice the least
+        st.integers(1, 8).flatmap(
+            lambda m: st.lists(st.integers(m, 2 * m), min_size=1, max_size=4)
+        ),
+        st.integers(0, 4),
+        st.integers(5, 60),
+    )
+    def test_stage_matches_the_members_form(self, a, gens, k, w):
+        assume(gcd(a, *gens) == 1)
+        asked = set()
+
+        class HoldsAll:
+            def __contains__(self, p):
+                asked.add(p[0] - a)
+                return True
+
+        # a closure that holds every point is asked a + s for each stage point s
+        with mock.patch.object(arf, "arf_closure", lambda gs: (HoldsAll(), 0)):
+            assert prop79_check((a,), [(g,) for g in gens], k, (w,))
+        box = _window((w + 1,), "window")
+        stage = members_form_stage(box, [(a,)] + [(g,) for g in gens], (w,), k)
+        assert asked == {p[0] for p in box.points(stage)}
 
 
 class TestShiftedClosureContainment:

@@ -395,13 +395,13 @@ class TestErrors:
         assert captured.err.startswith("usage error:")
 
     # the input is validated whatever the point's dimension
-    @pytest.mark.parametrize("point", ["(1,1)", "4", "(1,1,1)"])
+    @pytest.mark.parametrize("point", ["(1,1)", "4", "(1,1,1)", "x"])
     def test_member_rejects_gaps_not_closed(self, capsys, point):
         code, data = run_json(capsys, "member", "--gaps", "(0,0)", "--point", point)
         assert code == 1
         assert data["error"] == "NotClosed"
 
-    @pytest.mark.parametrize("point", ["(1,1)", "1", "(1,1,1)"])
+    @pytest.mark.parametrize("point", ["(1,1)", "1", "(1,1,1)", "x"])
     def test_member_rejects_negative_generators(self, capsys, point):
         assert main(["--json", "member", "--gens", "(-1,0);(0,1)", "--point", point]) == 2
         captured = capsys.readouterr()

@@ -36,6 +36,12 @@ class TestIsMember:
         with pytest.raises(DimensionMismatch):
             AffineSemigroup(2, GENS_S2).is_member((1, 2, 3))
 
+    @pytest.mark.parametrize("p", [(0,), (0, 0, 7), (5,), (3, 3, 3)])
+    def test_cover_checks_the_dimension_first(self, p):
+        # the short and the long point fit the cached box on the axes they share
+        with pytest.raises(DimensionMismatch):
+            AffineSemigroup(2, [(1, 0), (0, 1)]).cover(p)
+
     def test_contains_operator(self):
         sem = AffineSemigroup(2, GENS_S2)
         assert (3, 0) in sem and (1, 0) not in sem
