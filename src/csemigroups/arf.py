@@ -101,11 +101,9 @@ class PIMonoid(_Record):
         p = tuple(p)
         if lattice.is_zero(p):
             return True
-        diff = lattice.sub(p, self.offset)
-        return lattice.is_natural(diff) and diff in self.base
+        return lattice.sub(p, self.offset) in self.base
 
-    def __contains__(self, p) -> bool:
-        return self.contains(p)
+    __contains__ = contains
 
 
 def is_arf_pi(pim: PIMonoid) -> bool:

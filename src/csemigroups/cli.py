@@ -249,9 +249,8 @@ def _run_family_sap(args):
         verification = cons.verify_delta_pf(args.a, args.p)
         out["delta_verified"] = verification.ok
         out["delta_size"] = len(verification.witnesses)
-        window = parse_point(args.window) if args.window else None
-        if window is not None:
-            out["apery_window"] = cons.apery_sap_window(args.a, args.p, window).to_json()
+        if args.window:
+            out["apery_window"] = cons.apery_sap_window(args.a, args.p, parse_point(args.window)).to_json()
     return out
 
 

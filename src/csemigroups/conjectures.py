@@ -12,7 +12,6 @@ and also after adding twice r_j, for two distinct extremal rays r_i, r_j.
 
 from __future__ import annotations
 
-from . import lattice
 from .errors import DimensionOne, EmptyGapSet
 from .frobenius import frobenius_element, pseudo_frobenius
 from .gapsemigroup import GapSemigroup, _axis_multiples
@@ -67,7 +66,7 @@ def buchsbaum_report(gs: GapSemigroup) -> BuchsbaumReport:
     box, gaps = gs.box, gs.gap_mask
     once = twice = 0
     for r in rays:
-        hit = gaps & ~(gaps >> box.index(lattice.scale(2, r)))
+        hit = gaps & ~(gaps >> 2 * box.index(r))
         twice |= once & hit
         once |= hit
     d_set = tuple(box.grlex_points(twice))

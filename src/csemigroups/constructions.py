@@ -23,7 +23,7 @@ from .errors import BadParams, DimensionMismatch, EmptyPF, NotAGluing, NotMinima
 from .frobenius import pseudo_frobenius
 from .gapsemigroup import from_generators
 from .lattice import Point, _Record, _generated, grlex_sorted, lattice_from, lattice_intersect
-from .membership import AffineSemigroup, _sums, _window, minimalize
+from .membership import AffineSemigroup, _bit, _sums, _window, minimalize
 
 
 class GluingSpec(_Record):
@@ -138,27 +138,21 @@ def verify_delta_pf(a: int, p: int) -> DeltaVerification:
     A box past the membership cap raises BudgetExceeded before any flag is
     read. The closed forms are checked coordinate by coordinate.
     """
-    _check_family_params(a, p)
+    deltas = delta_set(a, p)
     q = a**p
     r = a ** (p - 1) * (a + 2)
     gens = _family_generators(a, p)
-    deltas = delta_set(a, p)
     extent = tuple(max(f[i] for f in deltas) + max(g[i] for g in gens) + 1 for i in (0, 1))
     box = _window(extent, "membership")
     bits = _sums(box, gens)
-
-    def bit(i):
-        return bits[i >> 3] >> (i & 7) & 1 == 1
-
-    sx, sy = box.strides
     shifts_at = [box.index(g) for g in gens]
     u, v = a + 2, q + 2  # the generators are (a, 0), (0, q), (u, 2), (2, v)
     witnesses = []
     for l, f in enumerate(deltas):
         x, y = f
-        i = x * sx + y * sy
-        outside = not bit(i)
-        shifts = tuple(bit(i + s) for s in shifts_at)
+        i = box.index(f)
+        outside = not _bit(bits, i)
+        shifts = tuple(_bit(bits, i + s) for s in shifts_at)
         forms = (
             x + a == (q - l - 1) * u + 2 * l and y == 2 * (q - l - 1) + l * v,
             x == (q - l - 2) * u + 2 * (l + 1) and y + q == 2 * (q - l - 2) + (l + 1) * v,

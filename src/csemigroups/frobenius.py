@@ -77,8 +77,7 @@ def cover_witness(gs: GapSemigroup, x: Sequence[int]) -> Optional[Point]:
     if gs.contains(x):
         return None
     for f in pseudo_frobenius(gs):
-        diff = lattice.sub(f, x)
-        if lattice.is_natural(diff) and gs.contains(diff):
+        if gs.contains(lattice.sub(f, x)):
             return f
     return None
 
@@ -200,11 +199,7 @@ class RelativeIdeal(_Record):
         z = tuple(z)
         if not lattice.is_natural(z):
             return False
-        for g in self.generators:
-            diff = lattice.sub(z, g)
-            if lattice.is_natural(diff) and self.base.contains(diff):
-                return True
-        return False
+        return any(self.base.contains(lattice.sub(z, g)) for g in self.generators)
 
 
 def ideal_difference_member(ideal: RelativeIdeal, other: RelativeIdeal, z: Sequence[int]) -> bool:

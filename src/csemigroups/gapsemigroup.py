@@ -110,8 +110,7 @@ class GapSemigroup:
             return False
         return any(map(ge, p, self.conductor)) or not self.gap_mask >> self.box.index(p) & 1
 
-    def __contains__(self, p) -> bool:
-        return self.contains(p)
+    __contains__ = contains
 
     @property
     def hilbert_basis(self) -> tuple[Point, ...]:
@@ -136,6 +135,8 @@ def from_gaps(dimension: int, gaps: Iterable[Sequence[int]]) -> GapSemigroup:
     when a check fails are the points made a set and walked one by one, in
     the set's order, to name the first bad one.
     """
+    if dimension < 1:
+        raise ValueError("dimension must be at least 1")
     points = list(gaps)
     columns = list(zip(*points))
     if not set(map(len, points)) <= {dimension} or any(min(col) < 0 for col in columns):

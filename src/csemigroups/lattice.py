@@ -33,7 +33,7 @@ def add(p: Point, q: Point) -> Point:
 
 
 def sub(p: Point, q: Point) -> Point:
-    """Componentwise difference; may leave N^d (callers check is_natural)."""
+    """Componentwise difference; may leave N^d, where every membership test answers False."""
     check_same_dimension(p, q)
     return tuple(a - b for a, b in zip(p, q))
 
@@ -395,7 +395,7 @@ def _generated(box: _Box, gens: Iterable[Sequence[int]]) -> int:
     free = max(extent)
     bounds = [[(e - 1) // v if v else free for v in col] for col, e in zip(columns, extent)]
     mask = 1
-    for i, top in zip(box.indices(columns), map(min, *bounds) if len(bounds) > 1 else bounds[0]):
+    for i, top in zip(box.indices(columns), map(min, zip(*bounds))):
         if not top or mask >> i & 1:
             continue
         k = 1

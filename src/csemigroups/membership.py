@@ -18,6 +18,7 @@ policy.
 
 from __future__ import annotations
 
+import functools
 from math import prod
 from operator import lt, sub
 from typing import Iterable, Optional, Sequence
@@ -67,7 +68,7 @@ class AffineSemigroup:
             raise ValueError("the zero point is not allowed as a generator")
         self.dimension = dimension
         self.generators = tuple(gens)
-        self._cache = (_Box((1,) * dimension), b"\x01")
+        self._cache = _unit(dimension)
 
     def __repr__(self):
         return f"AffineSemigroup(d={self.dimension}, gens={list(self.generators)})"
@@ -111,6 +112,14 @@ class AffineSemigroup:
         return {"d": self.dimension, "gens": [list(g) for g in self.generators]}
 
 
+@functools.cache
+def _unit(d: int) -> tuple[_Box, bytes]:
+    """The (box, bits) pair of the box [0, 1)^d, shared by every semigroup
+    of dimension d: a box never changes, and ``cover`` replaces a pair
+    rather than mutating it."""
+    return _Box((1,) * d), b"\x01"
+
+
 def _box_bits(extent: Sequence[int]) -> int:
     """About the bits of the box [0, extent) and of the shifts that build it."""
     return prod(2 * e for e in extent)
@@ -129,6 +138,11 @@ def _sums(box: _Box, gens: Sequence[Point]) -> bytes:
     return _generated(box, gens).to_bytes((box.full.bit_length() + 7) >> 3, "little")
 
 
+def _bit(bits: bytes, i: int) -> bool:
+    """Bit i of bytes that ``_sums`` wrote."""
+    return bits[i >> 3] >> (i & 7) & 1 == 1
+
+
 def _member(gens: Sequence[Point], p: Point, box: _Box, bits: bytes) -> bool:
     """Whether p is a sum of gens, given ``bits``, their sums in ``box``.
 
@@ -142,8 +156,7 @@ def _member(gens: Sequence[Point], p: Point, box: _Box, bits: bytes) -> bool:
     """
     extent = box.extent
     if all(map(lt, p, extent)):
-        i = box.index(p)
-        return bits[i >> 3] >> (i & 7) & 1 == 1
+        return _bit(bits, box.index(p))
     seen = {p}
     stack = [p]
     while stack:
@@ -153,8 +166,7 @@ def _member(gens: Sequence[Point], p: Point, box: _Box, bits: bytes) -> bool:
             if min(r) < 0 or r in seen:
                 continue
             if all(map(lt, r, extent)):
-                i = box.index(r)
-                if bits[i >> 3] >> (i & 7) & 1:
+                if _bit(bits, box.index(r)):
                     return True
             else:
                 seen.add(r)
@@ -185,7 +197,7 @@ def minimalize(generators: Iterable[Sequence[int]], dimension: Optional[int] = N
         below = [h for h in gens if h != g and all(a <= b for a, b in zip(h, g))]
         if below:
             extent = tuple(v + 1 for v in g)
-            box = _Box(extent if _box_bits(extent) <= MEMBER_BOX_BITS else (1,) * dimension)
+            box = _Box(extent) if _box_bits(extent) <= MEMBER_BOX_BITS else _unit(dimension)[0]
             if _member(below, g, box, _sums(box, below)):
                 continue
         kept.append(g)

@@ -261,6 +261,22 @@ def box_points(hi):
     return itertools.product(*[range(h + 1) for h in hi])
 
 
+def census_windows():
+    """(gs, points): every ``frobenius_tree`` semigroup up to genus 5 in
+    d = 2 and up to genus 3 in d = 3, with the points of [-1, 2c]^d.
+    Subtracting a member or a gap from these points lands both inside N^d
+    and outside it."""
+    for d, genus in ((2, 5), (3, 3)):
+        for level in frobenius_tree(d, genus):
+            for gs in level:
+                yield gs, list(itertools.product(*[range(-1, 2 * c + 1) for c in gs.conductor]))
+
+
+def in_gap_complement(gs, p):
+    """p in S by the definition: a point of N^d that is not a gap."""
+    return min(p) >= 0 and tuple(p) not in gs.gaps
+
+
 def arf_violation(member, window):
     """Raw triple scan: a chain x <= y <= z of members with y+z-x outside."""
     pts = [p for p in box_points(window) if member(p)]

@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import gcd
 from unittest import mock
@@ -10,9 +11,11 @@ from conftest import (
     GENS_PI,
     arf_violation,
     box_points,
+    census_windows,
     count_member_calls,
     frobenius_tree,
     gap_universe,
+    in_gap_complement,
     mask_to_points,
     members_form_stage,
     per_step_arf_closure,
@@ -33,6 +36,7 @@ from csemigroups.arf import (
 )
 from csemigroups.errors import BudgetExceeded, HypothesisFailed, NotFullCone, NotPI
 from csemigroups.gapsemigroup import from_gaps, from_generators
+from csemigroups.lattice import sub
 from csemigroups.membership import AffineSemigroup, _window, minimalize
 
 S77_DERIVED_GAPS = {
@@ -158,6 +162,16 @@ class TestPIMonoid:
             window = tuple(o + 2 * c + 2 for o, c in zip(offset, gs.conductor))
             direct = arf_violation(shifted.contains, window) is None
             assert is_arf_pi(shifted) == is_arf(gs) == direct
+        # the census, on the gap form and on the generator form of each
+        # base: p = 0 or p - m in the base, for the least and the largest
+        # basis element m
+        for gs, points in census_windows():
+            bases = (gs, AffineSemigroup(gs.dimension, gs.hilbert_basis))
+            for m, base in itertools.product({gs.hilbert_basis[0], gs.hilbert_basis[-1]}, bases):
+                monoid = PIMonoid(m, base)
+                for p in points:
+                    expected = not any(p) or in_gap_complement(gs, sub(p, m))
+                    assert monoid.contains(p) == expected, (base, m, p)
 
 
 class TestIsPI:

@@ -455,6 +455,17 @@ class TestErrors:
         assert capsys.readouterr().err.startswith("usage error:")
 
     @pytest.mark.parametrize(
+        "data", [{"d": 0, "gaps": []}, {"d": -1, "gaps": []}, {"d": 0, "gens": [[]]}]
+    )
+    def test_dimension_below_one_is_usage_error(self, capsys, tmp_path, data):
+        f = tmp_path / "low.json"
+        f.write_text(json.dumps(data))
+        assert main(["--json", "gaps", "--file", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: dimension must be at least 1\n"
+
+    @pytest.mark.parametrize(
         "data",
         [
             {"gens": [[6], [10]]},

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import box_points, finite_gap_sets
+from conftest import box_points, census_windows, finite_gap_sets, in_gap_complement
 from csemigroups.errors import (
     DimensionMismatch,
     EmptyGapSet,
@@ -26,7 +26,7 @@ from csemigroups.frobenius import (
     pseudo_frobenius,
 )
 from csemigroups.gapsemigroup import from_gaps, from_generators
-from csemigroups.lattice import GRLEX, TermOrder, partial_leq
+from csemigroups.lattice import GRLEX, TermOrder, partial_leq, sub
 
 
 class TestPseudoFrobenius:
@@ -97,6 +97,17 @@ class TestCoverWitness:
             for g in gs.gaps:
                 f = cover_witness(gs, g)
                 assert f is not None and f in set(pseudo_frobenius(gs))
+        # the census: None on members, else the first f of PF with f - x in S
+        for gs, points in census_windows():
+            pf = pseudo_frobenius(gs)
+            for x in points:
+                if min(x) < 0:
+                    with pytest.raises(NotNatural):
+                        cover_witness(gs, x)
+                    continue
+                covers = (f for f in pf if in_gap_complement(gs, sub(f, x)))
+                expected = None if in_gap_complement(gs, x) else next(covers)
+                assert cover_witness(gs, x) == expected, (gs, x)
 
 
 class TestOmega:
@@ -267,6 +278,13 @@ class TestIdeals:
         ideal = RelativeIdeal(s2, ((1, 4),))
         assert ideal.contains((1, 4)) and ideal.contains((4, 4))
         assert not ideal.contains((1, 3))
+        # the census, the ideals S* and (gaps) + S: z - g in S for some g
+        for gs, points in census_windows():
+            for gens in (gs.hilbert_basis, tuple(gs.gaps) or ((0,) * gs.dimension,)):
+                ideal = RelativeIdeal(gs, gens)
+                for z in points:
+                    expected = min(z) >= 0 and any(in_gap_complement(gs, sub(z, g)) for g in gens)
+                    assert ideal.contains(z) == expected, (gs, gens, z)
 
     def test_negative_point_is_outside(self, s2):
         s_ideal = RelativeIdeal(s2, ((0, 0),))

@@ -100,6 +100,12 @@ class TestFromGaps:
         with pytest.raises(NotNatural):
             from_gaps(2, [(1, -1)])
 
+    @pytest.mark.parametrize("d,gaps", [(0, [()]), (0, []), (-1, [])])
+    def test_dimension_below_one(self, d, gaps):
+        # checked before the points, as AffineSemigroup does
+        with pytest.raises(ValueError, match="^dimension must be at least 1$"):
+            from_gaps(d, gaps)
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.integers(1, 3),

@@ -42,6 +42,17 @@ class TestIsMember:
         with pytest.raises(DimensionMismatch):
             AffineSemigroup(2, [(1, 0), (0, 1)]).cover(p)
 
+    def test_unit_pair_is_shared_per_dimension(self):
+        first, second = AffineSemigroup(2, GENS_S2), AffineSemigroup(2, [(1, 0), (0, 1)])
+        unit = membership._unit(2)
+        assert first._cache[0] is second._cache[0] is unit[0]
+        assert unit[0].extent == (1, 1) and unit[1] == b"\x01"
+        assert first.is_member((3, 0)) and first._cache[0].extent == (4, 1)
+        # growing one cache replaces its pair and leaves the shared one
+        assert second._cache is membership._unit(2) is unit
+        assert unit[0].extent == (1, 1) and unit[0].full == 1 and unit[1] == b"\x01"
+        assert membership._unit(3)[0].extent == (1, 1, 1)
+
     def test_contains_operator(self):
         sem = AffineSemigroup(2, GENS_S2)
         assert (3, 0) in sem and (1, 0) not in sem
