@@ -99,6 +99,7 @@ class PIMonoid(_Record):
 
     def contains(self, p: Sequence[int]) -> bool:
         p = tuple(p)
+        lattice.check_same_dimension(p, self.offset)
         if lattice.is_zero(p):
             return True
         return lattice.sub(p, self.offset) in self.base

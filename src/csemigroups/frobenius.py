@@ -197,9 +197,8 @@ class RelativeIdeal(_Record):
 
     def contains(self, z: Sequence[int]) -> bool:
         z = tuple(z)
-        if not lattice.is_natural(z):
-            return False
-        return any(self.base.contains(lattice.sub(z, g)) for g in self.generators)
+        lattice.check_same_dimension(z, lattice.zero(self.base.dimension))
+        return lattice.is_natural(z) and any(self.base.contains(lattice.sub(z, g)) for g in self.generators)
 
 
 def ideal_difference_member(ideal: RelativeIdeal, other: RelativeIdeal, z: Sequence[int]) -> bool:
@@ -212,9 +211,8 @@ def ideal_difference_member(ideal: RelativeIdeal, other: RelativeIdeal, z: Seque
     if ideal.base is not other.base and ideal.base != other.base:
         raise IdealBaseMismatch("ideal difference needs ideals over the same base")
     z = tuple(z)
-    if not lattice.is_natural(z):
-        return False
-    return all(ideal.contains(lattice.add(z, g)) for g in other.generators)
+    lattice.check_same_dimension(z, lattice.zero(ideal.base.dimension))
+    return lattice.is_natural(z) and all(ideal.contains(lattice.add(z, g)) for g in other.generators)
 
 
 def cardinality_identity(gs: GapSemigroup, order: TermOrder = GRLEX) -> tuple[int, int]:

@@ -10,11 +10,13 @@ Construction is either from an explicit gap set or from generators. From
 generators, the Apery set Ap(S, E) of S with respect to its least pure axis
 generators E decides everything: per axis, one box mask of generator sums
 holds its points near that axis. With one per class mod E in each, they
-bound a box whose non-members are the gaps; else a slice test names a slice
-of infinitely many gaps. A box past the budget gives BudgetExceeded. The
-gap box's mask, or a given gap set's, moves into the conductor box, where
-one closure pass over [0, c) validates complement closure and finds the
-basis elements below c; the whole basis takes a pass over [0, 2c).
+bound the gaps and give the conductor; else a slice test names a slice of
+infinitely many gaps. A box past the budget gives BudgetExceeded. One mask
+of generator sums over the conductor box then gives the gaps, and the
+generators it keeps give the Hilbert basis: nothing is validated or moved.
+A given gap set's mask moves into the conductor box, where one closure
+pass over [0, c) validates complement closure and finds the basis elements
+below c; the whole basis takes a pass over [0, 2c) on first read.
 """
 
 from __future__ import annotations
@@ -60,19 +62,27 @@ class GapSemigroup:
     the members below c rejects a gap set whose complement is not a monoid
     and leaves ``low_basis``, the mask of the basis elements below c; the
     pass over the whole box finds ``hilbert_basis`` on its first read.
-    Equality and the hash read (dimension, conductor, gap_mask), which is
-    canonical because the conductor fixes the box.
+    ``from_generators`` passes the mask in the conductor box already and
+    the Hilbert basis as ``basis``, in graded-lex order; the set is then a
+    monoid by construction, so no pass runs, and ``low_basis`` is the mask
+    of the basis points below c. Equality and the hash read (dimension,
+    conductor, gap_mask), which is canonical because the conductor fixes
+    the box.
     """
 
     __slots__ = ("dimension", "conductor", "box", "gap_mask", "low_basis", "_basis", "_gaps")
 
-    def __init__(self, dimension: int, box: _Box, gap_mask: int):
+    def __init__(self, dimension: int, box: _Box, gap_mask: int, basis: Optional[tuple] = None):
         self.dimension = dimension
         self.conductor, self.box, self.gap_mask = box.fit(gap_mask)
         # without gaps c is 0, and below(c - 1) is empty
         below_c = self.box.below([v - 1 for v in self.conductor])
-        self.low_basis = _closure_pass(self.box, below_c & ~self.gap_mask, self.gap_mask)
-        self._basis = self._gaps = None
+        self._basis, self._gaps = basis, None
+        if basis is None:
+            self.low_basis = _closure_pass(self.box, below_c & ~self.gap_mask, self.gap_mask)
+        else:
+            assert self.box is box, "a trusted gap mask comes in its conductor box"
+            self.low_basis = box.mask(basis) & below_c
 
     @property
     def gaps(self) -> frozenset[Point]:
@@ -114,8 +124,9 @@ class GapSemigroup:
 
     @property
     def hilbert_basis(self) -> tuple[Point, ...]:
-        """Minimal generating set in graded-lex order, found by the closure
-        pass over the conductor box on first use and kept."""
+        """Minimal generating set in graded-lex order: given at construction
+        from generators, else found by the closure pass over the conductor
+        box on first use and kept."""
         if self._basis is None:
             basis = _closure_pass(self.box, self.box.full & ~self.gap_mask, self.gap_mask)
             self._basis = tuple(self.box.grlex_points(basis))
@@ -306,13 +317,24 @@ def from_generators(
     along i (``_tube_apery``), which holds at most one Ap point per class.
     Otherwise the line rho + N m_i e_i is gaps, in the slice {x_a = rho_a}
     for every a != i. So the gap set is finite iff every tube holds prod(m)
-    Ap points; then each gap x has x_i below the largest coordinate i of
-    the tube's Ap points, ``_Box.top(mask)[i] - 1``, and the gaps are the
-    non-members of the box these bound. A tube short of a class, or past
-    the budget, calls ``_check_finite`` to name the slice; its cheap first
-    test runs before the tubes. In d = 1 the tube is N and its Ap points
-    are the Kunz table. No point is decoded until ``gaps`` is read. Raises
-    BudgetExceeded when a box would pass the limits of ``budget``.
+    Ap points. A tube short of a class, or past the budget, calls
+    ``_check_finite`` to name the slice; its cheap first test runs before
+    the tubes. In d = 1 the tube is N and its Ap points are the Kunz table.
+
+    The tubes then give the conductor, c_i = max(0, top_i - m_i) with top_i
+    one above the largest coordinate i of tube i's Ap points
+    (``_Box.top(mask)[i]``). A gap stays a gap when its other coordinates
+    are reduced mod m_j, so its largest x_i is reached in tube i; there, a
+    class line's gaps are rho, ..., w - m_i e_i, w its Ap point. The
+    budget bounds the gap box [0, top - 1), which holds every gap, and
+    names it when it passes. One ``_generated`` over the conductor box
+    [0, 2c), c at least 1, gives the gaps as its non-members, and the
+    generators it keeps are the Hilbert basis in graded-lex order: the
+    generators are sorted so, every basis element lies in [0, 2c) (one
+    with s_i >= 2c_i splits off c_i e_i), and a generator is not minimal
+    iff it is a sum of smaller ones. No point is decoded until ``gaps`` is
+    read. Raises BudgetExceeded when a box would pass the limits of
+    ``budget``.
     """
     if not isinstance(source, AffineSemigroup):
         gens = [tuple(g) for g in source]
@@ -323,7 +345,7 @@ def from_generators(
     if 0 in mult:
         raise NotFullCone(mult.index(0))
     _check_finite(gens, mult, budget, rest=False)
-    extent = []
+    top = []
     for i in range(d):
         try:
             box, ap = _tube_apery(gens, mult, i, budget)
@@ -333,8 +355,10 @@ def from_generators(
         if ap.bit_count() < prod(mult):
             _check_finite(gens, mult, budget, first=False)
             raise AssertionError(f"the tube along axis {i} misses a class the slice tests missed")
-        extent.append(max(1, box.top(ap)[i] - 1))
+        top.append(box.top(ap)[i])
+    extent = [max(1, t - 1) for t in top]
     if prod(extent) > budget.max_work:
         raise BudgetExceeded(f"the gap box {tuple(extent)} passes the budget")
-    box = _Box(extent)
-    return GapSemigroup(d, box, box.full & ~_generated(box, gens))
+    # the conductor box [0, 2c), c = max(0, top - m) taken at least 1
+    box, basis = _Box([2 * max(t - m, 1) for t, m in zip(top, mult)]), []
+    return GapSemigroup(d, box, box.full & ~_generated(box, gens, basis), tuple(basis))

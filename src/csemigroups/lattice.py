@@ -370,7 +370,7 @@ def _bits(mask: int) -> list[int]:
     return list(map(re.Match.start, re.finditer("1", bin(mask)[:1:-1])))
 
 
-def _generated(box: _Box, gens: Iterable[Sequence[int]]) -> int:
+def _generated(box: _Box, gens: Sequence[Point], kept: Optional[list] = None) -> int:
     """The mask of the generator sums that lie in the box, 0 included.
 
     Per generator g, M |= (M << k*g) & box for k = 1, 2, 4, ... while k*g is
@@ -381,7 +381,11 @@ def _generated(box: _Box, gens: Iterable[Sequence[int]]) -> int:
     no sum inside it. A generator whose bit is set is skipped: inside the
     box it is a sum of earlier ones, so M + g lies in M there, and outside
     it (where its index may alias a point of the box) it adds nothing
-    anyway. Generators must be nonzero.
+    anyway. Generators must be nonzero. ``kept``, if given, gets the
+    generators that shift: those inside the box whose bit is still clear.
+    For grlex-sorted generators these are the minimal generators in the
+    box, in that order: a sum of two nonzero members is a sum of generators
+    below it, each grlex-smaller, and inside the box as well.
 
     The indices and bounds of all the generators come from one pass over
     the coordinate columns (``_Box.indices``): one list of bounds per
@@ -395,9 +399,11 @@ def _generated(box: _Box, gens: Iterable[Sequence[int]]) -> int:
     free = max(extent)
     bounds = [[(e - 1) // v if v else free for v in col] for col, e in zip(columns, extent)]
     mask = 1
-    for i, top in zip(box.indices(columns), map(min, zip(*bounds))):
+    for g, i, top in zip(gens, box.indices(columns), map(min, zip(*bounds))):
         if not top or mask >> i & 1:
             continue
+        if kept is not None:
+            kept.append(g)
         k = 1
         while k <= top:
             mask |= (mask << (k * i)) & full

@@ -34,7 +34,13 @@ from csemigroups.arf import (
     prop79_check,
     prop710_check,
 )
-from csemigroups.errors import BudgetExceeded, HypothesisFailed, NotFullCone, NotPI
+from csemigroups.errors import (
+    BudgetExceeded,
+    DimensionMismatch,
+    HypothesisFailed,
+    NotFullCone,
+    NotPI,
+)
 from csemigroups.gapsemigroup import from_gaps, from_generators
 from csemigroups.lattice import sub
 from csemigroups.membership import AffineSemigroup, _window, minimalize
@@ -136,6 +142,17 @@ class TestPIMonoid:
         assert monoid.contains((0, 0)) and monoid.contains((2, 2))
         assert not monoid.contains((3, 2)) and not monoid.contains((3, 3))
         assert monoid.contains((4, 4)) and monoid.contains((2, 9))
+
+    @pytest.mark.parametrize("p", [(), (0, 0), (1, 0), (-1, 0)])
+    def test_point_dimension_checked_first(self, p):
+        # the all-zero shortcut comes after the length check, on the gap
+        # form and on the generator form of the base <2, 3>
+        for base in (from_gaps(1, [(1,)]), AffineSemigroup(1, [(2,), (3,)])):
+            monoid = PIMonoid((2,), base)
+            with pytest.raises(DimensionMismatch):
+                monoid.contains(p)
+            with pytest.raises(DimensionMismatch):
+                p in monoid
 
     def test_offset_must_be_in_base(self):
         with pytest.raises(ValueError):

@@ -292,6 +292,16 @@ class TestIdeals:
         assert not s_ideal.contains((-1, 4))
         assert not ideal_difference_member(s_ideal, star, (-1, 4))
 
+    @pytest.mark.parametrize("z", [(-1, 0, 0), (1, 0, 0), (0,), (-1,), ()])
+    def test_point_dimension_checked_first(self, z):
+        # the length is checked before the sign: a point of the wrong
+        # dimension raises whether or not it lies in N^d
+        ideal = RelativeIdeal(from_gaps(2, [(1, 0), (1, 1)]), [(0, 0)])
+        with pytest.raises(DimensionMismatch):
+            ideal.contains(z)
+        with pytest.raises(DimensionMismatch):
+            ideal_difference_member(ideal, ideal, z)
+
     def test_ideal_generator_dimension(self, s2):
         with pytest.raises(DimensionMismatch):
             RelativeIdeal(s2, ((1, 2, 3),))

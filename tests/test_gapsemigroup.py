@@ -47,7 +47,7 @@ from csemigroups.gapsemigroup import (
     from_gaps,
     from_generators,
 )
-from csemigroups.lattice import GRLEX, LEX, TermOrder, _Box
+from csemigroups.lattice import GRLEX, LEX, TermOrder, _Box, _closure_pass
 from csemigroups.membership import AffineSemigroup, minimalize
 
 S2_GAPS = {
@@ -485,9 +485,9 @@ class TestFromGenerators:
         calls = []
         real = gapsemigroup._generated
 
-        def counted(box, gens):
+        def counted(box, gens, kept=None):
             calls.append(box.extent)
-            return real(box, gens)
+            return real(box, gens, kept)
 
         monkeypatch.setattr(gapsemigroup, "_generated", counted)
         return calls
@@ -564,6 +564,54 @@ class TestFromGenerators:
             assert min(counts) < math.prod(mult)
         else:
             assert counts == [math.prod(mult)] * d
+
+    @settings(max_examples=300, deadline=None)
+    @given(full_cone_lists(), st.sampled_from([4, 16, 64, 256, 4096, None]))
+    def test_trusted_route_matches_the_validated_one(self, case, max_work):
+        # from generators, one generated conductor box gives the gaps and
+        # the basis; the validated route builds the gap box, validates its
+        # gaps in the conductor box and finds the basis by a closure pass
+        d, gens = case
+        budget = Budget(max_work) if max_work else Budget()
+        try:
+            gs = from_generators(gens, budget)
+        except (InfiniteGaps, BudgetExceeded):
+            return
+        old = self.slices_first(gens, budget)
+        basis = _closure_pass(old.box, old.box.full & ~old.gap_mask, old.gap_mask)
+        assert gs.gap_mask == old.gap_mask and gs.conductor == old.conductor
+        assert gs.low_basis == old.low_basis
+        assert gs.hilbert_basis == tuple(old.box.grlex_points(basis))
+
+    @pytest.mark.parametrize(
+        "gens,genus",
+        [
+            ([p for p in box_points((13, 13)) if 7 <= sum(p) <= 13], 27),
+            ([(4,), (6,), (9,)], 6),
+            # a long, thin conductor box, (400000, 2)
+            ([(2, 0), (0, 1), (1, 1), (200001, 0)], 100000),
+        ],
+    )
+    def test_no_closure_pass_and_no_row_move(self, gens, genus, monkeypatch):
+        passes, moves = [], []
+        real_pass, real_move = gapsemigroup._closure_pass, _Box.move
+
+        def counted_pass(box, members, gap_mask):
+            passes.append(box.extent)
+            return real_pass(box, members, gap_mask)
+
+        def counted_move(self, mask, box, c):
+            moves.append(box.strides != self.strides)
+            return real_move(self, mask, box, c)
+
+        monkeypatch.setattr(gapsemigroup, "_closure_pass", counted_pass)
+        monkeypatch.setattr(_Box, "move", counted_move)
+        gs = from_generators(gens)
+        assert gs.genus == genus and gs.hilbert_basis == minimalize(gens).generators
+        assert passes == [] and True not in moves
+        # the counters see the validated route
+        from_gaps(len(gens[0]), gs.gaps)
+        assert len(passes) == 1
 
 
 class TestAxisMultiples:

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 
 import pytest
@@ -424,6 +425,16 @@ class TestGenerated:
         box = _Box(extent)
         members = closure_in_box(gens, [e - 1 for e in extent])
         assert _generated(box, gens) == box.mask(members)
+        # in grlex order the generators that shift are the minimal ones
+        # inside the box: no sum of the other generators
+        listed, kept = grlex_sorted(set(gens)), []
+        assert _generated(box, listed, kept) == box.mask(members)
+        assert kept == [
+            g
+            for g in listed
+            if all(map(operator.lt, g, extent))
+            and g not in closure_in_box([h for h in listed if h != g], g)
+        ]
 
     def test_multiples_stop_at_the_box_edge(self):
         # 2 * (0, 4) leaves the box; shifted onto (0, 4) it would carry
