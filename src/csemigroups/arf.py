@@ -91,10 +91,11 @@ class PIMonoid(_Record):
 
     def __init__(self, offset: Sequence[int], base: Union[GapSemigroup, AffineSemigroup]):
         offset = tuple(offset)
-        if lattice.is_zero(offset) or not lattice.is_natural(offset):
-            raise ValueError("offset must be a nonzero point of N^d")
+        # the base checks the length first; a negative point is no member, zero is one
         if offset not in base:
-            raise ValueError("offset must belong to the base monoid")
+            raise ValueError("offset must be a nonzero point of N^d" if min(offset) < 0 else "offset must belong to the base monoid")
+        if lattice.is_zero(offset):
+            raise ValueError("offset must be a nonzero point of N^d")
         super().__init__(offset, base)
 
     def contains(self, p: Sequence[int]) -> bool:

@@ -72,10 +72,11 @@ def frobenius_element(gs: GapSemigroup, order: TermOrder = GRLEX) -> Point:
 def cover_witness(gs: GapSemigroup, x: Sequence[int]) -> Optional[Point]:
     """For a gap x, some pseudo-Frobenius f with f - x in S; None for members."""
     x = tuple(x)
-    if not lattice.is_natural(x):
-        raise NotNatural(x)
+    # contains checks the length first
     if gs.contains(x):
         return None
+    if not lattice.is_natural(x):
+        raise NotNatural(x)
     for f in pseudo_frobenius(gs):
         if gs.contains(lattice.sub(f, x)):
             return f

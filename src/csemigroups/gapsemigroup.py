@@ -11,9 +11,11 @@ generators, the Apery set Ap(S, E) of S with respect to its least pure axis
 generators E decides everything: per axis, one box mask of generator sums
 holds its points near that axis. With one per class mod E in each, they
 bound the gaps and give the conductor; else a slice test names a slice of
-infinitely many gaps. A box past the budget gives BudgetExceeded. One mask
-of generator sums over the conductor box then gives the gaps, and the
-generators it keeps give the Hilbert basis: nothing is validated or moved.
+infinitely many gaps. Only an axis whose pure generators share a factor,
+a line of gaps, goes to the slice test before any box is built. A box
+past the budget gives BudgetExceeded. One mask of generator sums over the
+conductor box then gives the gaps, and the generators it keeps give the
+Hilbert basis: nothing is validated or moved.
 A given gap set's mask moves into the conductor box, where one closure
 pass over [0, c) validates complement closure and finds the basis elements
 below c; the whole basis takes a pass over [0, 2c) on first read.
@@ -249,11 +251,10 @@ def _tube_apery(
     )
 
 
-def _check_finite(gens: Sequence[Point], mult: Sequence[int], budget: Budget, first=True, rest=True):
+def _check_finite(gens: Sequence[Point], mult: Sequence[int], budget: Budget):
     """Raise InfiniteGaps naming a slice with infinitely many gaps, if there
-    is one. ``from_generators`` runs the cheap ``first`` test (the face
-    {x_0 = 0}; in d = 1 the gcd) before its tubes, and the ``rest`` only to
-    name the slice, when a tube misses a class or passes the budget.
+    is one. ``from_generators`` calls it only to name that slice: when an
+    axis gcd exceeds 1, or a tube misses a class or passes the budget.
 
     For a = 0, then a = 1, the first slices {x_a = t} are tested: t = 0,
     the face semigroup of the generators with g_a = 0, by the same test in
@@ -267,22 +268,29 @@ def _check_finite(gens: Sequence[Point], mult: Sequence[int], budget: Budget, fi
     a. A line in a slice is thus found at the least a it runs off (0,
     unless every line runs along axis 0) and the least level t on it. In
     d = 1 a residue class is empty iff the generators' gcd exceeds 1.
+
+    It has one mode: it always runs this sequence, so whichever trigger
+    calls it names the same slice. Its first step is the face {x_0 = 0},
+    and no list the tubes find finite would pass the budget here: every
+    tube this test builds, in a face or cut to x_a <= 1, covers a region
+    inside the full tube along the same axis, so its Ap points are a
+    subset of that tube's, its room is at least as large and its clip is
+    looser. Testing that face only after the tubes thus changes no answer.
     """
     d = len(mult)
     if d == 1:
-        if first and (g := gcd(*(v for v, in gens))) != 1:
+        if (g := gcd(*(v for v, in gens))) != 1:
             raise InfiniteGaps(axis=0, level=None, detail=f"generator gcd is {g}")
         return
     for a in (0, 1):
         face = [j for j in range(d) if j != a]
-        if (rest if a else first):
-            try:
-                face_gens = [tuple(g[j] for j in face) for g in gens if g[a] == 0]
-                _check_finite(face_gens, [mult[j] for j in face], budget)
-            except InfiniteGaps:
-                detail = "the axis-free face already has infinitely many gaps"
-                raise InfiniteGaps(a, 0, detail=detail) from None
-        if not rest or mult[a] == 1:
+        try:
+            face_gens = [tuple(g[j] for j in face) for g in gens if g[a] == 0]
+            _check_finite(face_gens, [mult[j] for j in face], budget)
+        except InfiniteGaps:
+            detail = "the axis-free face already has infinitely many gaps"
+            raise InfiniteGaps(a, 0, detail=detail) from None
+        if mult[a] == 1:
             continue
         cut = [2 if j == a else m for j, m in enumerate(mult)]
         level = []
@@ -318,8 +326,16 @@ def from_generators(
     Otherwise the line rho + N m_i e_i is gaps, in the slice {x_a = rho_a}
     for every a != i. So the gap set is finite iff every tube holds prod(m)
     Ap points. A tube short of a class, or past the budget, calls
-    ``_check_finite`` to name the slice; its cheap first test runs before
-    the tubes. In d = 1 the tube is N and its Ap points are the Kunz table.
+    ``_check_finite`` to name the slice. In d = 1 the tube is N and its Ap
+    points are the Kunz table.
+
+    One test runs before the tubes, so that a tube never grows to the
+    budget on a gap line the generators show at once: when the pure
+    generators of axis i share a factor g > 1, the points k e_i with g not
+    dividing k are gaps. Coordinates only grow along a sum, so only the
+    pure generators of axis i reach that line. ``_check_finite`` then
+    names the slice. On any other list it runs only after a tube, and on a
+    finite gap set not at all.
 
     The tubes then give the conductor, c_i = max(0, top_i - m_i) with top_i
     one above the largest coordinate i of tube i's Ap points
@@ -344,16 +360,18 @@ def from_generators(
     mult = _axis_multiples(gens, d)
     if 0 in mult:
         raise NotFullCone(mult.index(0))
-    _check_finite(gens, mult, budget, rest=False)
+    # an axis whose pure generators share a factor holds a line of gaps
+    if any(gcd(*(g[i] for g in gens if g[i] == sum(g))) != 1 for i in range(d)):
+        _check_finite(gens, mult, budget)
     top = []
     for i in range(d):
         try:
             box, ap = _tube_apery(gens, mult, i, budget)
         except BudgetExceeded:
-            _check_finite(gens, mult, budget, first=False)
+            _check_finite(gens, mult, budget)
             raise
         if ap.bit_count() < prod(mult):
-            _check_finite(gens, mult, budget, first=False)
+            _check_finite(gens, mult, budget)
             raise AssertionError(f"the tube along axis {i} misses a class the slice tests missed")
         top.append(box.top(ap)[i])
     extent = [max(1, t - 1) for t in top]

@@ -154,6 +154,18 @@ class TestPIMonoid:
             with pytest.raises(DimensionMismatch):
                 p in monoid
 
+    @pytest.mark.parametrize("offset", [(-1, 0, 0), (1, 0, 0), (0, 0, 0), (0,), (-1,), ()])
+    def test_offset_dimension_checked_first(self, offset):
+        # the length is checked before the sign and the zero test, with the
+        # text of GapSemigroup.contains, whatever else is wrong with the offset
+        with pytest.raises(DimensionMismatch, match=r"in dimension 2$"):
+            PIMonoid(offset, from_gaps(2, [(1, 0), (1, 1)]))
+
+    @pytest.mark.parametrize("offset", [(-1, 0), (0, 0), (0, -2)])
+    def test_offset_outside_n_d_or_zero(self, offset):
+        with pytest.raises(ValueError, match="nonzero point of N"):
+            PIMonoid(offset, from_gaps(2, [(1, 0), (1, 1)]))
+
     def test_offset_must_be_in_base(self):
         with pytest.raises(ValueError):
             PIMonoid((1, 0), from_gaps(2, [(1, 0), (1, 1)]))

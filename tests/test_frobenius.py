@@ -89,6 +89,13 @@ class TestCoverWitness:
         with pytest.raises(NotNatural):
             cover_witness(s2, (-1, 0))
 
+    @pytest.mark.parametrize("x", [(-1, 0, 0), (1, 0, 0), (0, 0, 0), (0,), (-1,), ()])
+    def test_point_dimension_checked_first(self, x):
+        # a point of the wrong dimension raises DimensionMismatch, with the
+        # text of GapSemigroup.contains, whether or not it lies in N^d
+        with pytest.raises(DimensionMismatch, match=r"in dimension 2$"):
+            cover_witness(from_gaps(2, [(1, 0), (1, 1)]), x)
+
     def test_pf_element_covers_itself(self, s2):
         assert cover_witness(s2, (2, 6)) == (2, 6)
 

@@ -366,39 +366,40 @@ class TestFromGenerators:
 
     FACE = "the axis-free face already has infinitely many gaps"
 
-    @pytest.mark.parametrize(
-        "gens,axis,level,detail",
-        [
-            ([(0, 5), (1, 0), (7, 0)], 0, 0, FACE),
-            # row y = 0 holds only multiples of 6: the gap line runs along axis 0
-            ([(6, 0), (0, 1), (1, 2), (1, 7)], 1, 0, FACE),
-            # lines along axis 1 at x_0 = 0 and along axis 2 at x_0 = 1: the lower wins
-            ([(0, 0, 2), (0, 0, 3), (0, 1, 0), (7, 0, 0)], 0, 0, FACE),
-            ([(0, 1), (4, 0)], 0, 1, "no generator combination reaches this slice"),
-            # the whole tube along axis 1 would pass the default budget; the
-            # slice x_0 = 1, or the face x_0 = 0, decides
-            ([(3000, 0), (0, 1), (2, 5)], 0, 1, "no generator combination reaches this slice"),
-            ([(2000, 0), (0, 2000), (1, 1), (1, 2)], 0, 0, FACE),
-            # a tube of the whole list would pass the default budget; the
-            # face x_0 = 0, and its own face, decide
-            ([(3000, 0, 0), (0, 3000, 0), (0, 0, 3000), (1, 1, 1)], 0, 0, FACE),
-            (
-                [(0, 0, 1), (0, 1, 0), (1, 1, 0), (2, 0, 2), (3, 0, 0), (4, 0, 0)],
-                0,
-                1,
-                "no shift is supported on face coordinate 1 alone",
-            ),
-            # slice x_0 = 1 is reached only from (1, 0, 2) and (1, 3, 2), so
-            # no member of it lies on the axes x_0 and x_1 alone
-            (
-                [(0, 0, 3), (0, 0, 4), (0, 1, 0), (0, 4, 0), (0, 4, 1), (1, 0, 2)]
-                + [(1, 3, 2), (2, 0, 1), (3, 0, 0), (4, 0, 0), (4, 0, 3)],
-                0,
-                1,
-                "no shift is supported on face coordinate 0 alone",
-            ),
-        ],
-    )
+    # (gens, axis, level, detail): lists with infinitely many gaps and the
+    # slice that names them
+    WITNESSES = [
+        ([(0, 5), (1, 0), (7, 0)], 0, 0, FACE),
+        # row y = 0 holds only multiples of 6: the gap line runs along axis 0
+        ([(6, 0), (0, 1), (1, 2), (1, 7)], 1, 0, FACE),
+        # lines along axis 1 at x_0 = 0 and along axis 2 at x_0 = 1: the lower wins
+        ([(0, 0, 2), (0, 0, 3), (0, 1, 0), (7, 0, 0)], 0, 0, FACE),
+        ([(0, 1), (4, 0)], 0, 1, "no generator combination reaches this slice"),
+        # the whole tube along axis 1 would pass the default budget; the
+        # slice x_0 = 1, or the face x_0 = 0, decides
+        ([(3000, 0), (0, 1), (2, 5)], 0, 1, "no generator combination reaches this slice"),
+        ([(2000, 0), (0, 2000), (1, 1), (1, 2)], 0, 0, FACE),
+        # a tube of the whole list would pass the default budget; the
+        # face x_0 = 0, and its own face, decide
+        ([(3000, 0, 0), (0, 3000, 0), (0, 0, 3000), (1, 1, 1)], 0, 0, FACE),
+        (
+            [(0, 0, 1), (0, 1, 0), (1, 1, 0), (2, 0, 2), (3, 0, 0), (4, 0, 0)],
+            0,
+            1,
+            "no shift is supported on face coordinate 1 alone",
+        ),
+        # slice x_0 = 1 is reached only from (1, 0, 2) and (1, 3, 2), so
+        # no member of it lies on the axes x_0 and x_1 alone
+        (
+            [(0, 0, 3), (0, 0, 4), (0, 1, 0), (0, 4, 0), (0, 4, 1), (1, 0, 2)]
+            + [(1, 3, 2), (2, 0, 1), (3, 0, 0), (4, 0, 0), (4, 0, 3)],
+            0,
+            1,
+            "no shift is supported on face coordinate 0 alone",
+        ),
+    ]
+
+    @pytest.mark.parametrize("gens,axis,level,detail", WITNESSES)
     def test_infinite_gaps_witness(self, gens, axis, level, detail):
         with pytest.raises(InfiniteGaps) as err:
             from_generators(gens)
@@ -466,19 +467,54 @@ class TestFromGenerators:
         [
             # D_d(k): N^d minus every point of degree below k
             ([p for p in box_points((13, 13)) if 7 <= sum(p) <= 13], 3, 27),
-            ([p for p in box_points((5, 5, 5)) if 3 <= sum(p) <= 5], 6, 9),
+            ([p for p in box_points((5, 5, 5)) if 3 <= sum(p) <= 5], 4, 9),
             ([(4,), (6,), (9,)], 3, 6),
         ],
     )
     def test_one_build_per_tube(self, gens, builds, genus, monkeypatch):
         # a finite gap set builds one box per axis tube, whose Ap counts
-        # decide finiteness, and one for the gap box: D_2(7) three. D_3(3)
-        # adds the two tubes of its face x_0 = 0, tested first, cut to the
-        # slices x_a <= 1 of that face. The tube of <4, 6, 9> needs
-        # 25 > 4m points and takes two
+        # decide finiteness, and one for the conductor box: D_2(7) three,
+        # D_3(3) four. No face tube is built: the slice tests run only to
+        # name an infinite slice. The tube of <4, 6, 9> needs 25 > 4m
+        # points and takes two
         calls = self.count_builds(monkeypatch)
         assert from_generators(gens).genus == genus
         assert len(calls) == builds
+
+    @pytest.mark.parametrize(
+        "gens",
+        [
+            [p for p in box_points((13, 13)) if 7 <= sum(p) <= 13],
+            [p for p in box_points((5, 5, 5)) if 3 <= sum(p) <= 5],
+            [p for p in box_points((7, 7, 7)) if 4 <= sum(p) <= 7],
+            [(4,), (6,), (9,)],
+        ]
+        + [ALL_PAPER_GENS[name] for name in ("s2", "s3", "s4", "s5", "arf77")],
+    )
+    def test_finite_list_runs_no_slice_test(self, gens, monkeypatch):
+        # the tubes' Ap counts alone show a finite gap set
+        calls = self.count_slice_tests(monkeypatch)
+        from_generators(gens)
+        assert calls == []
+
+    @pytest.mark.parametrize("gens", [gens for gens, *_ in WITNESSES])
+    def test_infinite_list_runs_the_slice_tests(self, gens, monkeypatch):
+        calls = self.count_slice_tests(monkeypatch)
+        with pytest.raises(InfiniteGaps):
+            from_generators(gens)
+        assert calls
+
+    @staticmethod
+    def count_slice_tests(monkeypatch):
+        calls = []
+        real = gapsemigroup._check_finite
+
+        def counted(gens, mult, budget):
+            calls.append(mult)
+            return real(gens, mult, budget)
+
+        monkeypatch.setattr(gapsemigroup, "_check_finite", counted)
+        return calls
 
     @staticmethod
     def count_builds(monkeypatch):
@@ -500,8 +536,9 @@ class TestFromGenerators:
         ],
     )
     def test_infinite_face_builds_no_box(self, gens, monkeypatch):
-        # the face x_0 = 0 is tested before any tube, and in d = 2 it is a
-        # gcd; the tubes of these lists would take up to the whole budget
+        # the axis gcd, 2000 or 3000, is tested before any tube and calls
+        # the slice tests, whose face x_0 = 0 ends in a d = 1 gcd; the tubes
+        # of these lists would take up to the whole budget
         calls = self.count_builds(monkeypatch)
         with pytest.raises(InfiniteGaps) as err:
             from_generators(gens)
