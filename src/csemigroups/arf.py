@@ -31,11 +31,18 @@ def _chain_sums(box: _Box, members: int, top: Sequence[int]) -> Iterator[int]:
         yield (members & box.up(members & (members << i))) << i
 
 
-def _derived(box: _Box, gaps: int, top: Sequence[int]) -> int:
+def _derived(box: _Box, gaps: int) -> int:
     """The gaps left by one derived step: those that no chain sum z + u of
-    the members box.full & ~gaps reaches. Every gap must lie at or below
-    ``top``, and the box must hold the sums (``_chain_sums``)."""
-    for sums in _chain_sums(box, box.full & ~gaps, top):
+    the members box.full & ~gaps reaches. The box must hold the sums
+    (``_chain_sums``).
+
+    The bound of the shifts is read off the gap mask itself: a gap g
+    reached as z + u, by a chain x <= y = x + u <= z, has z >= u
+    coordinatewise, so u <= g / 2, at most half the gaps' coordinatewise
+    maximum (``_Box.top(gaps)`` less one). A larger shift reaches no gap,
+    so any bound at or above that maximum leaves the same gaps.
+    """
+    for sums in _chain_sums(box, box.full & ~gaps, [v - 1 for v in box.top(gaps)]):
         gaps &= ~sums
     return gaps
 
@@ -48,10 +55,10 @@ def arf_derived(gs: GapSemigroup) -> GapSemigroup:
     z = g + x - y <= g puts x, y, z and u in [0, g], inside [0, c). So with
     M the members of the conductor box the gaps that go are those in the
     union over u in [0, c) of (M & up(M & (M << u))) << u, and z + u < 3c
-    stays within the 4c-wide rows of that box.
+    stays within the 4c-wide rows of that box. ``_derived`` reads the same
+    bound off the gap mask: the gaps' top is c.
     """
-    top = [c - 1 for c in gs.conductor]
-    return GapSemigroup(gs.dimension, gs.box, _derived(gs.box, gs.gap_mask, top))
+    return GapSemigroup(gs.box, _derived(gs.box, gs.gap_mask))
 
 
 def is_arf(gs: GapSemigroup) -> bool:
@@ -69,14 +76,14 @@ def arf_closure(gs: GapSemigroup) -> tuple[GapSemigroup, int]:
     genus(gs) steps occur. The steps run on the gap mask alone, each moved
     into its conductor box by ``_Box.fit``; intermediate steps are not
     rebuilt as semigroups or revalidated, and the closure pass validates
-    the fixpoint once.
+    the fixpoint once. Each step bounds its shifts by its own gaps' top.
     """
-    c, box, gaps = gs.conductor, gs.box, gs.gap_mask
+    box, gaps = gs.box, gs.gap_mask
     steps = 0
-    while (left := _derived(box, gaps, [v - 1 for v in c])) != gaps:
-        c, box, gaps = box.fit(left)
+    while (left := _derived(box, gaps)) != gaps:
+        _, box, gaps = box.fit(left)
         steps += 1
-    return GapSemigroup(gs.dimension, box, gaps), steps
+    return GapSemigroup(box, gaps), steps
 
 
 class PIMonoid(_Record):
@@ -176,9 +183,7 @@ def pi_decompose(sem: Union[AffineSemigroup, GapSemigroup]) -> PIMonoid:
     if isinstance(sem, GapSemigroup):
         box, i = sem.box, sem.box.index(m)
         base_gaps = (sem.gap_mask & box.up(1 << i)) >> i
-        base: Union[GapSemigroup, AffineSemigroup] = GapSemigroup(
-            sem.dimension, box, base_gaps
-        )
+        base: Union[GapSemigroup, AffineSemigroup] = GapSemigroup(box, base_gaps)
         gens, base_gens, top = sem.hilbert_basis, base.hilbert_basis, sem.conductor
     else:
         shifted = [lattice.sub(g, m) for g in sem.generators if g != m]
@@ -231,10 +236,11 @@ def prop79_check(
     MEMBER_BOX_BITS bits raises BudgetExceeded before it is allocated. Only
     d = 1 gets that far: in higher dimension every generator of the shifted
     semigroup is positive wherever a is, so some axis has no pure generator
-    and NotFullCone comes first. The cap allows windows up to about 2^25,
-    and the chain sums take one shift per u up to half the window: a window
-    of 10^6 still runs for minutes. No budget bounds that loop yet (ROADMAP
-    item 7).
+    and NotFullCone comes first. The cap allows windows up to about 2^25.
+    The window only sizes the box: each derived step bounds its shifts by
+    its own gaps (``_derived``), and takes one shift per u up to half the
+    largest gap, each a pass over the whole window. No budget bounds that
+    loop yet (ROADMAP item 7).
     """
     a = tuple(a)
     gens = _check_chain_hypotheses(gens)
@@ -253,7 +259,7 @@ def prop79_check(
     box = _window(tuple(w + 1 for w in window), "window")
     gaps = box.full & ~_generated(box, base.generators)
     for _ in range(k):
-        gaps, last = _derived(box, gaps, window), gaps
+        gaps, last = _derived(box, gaps), gaps
         if gaps == last:
             break
     return all(lattice.add(a, s) in closure for s in box.points(box.full & ~gaps))

@@ -61,7 +61,7 @@ def buchsbaum_report(gs: GapSemigroup) -> BuchsbaumReport:
         raise DimensionOne("the Buchsbaum test needs ambient dimension >= 2")
     if not gs.gap_mask:
         raise EmptyGapSet("the Buchsbaum test needs at least one gap")
-    mult = _axis_multiples(gs.hilbert_basis, gs.dimension)
+    mult, _ = _axis_multiples(gs.hilbert_basis, gs.dimension)
     rays = tuple(tuple(m if j == i else 0 for j in range(len(mult))) for i, m in enumerate(mult))
     box, gaps = gs.box, gs.gap_mask
     once = twice = 0

@@ -168,7 +168,7 @@ def apery(gs: GapSemigroup, witnesses: Sequence[Sequence[int]]) -> tuple[Point, 
             raise DimensionMismatch(f"witness {a} in dimension {d}")
         if lattice.is_zero(a) or not gs.contains(a):
             raise ValueError(f"witness {a} is not a nonzero member")
-    mult = _axis_multiples(E, d)
+    mult, _ = _axis_multiples(E, d)
     if 0 in mult:
         raise InfiniteApery(mult.index(0))
     box = _Box(tuple(max(a[j] for a in E) + gs.conductor[j] for j in range(d)))

@@ -57,8 +57,9 @@ DEFAULT_BUDGET = Budget()
 class GapSemigroup:
     """Cofinite submonoid of N^d stored as the gap mask of its conductor box.
 
-    ``GapSemigroup(dimension, box, gap_mask)`` takes the gaps as a mask of
-    any box that holds them. ``_Box.fit`` finds the conductor c and moves
+    ``GapSemigroup(box, gap_mask)`` takes the gaps as a mask of any box
+    that holds them; the dimension is the box's, ``len(box.extent)``, so
+    the two cannot disagree. ``_Box.fit`` finds the conductor c and moves
     the mask into the conductor box [0, 2c), c at least 1, which is then
     ``box``; the members of the box are the rest of it. The closure pass on
     the members below c rejects a gap set whose complement is not a monoid
@@ -74,8 +75,8 @@ class GapSemigroup:
 
     __slots__ = ("dimension", "conductor", "box", "gap_mask", "low_basis", "_basis", "_gaps")
 
-    def __init__(self, dimension: int, box: _Box, gap_mask: int, basis: Optional[tuple] = None):
-        self.dimension = dimension
+    def __init__(self, box: _Box, gap_mask: int, basis: Optional[tuple] = None):
+        self.dimension = len(box.extent)
         self.conductor, self.box, self.gap_mask = box.fit(gap_mask)
         # without gaps c is 0, and below(c - 1) is empty
         below_c = self.box.below([v - 1 for v in self.conductor])
@@ -159,7 +160,7 @@ def from_gaps(dimension: int, gaps: Iterable[Sequence[int]]) -> GapSemigroup:
             if any(v < 0 for v in g):
                 raise NotNatural(g)
     box = _Box([2 + 2 * max(col) for col in columns] if points else [2] * dimension)
-    return GapSemigroup(dimension, box, box.mask(points))
+    return GapSemigroup(box, box.mask(points))
 
 
 # ---------------------------------------------------------------------------
@@ -167,18 +168,21 @@ def from_gaps(dimension: int, gaps: Iterable[Sequence[int]]) -> GapSemigroup:
 # ---------------------------------------------------------------------------
 
 
-def _axis_multiples(points: Iterable[Point], dimension: int) -> list[int]:
-    """Least positive multiple of each axis among the points; 0 where none is.
+def _axis_multiples(points: Iterable[Point], dimension: int) -> tuple[list[int], list[int]]:
+    """(mult, gcds): per axis, the least positive multiple of it among the
+    points and the gcd of those multiples; 0 and 0 where none is.
 
     The nonnegative cone of a generating set is the whole orthant iff it
     contains every unit vector, which forces a pure axis generator per axis.
     A point is pure on axis i iff its coordinate i is positive and equals
-    its degree, so each axis reads its column against the degrees.
+    its degree, so a zero point is never pure, and one pass reads each
+    axis's column against the degrees for both values.
     """
     points = list(points)
     degrees = list(map(sum, points))
     columns = list(zip(*points)) or [()] * dimension
-    return [min(filter(None, compress(col, map(eq, col, degrees))), default=0) for col in columns]
+    pure = [list(filter(None, compress(col, map(eq, col, degrees)))) for col in columns]
+    return [min(p, default=0) for p in pure], [gcd(*p) for p in pure]
 
 
 def _tube_apery(
@@ -333,9 +337,10 @@ def from_generators(
     budget on a gap line the generators show at once: when the pure
     generators of axis i share a factor g > 1, the points k e_i with g not
     dividing k are gaps. Coordinates only grow along a sum, so only the
-    pure generators of axis i reach that line. ``_check_finite`` then
-    names the slice. On any other list it runs only after a tube, and on a
-    finite gap set not at all.
+    pure generators of axis i reach that line. ``_axis_multiples`` gives
+    each axis's gcd in the same column pass as m_i, so no generator is
+    summed twice. ``_check_finite`` then names the slice. On any other list
+    it runs only after a tube, and on a finite gap set not at all.
 
     The tubes then give the conductor, c_i = max(0, top_i - m_i) with top_i
     one above the largest coordinate i of tube i's Ap points
@@ -357,11 +362,11 @@ def from_generators(
         source = AffineSemigroup(len(gens[0]) if gens else 1, gens)
     d, gens = source.dimension, source.generators
     budget = budget or DEFAULT_BUDGET
-    mult = _axis_multiples(gens, d)
+    mult, gcds = _axis_multiples(gens, d)
     if 0 in mult:
         raise NotFullCone(mult.index(0))
     # an axis whose pure generators share a factor holds a line of gaps
-    if any(gcd(*(g[i] for g in gens if g[i] == sum(g))) != 1 for i in range(d)):
+    if max(gcds) > 1:
         _check_finite(gens, mult, budget)
     top = []
     for i in range(d):
@@ -379,4 +384,4 @@ def from_generators(
         raise BudgetExceeded(f"the gap box {tuple(extent)} passes the budget")
     # the conductor box [0, 2c), c = max(0, top - m) taken at least 1
     box, basis = _Box([2 * max(t - m, 1) for t, m in zip(top, mult)]), []
-    return GapSemigroup(d, box, box.full & ~_generated(box, gens, basis), tuple(basis))
+    return GapSemigroup(box, box.full & ~_generated(box, gens, basis), tuple(basis))

@@ -271,12 +271,14 @@ class _Box:
         the rows in play each time, leaves the points' projections to
         x_0 = 0, whose top bit gives c_1; and so on inward. A row of axis j
         is s_j bits wide and its inner coordinates index below s_j, so no
-        fold carries, and the folds cost a few passes over the mask.
+        fold carries, and the folds cost a few passes over the mask. The
+        innermost axis (stride 1) is read and not folded, so in d = 1 the
+        top is the bit length alone.
         """
         c = []
         for e, s in zip(self.extent, self.strides):
             c.append((mask.bit_length() - 1) // s + 1)
-            while e > 1:
+            while s > 1 and e > 1:
                 e = (e + 1) // 2
                 mask = mask & ((1 << e * s) - 1) | mask >> e * s
         return tuple(c)
@@ -509,12 +511,6 @@ def lattice_from(vectors: Sequence[Sequence[int]], dimension: Optional[int] = No
             raise ValueError("dimension required for an empty generating set")
         dimension = len(vectors[0])
     return IntegerLattice(dimension, hermite_normal_form(vectors, dimension))
-
-
-def lattice_member(lattice: IntegerLattice, p: Sequence[int]) -> bool:
-    """Decide p in L: the canonical basis of L + Zp is the basis of L
-    exactly when p already lies in L."""
-    return hermite_normal_form(lattice.basis + (p,), lattice.dimension) == lattice.basis
 
 
 def lattice_intersect(l1: IntegerLattice, l2: IntegerLattice) -> IntegerLattice:

@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the library's own algorithms: membership
 is forward closure from zero, gap sets come from window scans over that
 closure, Arf witnesses are searched by raw triple loops, and the Hermite
-normal form takes the smallest pivot. The census (``frobenius_tree``) is
+normal form takes the smallest pivot, and the simplicial d = 2 oracle
+(``simplicial_oracle``) reads Ap(S, E), PF and the Cohen-Macaulay and
+Buchsbaum tests off sets of points. The census (``frobenius_tree``) is
 built on the library's kernels and checked against known counts, and the
 Arf oracles run the library's chain sums step by step: one validated
 semigroup per derived step, and the derived stage in members form.
@@ -11,7 +13,10 @@ semigroup per derived step, and the derived stage in members form.
 
 import functools
 import itertools
+import random
 import signal
+import types
+from math import prod
 
 import pytest
 from hypothesis import strategies as st
@@ -243,7 +248,7 @@ def frobenius_tree(dimension, max_genus):
     children of S are S \\ {h} for each Hilbert-basis element h after the
     graded-lex Frobenius element F(S), so each semigroup appears exactly
     once. h lies below 2c, inside the box of S."""
-    level = (GapSemigroup(dimension, _Box((2,) * dimension), 0),)
+    level = (GapSemigroup(_Box((2,) * dimension), 0),)
     levels = [level]
     for _ in range(max_genus):
         children = []
@@ -251,7 +256,7 @@ def frobenius_tree(dimension, max_genus):
             last = GRLEX.key(frobenius_element(s)) if s.gap_mask else None
             for h in s.hilbert_basis:
                 if last is None or GRLEX.key(h) > last:
-                    children.append(GapSemigroup(dimension, s.box, s.gap_mask | 1 << s.box.index(h)))
+                    children.append(GapSemigroup(s.box, s.gap_mask | 1 << s.box.index(h)))
         level = tuple(children)
         levels.append(level)
     return tuple(levels)
@@ -300,7 +305,7 @@ def per_step_derived(gs):
     left = gaps
     for sums in _chain_sums(box, box.full & ~gaps, [c - 1 for c in gs.conductor]):
         left &= ~sums
-    return GapSemigroup(gs.dimension, box, left)
+    return GapSemigroup(box, left)
 
 
 def per_step_arf_closure(gs):
@@ -439,3 +444,97 @@ def finite_gap_sets(draw):
     m = draw(st.integers(2, (16, 8, 5)[d - 1]))
     band = [p for p in box_points((2 * m - 1,) * d) if m <= sum(p) < 2 * m]
     return from_generators(gens + band)
+
+
+def simplicial_list(randint):
+    """A d = 2 list with pure generators (a, 0) and (0, b) and one to three
+    interior generators, drawn by ``randint(lo, hi)``; its gaps may be
+    infinite. Half the lists are uniform, and mostly Cohen-Macaulay. The
+    other half are graded: a = b and the interior points lie on the line
+    x + y = a, half of them with both ends (1, a - 1) and (a - 1, 1), as in
+    Macaulay's k[s^4, s^3 t, s t^3, t^4]. That is where the lists that are
+    not Cohen-Macaulay, Buchsbaum or not, come from."""
+    if randint(0, 1):
+        a = randint(3, 8)
+        line = [(x, a - x) for x in range(1, a)]
+        interior = {line[randint(0, len(line) - 1)] for _ in range(randint(1, 3))}
+        if randint(0, 1):
+            interior |= {line[0], line[-1]}
+        return [(a, 0), (0, a)] + sorted(interior)
+    a, b = randint(2, 6), randint(2, 6)
+    return [(a, 0), (0, b)] + [(randint(1, 8), randint(1, 8)) for _ in range(randint(1, 3))]
+
+
+@st.composite
+def simplicial_lists(draw):
+    """``simplicial_list`` drawn by hypothesis."""
+    return simplicial_list(lambda lo, hi: draw(st.integers(lo, hi)))
+
+
+# a fixed sample of the same lists, one seed each
+SIMPLICIAL_SAMPLE = [simplicial_list(random.Random(seed).randint) for seed in range(200)]
+
+
+def simplicial_oracle(gens):
+    """Ap(S, E), the index [G(S) : <E>], PF, S' \\ S and T \\ S of
+    S = <gens> in N^2, by their definitions on sets of points. E is the
+    least pure generator n_i of each axis; the gaps may be infinite.
+
+    A point is a member iff it is 0 or a generator below it leaves a member
+    (memoized). Ap(S, E) is the members s with s - n_i outside S for both i.
+    It is closed under summands: for members u, v with u - n_i in S,
+    u + v - n_i is in S. So every Ap point is a sum of generators whose
+    partial sums are Ap points, and a walk from 0 that adds generators and
+    keeps the Ap points finds them all; it ends, as Ap(S, E) is finite for
+    simplicial S.
+
+    Every member is an Ap point w plus k_1 n_1 + k_2 n_2, k_i >= 0. So a
+    non-member x with x + k n_1 in S has x + k n_1 = w + k_1 n_1 + k_2 n_2
+    with k_1 < k: x_1 <= w_1 - n_1, and x_2 >= 0. With top the largest
+    coordinates of Ap, every x below lies in the window [0, top - n]:
+      - PF: x not in S and x + g in S for every generator g (then x + s is
+        in S for every nonzero member s, and x is in G(S));
+      - S' \\ S: x not in S with x + n_1 and x + n_2 in S;
+      - T \\ S, T = (S - N n_1) & (S - N n_2): x not in S with x + k n_i
+        in S for some k, for each i. If one k does, so does every k with
+        x_i + k n_i >= top_i, so one such point per axis decides it.
+    The index is n_1 n_2 over the product of the HNF pivots of the
+    generators (``smallest_pivot_hnf``).
+    """
+    gens = [tuple(g) for g in gens]
+    n = [min(g[i] for g in gens if g[i] == sum(g) > 0) for i in range(2)]
+    E = [(n[0], 0), (0, n[1])]
+
+    def plus(p, q):
+        return (p[0] + q[0], p[1] + q[1])
+
+    @functools.lru_cache(maxsize=None)
+    def member(p):
+        if min(p) < 0:
+            return False
+        return not any(p) or any(member((p[0] - g[0], p[1] - g[1])) for g in gens)
+
+    def apery(s):
+        return member(s) and not any(member((s[0] - e[0], s[1] - e[1])) for e in E)
+
+    ap = frontier = {(0, 0)}
+    while frontier:
+        frontier = {q for q in (plus(w, g) for w in frontier for g in gens) if q not in ap and apery(q)}
+        ap = ap | frontier
+    top = [max(col) for col in zip(*ap)]
+
+    def reaches(x, i):
+        while x[i] < top[i]:
+            x = plus(x, E[i])
+        return member(x)
+
+    window = itertools.product(*(range(t - m + 1) for t, m in zip(top, n)))
+    low = [x for x in window if not member(x)]
+    pivots = prod(row[i] for i, row in enumerate(smallest_pivot_hnf(gens, 2)))
+    return types.SimpleNamespace(
+        apery=ap,
+        index=n[0] * n[1] // pivots,
+        pf={x for x in low if all(member(plus(x, g)) for g in gens)},
+        s_prime={x for x in low if all(member(plus(x, e)) for e in E)},
+        t={x for x in low if reaches(x, 0) and reaches(x, 1)},
+    )

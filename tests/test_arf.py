@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 import random
 from math import gcd
 from unittest import mock
@@ -13,6 +15,7 @@ from conftest import (
     box_points,
     census_windows,
     count_member_calls,
+    finite_gap_sets,
     frobenius_tree,
     gap_universe,
     in_gap_complement,
@@ -25,6 +28,7 @@ from csemigroups import arf, membership
 from csemigroups.arf import (
     PIMonoid,
     PIStatus,
+    _chain_sums,
     arf_closure,
     arf_derived,
     is_arf,
@@ -406,6 +410,22 @@ class TestStepOracles:
             for gs in level:
                 assert arf_derived(gs) == per_step_derived(gs), gs
                 assert arf_closure(gs) == per_step_arf_closure(gs), gs
+
+    # the census semigroups of d = 1..3, most of them not Arf
+    CENSUS = st.deferred(lambda: st.sampled_from([
+        gs for d, genus in ((1, 12), (2, 6), (3, 4)) for level in frobenius_tree(d, genus) for gs in level
+    ]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(finite_gap_sets(), CENSUS), st.data())
+    def test_derived_step_bounds_itself(self, gs, data):
+        # any bound at or above the gaps' top clears the same gaps as the
+        # step's own; a bound below 2e keeps every z + u inside the 2e-wide
+        # rows of the conductor box
+        box, gaps = gs.box, gs.gap_mask
+        bound = [data.draw(st.integers(c - 1, 2 * e - 1)) for c, e in zip(gs.conductor, box.extent)]
+        reached = functools.reduce(operator.or_, _chain_sums(box, box.full & ~gaps, bound), 0)
+        assert gaps & ~reached == arf._derived(box, gaps)
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -227,13 +227,20 @@ class TestClosurePass:
             expected = whole_box_closure_pass(conductor_box, conductor_mask)
         except NotClosed as exc:
             with pytest.raises(NotClosed) as err:
-                GapSemigroup(d, box, mask)
+                GapSemigroup(box, mask)
             assert (err.value.gap, err.value.part) == (exc.gap, exc.part)
             return
-        gs = GapSemigroup(d, box, mask)
+        gs = GapSemigroup(box, mask)
+        assert gs.dimension == d
         below_c = {b for b in expected if all(map(operator.lt, b, c))}
         assert set(gs.box.points(gs.low_basis)) == below_c
         assert gs.hilbert_basis == expected
+
+    @pytest.mark.parametrize("extent", [(6,), (2, 4), (4, 2, 2)])
+    def test_the_dimension_is_the_box_s(self, extent):
+        box = _Box(extent)
+        for mask in (0, box.mask([(1,) + (0,) * (len(extent) - 1)])):
+            assert GapSemigroup(box, mask).dimension == len(box.extent) == len(extent)
 
     @pytest.mark.parametrize("bound", [(3, 3), (1, 1, 1), (10,)])
     def test_whole_universe(self, bound):
@@ -563,14 +570,14 @@ class TestFromGenerators:
         """Reference order: every slice test, then the tubes, whose Ap
         counts are not read, then the gap box."""
         d = len(gens[0])
-        mult = gapsemigroup._axis_multiples(gens, d)
+        mult, _ = gapsemigroup._axis_multiples(gens, d)
         gapsemigroup._check_finite(gens, mult, budget)
         tubes = [_tube_apery(gens, mult, i, budget) for i in range(d)]
         extent = [max(1, box.top(ap)[i] - 1) for i, (box, ap) in enumerate(tubes)]
         if math.prod(extent) > budget.max_work:
             raise BudgetExceeded(f"the gap box {tuple(extent)} passes the budget")
         box = _Box(extent)
-        return gapsemigroup.GapSemigroup(d, box, box.full & ~gapsemigroup._generated(box, gens))
+        return gapsemigroup.GapSemigroup(box, box.full & ~gapsemigroup._generated(box, gens))
 
     @settings(max_examples=300, deadline=None)
     @given(full_cone_lists(), st.sampled_from([4, 16, 64, 256, 4096, None]))
@@ -588,7 +595,7 @@ class TestFromGenerators:
         assert answer(from_generators) == answer(self.slices_first)
         # with every tube inside the budget, a full count on every tube is
         # the same as the slice tests passing
-        mult = gapsemigroup._axis_multiples(gens, d)
+        mult, _ = gapsemigroup._axis_multiples(gens, d)
         try:
             counts = [_tube_apery(gens, mult, i, budget)[1].bit_count() for i in range(d)]
         except BudgetExceeded:
@@ -654,14 +661,17 @@ class TestFromGenerators:
 class TestAxisMultiples:
     @staticmethod
     def per_point(points, d):
-        mult = [0] * d
+        """(mult, gcds) point by point: a point with one nonzero coordinate
+        is pure on that axis, and updates its least value and its gcd."""
+        mult, gcds = [0] * d, [0] * d
         for g in points:
             support = [i for i, v in enumerate(g) if v != 0]
             if len(support) == 1:
                 i = support[0]
                 if mult[i] == 0 or g[i] < mult[i]:
                     mult[i] = g[i]
-        return mult
+                gcds[i] = math.gcd(gcds[i], g[i])
+        return mult, gcds
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 3).flatmap(
