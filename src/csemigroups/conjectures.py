@@ -12,9 +12,11 @@ and also after adding twice r_j, for two distinct extremal rays r_i, r_j.
 
 from __future__ import annotations
 
+from itertools import count
+
 from .errors import DimensionOne, EmptyGapSet
 from .frobenius import frobenius_element, pseudo_frobenius
-from .gapsemigroup import GapSemigroup, _axis_multiples
+from .gapsemigroup import GapSemigroup
 from .lattice import GRLEX, TermOrder, _Record, count_preceding
 
 
@@ -45,10 +47,9 @@ class BuchsbaumReport(_Record):
 def buchsbaum_report(gs: GapSemigroup) -> BuchsbaumReport:
     """Test whether the doubled-ray translate set equals the PF set.
 
-    The extremal rays are the least pure axis multiples r_i in S; each is a
-    Hilbert-basis element, because S is cofinite (so r_i exists) and r_i
-    splits only into smaller points of its own axis, none of them members,
-    so ``_axis_multiples`` never returns 0 here. A point g qualifies when it
+    The extremal rays are the least pure axis multiples r_i in S, read off
+    the gap mask's axis lines: r_i is the least k >= 1 with k e_i no gap,
+    at most c_i, as c_i e_i is a member. A point g qualifies when it
     lies in the group generated by S and g + 2r_i and g + 2r_j are members
     for two distinct rays. That group is all of Z^d, since c and c + e_i are
     members; the two shift conditions force g into N^d, and members are
@@ -61,14 +62,14 @@ def buchsbaum_report(gs: GapSemigroup) -> BuchsbaumReport:
         raise DimensionOne("the Buchsbaum test needs ambient dimension >= 2")
     if not gs.gap_mask:
         raise EmptyGapSet("the Buchsbaum test needs at least one gap")
-    mult, _ = _axis_multiples(gs.hilbert_basis, gs.dimension)
-    rays = tuple(tuple(m if j == i else 0 for j in range(len(mult))) for i, m in enumerate(mult))
     box, gaps = gs.box, gs.gap_mask
-    once = twice = 0
-    for r in rays:
-        hit = gaps & ~(gaps >> 2 * box.index(r))
+    rays, once, twice = [], 0, 0
+    for i, s in enumerate(box.strides):
+        r = next(k for k in count(1) if not gaps >> k * s & 1)
+        rays.append(tuple(r if j == i else 0 for j in range(gs.dimension)))
+        hit = gaps & ~(gaps >> 2 * r * s)
         twice |= once & hit
         once |= hit
     d_set = tuple(box.grlex_points(twice))
     pf = pseudo_frobenius(gs)
-    return BuchsbaumReport(d_set, pf, d_set == pf, rays)
+    return BuchsbaumReport(d_set, pf, d_set == pf, tuple(rays))

@@ -8,14 +8,22 @@ gap points and the whole Hilbert basis are found only when asked for.
 
 Construction is either from an explicit gap set or from generators. From
 generators, the Apery set Ap(S, E) of S with respect to its least pure axis
-generators E decides everything: per axis, one box mask of generator sums
-holds its points near that axis. With one per class mod E in each, they
-bound the gaps and give the conductor; else a slice test names a slice of
-infinitely many gaps. Only an axis whose pure generators share a factor,
-a line of gaps, goes to the slice test before any box is built. A box
-past the budget gives BudgetExceeded. One mask of generator sums over the
-conductor box then gives the gaps, and the generators it keeps give the
-Hilbert basis: nothing is validated or moved.
+generators E = {m_i e_i} decides everything: per axis, one box mask of
+generator sums holds its points near that axis. With one per class mod E
+in each, they bound the gaps and give the conductor; else a slice test
+names a slice of infinitely many gaps. Only an axis whose pure generators
+share a factor, a line of gaps, goes to the slice test before any box is
+built. A box past the budget gives BudgetExceeded. One mask of generator
+sums over the conductor box then gives the gaps, and the generators it
+keeps give the Hilbert basis: nothing is validated.
+Before the tubes, one mask of generator sums over [0, 2m) can certify an
+axis: if none of its non-members lies at x_i >= m_i, no gap does, as
+m_j e_j splits off any gap past 2m_j on axis j, and the gaps, reduced mod
+m into [0, m), give c_i there. Only the axes it does not certify build a
+tube; when it certifies all, that one mask gives the gaps and the Hilbert
+basis. It is tried only where each tube it saves would pass its first
+box, so no answer, error or budget changes, and only where the generators
+hold the points of [0, 2m) that only a generator can be.
 A given gap set's mask moves into the conductor box, where one closure
 pass over [0, c) validates complement closure and finds the basis elements
 below c; the whole basis takes a pass over [0, 2c) on first read.
@@ -65,10 +73,11 @@ class GapSemigroup:
     the members below c rejects a gap set whose complement is not a monoid
     and leaves ``low_basis``, the mask of the basis elements below c; the
     pass over the whole box finds ``hilbert_basis`` on its first read.
-    ``from_generators`` passes the mask in the conductor box already and
-    the Hilbert basis as ``basis``, in graded-lex order; the set is then a
-    monoid by construction, so no pass runs, and ``low_basis`` is the mask
-    of the basis points below c. Equality and the hash read (dimension,
+    ``from_generators`` passes the Hilbert basis as ``basis``, in
+    graded-lex order, and the mask in the conductor box or in the larger
+    box [0, 2m) of its certificate; the set is then a monoid by
+    construction, so no pass runs, and ``low_basis`` is the mask of the
+    basis points below c. Equality and the hash read (dimension,
     conductor, gap_mask), which is canonical because the conductor fixes
     the box.
     """
@@ -84,8 +93,7 @@ class GapSemigroup:
         if basis is None:
             self.low_basis = _closure_pass(self.box, below_c & ~self.gap_mask, self.gap_mask)
         else:
-            assert self.box is box, "a trusted gap mask comes in its conductor box"
-            self.low_basis = box.mask(basis) & below_c
+            self.low_basis = self.box.mask(basis) & below_c
 
     @property
     def gaps(self) -> frozenset[Point]:
@@ -315,6 +323,48 @@ def _check_finite(gens: Sequence[Point], mult: Sequence[int], budget: Budget):
                 raise InfiniteGaps(a, 1, detail=detail)
 
 
+def _certificate(
+    gens: Sequence[Point], mult: Sequence[int], budget: Budget
+) -> Optional[tuple[_Box, int, tuple]]:
+    """(B, gaps, basis): the box B = [0, 2m), the non-members of S in it and
+    the generators ``_generated`` keeps there; None where the test below
+    rules B out or where skipping a tube could change an answer.
+
+    Axis i certifies when no non-member of B has x_i >= m_i. Two kinds of
+    points there are members only as generators: k e_i for m_i < k < 2m_i,
+    as a sum of two pure members of axis i is at least 2m_i, and
+    m_i e_i + e_j for each j != i with m_j > 1, as its one summand off
+    axis i is e_j or itself. An axis that lacks one cannot certify, and B,
+    2^d prod(m) points, then saves at most the first boxes of the other
+    axes' tubes, 4 prod(m) points each. So B is built only when every axis
+    with m_i > 1, and there is one, lists all of its points, and only when
+    both 4 prod(m) and prod(2m) fit ``max_work``. Axes with m_i = 1 are
+    not asked: they have no such k, and asking them too ran about 5 %
+    slower on the d = 3 census to genus 4.
+    """
+    d = len(mult)
+    if max(4, 2**d) * prod(mult) > budget.max_work:
+        return None
+    members = set(gens)
+
+    def only_generators(i):
+        p = [0] * d
+        for j in range(d):
+            if j != i and mult[j] > 1:
+                p[i], p[j] = mult[i], 1
+                yield tuple(p)
+                p[j] = 0
+        for k in range(mult[i] + 1, 2 * mult[i]):
+            p[i] = k
+            yield tuple(p)
+
+    axes = [i for i, m in enumerate(mult) if m > 1]
+    if not axes or not all(all(map(members.__contains__, only_generators(i))) for i in axes):
+        return None
+    box, kept = _Box([2 * m for m in mult]), []
+    return box, box.full & ~_generated(box, gens, kept), tuple(kept)
+
+
 def from_generators(
     source: AffineSemigroup | Iterable[Sequence[int]],
     budget: Optional[Budget] = None,
@@ -348,14 +398,34 @@ def from_generators(
     are reduced mod m_j, so its largest x_i is reached in tube i; there, a
     class line's gaps are rho, ..., w - m_i e_i, w its Ap point. The
     budget bounds the gap box [0, top - 1), which holds every gap, and
-    names it when it passes. One ``_generated`` over the conductor box
-    [0, 2c), c at least 1, gives the gaps as its non-members, and the
-    generators it keeps are the Hilbert basis in graded-lex order: the
-    generators are sorted so, every basis element lies in [0, 2c) (one
-    with s_i >= 2c_i splits off c_i e_i), and a generator is not minimal
-    iff it is a sum of smaller ones. No point is decoded until ``gaps`` is
-    read. Raises BudgetExceeded when a box would pass the limits of
-    ``budget``.
+    names it when it passes.
+
+    Before the tubes, one ``_generated`` mask of B = [0, 2m) can prove the
+    conductor (``_certificate``). Axis i certifies when no non-member of B
+    has x_i >= m_i, and then no gap has: a gap p with p_i >= m_i stays one
+    when m_j e_j, a generator, is split off on an axis j with p_j >= 2m_j,
+    so by induction it reaches such a gap in B. Reduced mod m_j on every
+    axis j != i, a gap stays a gap, and its x_i < m_i, so it lies in
+    [0, m) inside B: c_i = ``B.top(gaps)[i]`` and top_i = c_i + m_i. If
+    every axis certifies, B's non-members are the gaps and the generators
+    it keeps the Hilbert basis, as below, and no tube is built; else only
+    the other axes' tubes run, in the same order, so the first to fail is
+    the same one. The answers, errors and budgets are those of the tubes
+    alone, since B is tried only when 4 prod(m) and prod(2m) fit
+    ``max_work``. The tube along a certified axis would then be built at
+    its first extent 4m_i, unclipped, and pass there: every class has its
+    Ap point below top_i = c_i + m_i <= 2m_i, so the room is at least
+    2m_i, and a tube generator past that is a member plus m_i e_i, no Ap
+    point. The gap box [0, top - 1) fits in prod(2m) when every axis
+    certifies.
+
+    One ``_generated`` over the conductor box [0, 2c), c at least 1, gives
+    the gaps as its non-members, and the generators it keeps are the
+    Hilbert basis in graded-lex order: the generators are sorted so, every
+    basis element lies in [0, 2c) (one with s_i >= 2c_i splits off
+    c_i e_i), and a generator is not minimal iff it is a sum of smaller
+    ones. No point is decoded until ``gaps`` is read. Raises
+    BudgetExceeded when a box would pass the limits of ``budget``.
     """
     if not isinstance(source, AffineSemigroup):
         gens = [tuple(g) for g in source]
@@ -368,8 +438,16 @@ def from_generators(
     # an axis whose pure generators share a factor holds a line of gaps
     if max(gcds) > 1:
         _check_finite(gens, mult, budget)
-    top = []
+    # top_i = c_i + m_i on every axis the certificate proves, else None
+    top = [None] * d
+    if certificate := _certificate(gens, mult, budget):
+        box, gaps, basis = certificate
+        top = [c + m if c <= m else None for c, m in zip(box.top(gaps), mult)]
+        if None not in top:
+            return GapSemigroup(box, gaps, basis)
     for i in range(d):
+        if top[i] is not None:
+            continue
         try:
             box, ap = _tube_apery(gens, mult, i, budget)
         except BudgetExceeded:
@@ -378,7 +456,7 @@ def from_generators(
         if ap.bit_count() < prod(mult):
             _check_finite(gens, mult, budget)
             raise AssertionError(f"the tube along axis {i} misses a class the slice tests missed")
-        top.append(box.top(ap)[i])
+        top[i] = box.top(ap)[i]
     extent = [max(1, t - 1) for t in top]
     if prod(extent) > budget.max_work:
         raise BudgetExceeded(f"the gap box {tuple(extent)} passes the budget")

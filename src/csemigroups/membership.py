@@ -211,10 +211,17 @@ def multiplicity(sem) -> tuple[Point, bool]:
     of that coordinate over the generators, and a generator attains each
     minimum, so the infimum is the componentwise generator minimum. It need
     not itself be a nonzero member; ``attained`` reports that. A
-    GapSemigroup is read through its Hilbert basis.
+    GapSemigroup is read off its gap mask: in d >= 2 the infimum is 0, as S
+    is cofinite and so holds c_j e_j, with x_i = 0, for every axis j != i;
+    in d = 1 it is the least non-gap above 0, the lowest clear bit of the
+    mask above bit 0.
     """
-    gens = sem.generators if isinstance(sem, AffineSemigroup) else sem.hilbert_basis
-    m = tuple(min(g[i] for g in gens) for i in range(sem.dimension))
+    if isinstance(sem, AffineSemigroup):
+        m = tuple(map(min, zip(*sem.generators)))
+    elif sem.dimension > 1:
+        m = lattice.zero(sem.dimension)
+    else:
+        low = sem.gap_mask | 1
+        m = (((low + 1) & ~low).bit_length() - 1,)
     attained = not lattice.is_zero(m) and m in sem
     return m, attained
-

@@ -1,11 +1,12 @@
 import pytest
 
-from conftest import box_points, reduction_loop_member
+from conftest import box_points, frobenius_tree, reduction_loop_member
 from csemigroups.conjectures import buchsbaum_report, wilf_report
 from csemigroups.errors import DimensionOne, EmptyGapSet, OrderNotPredecessorFinite
 from csemigroups.frobenius import classify, pseudo_frobenius
-from csemigroups.gapsemigroup import from_gaps, from_generators
+from csemigroups.gapsemigroup import GapSemigroup, _axis_multiples, from_gaps, from_generators
 from csemigroups.lattice import GRLEX, LEX, lattice_from
+from csemigroups.membership import multiplicity
 
 
 class TestWilf:
@@ -115,6 +116,22 @@ class TestBuchsbaum:
         full = lattice_from(from_generators([(0, 1), (3, 0), (4, 0), (1, 4), (5, 0), (2, 7)]).hilbert_basis)
         for p in box_points((3, 7)):
             assert reduction_loop_member(full.basis, p)
+
+    @pytest.mark.parametrize("d,genus", [(1, 8), (2, 5), (3, 3)])
+    def test_rays_and_multiplicity_read_the_gap_mask(self, d, genus):
+        # the rays and the multiplicity are the Hilbert basis's least pure
+        # multiples and coordinate minima, read here without the basis pass
+        for level in frobenius_tree(d, genus):
+            for census in level:
+                basis = census.hilbert_basis
+                gs = GapSemigroup(census.box, census.gap_mask)
+                m = tuple(map(min, zip(*basis)))
+                assert multiplicity(gs) == (m, m in gs and any(m))
+                if d > 1 and gs.gap_mask:
+                    mult, _ = _axis_multiples(basis, d)
+                    rays = [tuple(v if j == i else 0 for j in range(d)) for i, v in enumerate(mult)]
+                    assert buchsbaum_report(gs).extremal_rays == tuple(rays)
+                assert gs._basis is None
 
     def test_report_json(self, s3):
         data = buchsbaum_report(s3).to_json()

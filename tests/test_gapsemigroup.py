@@ -13,6 +13,7 @@ from conftest import (
     GENS_S2,
     GENS_S3,
     GENS_SAP31,
+    SIMPLICIAL_SAMPLE,
     box_points,
     closure_in_box,
     finite_gap_sets,
@@ -473,20 +474,57 @@ class TestFromGenerators:
         "gens,builds,genus",
         [
             # D_d(k): N^d minus every point of degree below k
-            ([p for p in box_points((13, 13)) if 7 <= sum(p) <= 13], 3, 27),
-            ([p for p in box_points((5, 5, 5)) if 3 <= sum(p) <= 5], 4, 9),
+            ([p for p in box_points((13, 13)) if 7 <= sum(p) <= 13], 1, 27),
+            ([p for p in box_points((5, 5, 5)) if 3 <= sum(p) <= 5], 1, 9),
             ([(4,), (6,), (9,)], 3, 6),
         ],
     )
     def test_one_build_per_tube(self, gens, builds, genus, monkeypatch):
-        # a finite gap set builds one box per axis tube, whose Ap counts
-        # decide finiteness, and one for the conductor box: D_2(7) three,
-        # D_3(3) four. No face tube is built: the slice tests run only to
-        # name an infinite slice. The tube of <4, 6, 9> needs 25 > 4m
-        # points and takes two
+        # the mask of [0, 2m) certifies every axis of D_2(7) and D_3(3), so
+        # it is their one build. No face tube is built: the slice tests run
+        # only to name an infinite slice. <4, 6, 9> lacks 5 and 7 below
+        # 2m, so it certifies nothing and builds no [0, 2m): its tube
+        # needs 25 > 4m points and takes two, then the conductor box one
         calls = self.count_builds(monkeypatch)
         assert from_generators(gens).genus == genus
         assert len(calls) == builds
+
+    @pytest.mark.parametrize(
+        "gens,max_work,builds,tubes",
+        [
+            # s2: [0, 2m) certifies axis 0 only; the tube along axis 1
+            # doubles from 4 to 16 rows, then the conductor box
+            (GENS_S2, None, 5, [1]),
+            # every axis holds m..2m-1, but neither (3, 1) nor (1, 3), which
+            # only a generator can be, is listed: no [0, 2m) is built, and
+            # c = (5, 5) > m. Two boxes per tube, then the conductor box
+            ([(3, 0), (4, 0), (5, 0), (0, 3), (0, 4), (0, 5), (1, 1)], None, 5, [0, 1]),
+            # axis 0 holds (3, 0) and (2, 1), so [0, 4) x [0, 4) is built,
+            # but the gaps (3, 1) and (1, 3) leave both axes open: one build
+            # more than the four tube boxes and the conductor box
+            ([(0, 2), (2, 0), (0, 3), (1, 2), (2, 1), (3, 0)], None, 6, [0, 1]),
+            # D_2(7) one point below 4 prod(m): no [0, 2m), the tube route
+            ([p for p in box_points((13, 13)) if 7 <= sum(p) <= 13], 4 * 49 - 1, 3, [0, 1]),
+        ],
+    )
+    def test_tubes_only_off_the_certified_axes(self, gens, max_work, builds, tubes, monkeypatch):
+        budget = Budget(max_work) if max_work else Budget()
+        calls, axes = self.count_builds(monkeypatch), []
+        real = gapsemigroup._tube_apery
+
+        def counted(gens, extent, i, budget):
+            axes.append(i)
+            return real(gens, extent, i, budget)
+
+        monkeypatch.setattr(gapsemigroup, "_tube_apery", counted)
+        gs = from_generators(gens, budget)
+        assert (len(calls), axes) == (builds, tubes)
+        # the tube route alone gives the same answer
+        monkeypatch.setattr(gapsemigroup, "_certificate", lambda *args: None)
+        old = from_generators(gens, budget)
+        assert (gs.conductor, gs.gap_mask, gs.hilbert_basis) == (
+            old.conductor, old.gap_mask, old.hilbert_basis
+        )
 
     @pytest.mark.parametrize(
         "gens",
@@ -683,6 +721,69 @@ class TestAxisMultiples:
         d, points = case
         assert _axis_multiples(points, d) == self.per_point(points, d)
         assert _axis_multiples(iter(points + points[::-1]), d) == self.per_point(points, d)
+
+
+def seeded_lists(seed, count):
+    """Full-cone lists in d = 1..3, most with infinitely many gaps: per axis
+    a least pure generator m in 1..4 and either the whole run m..2m-1 (so
+    ``_certificate`` may build its box) or m and a few pure multiples, plus
+    up to three mixed points below 5."""
+    rng = random.Random(seed)
+    lists = []
+    for _ in range(count):
+        d = rng.randint(1, 3)
+        gens = []
+        for i in range(d):
+            m = rng.randint(1, 4)
+            run = range(m, 2 * m) if rng.randint(0, 1) else {m, *rng.sample(range(m, 3 * m), 2)}
+            gens += [tuple(v if j == i else 0 for j in range(d)) for v in run]
+        gens += [tuple(rng.randint(0, 4) for _ in range(d)) for _ in range(rng.randint(0, 3))]
+        lists.append([g for g in gens if any(g)])
+    return lists
+
+
+class TestCertificate:
+    """``from_generators`` with and without the [0, 2m) certificate: the
+    same gap set, box and bases, or the same error, at every budget."""
+
+    BUDGETS = [4, 30, 100, 1000, 10**7]
+
+    @staticmethod
+    def answer(gens, max_work):
+        try:
+            gs = from_generators(gens, Budget(max_work))
+        except (InfiniteGaps, BudgetExceeded, AssertionError) as err:
+            return type(err), str(err)
+        return gs.conductor, gs.box.extent, gs.gap_mask, gs.hilbert_basis, gs.low_basis
+
+    @pytest.mark.parametrize(
+        "lists,certifies",
+        [
+            (lambda: [gs.hilbert_basis for level in frobenius_tree(2, 6) for gs in level], True),
+            (lambda: [gs.hilbert_basis for level in frobenius_tree(3, 4) for gs in level], True),
+            # one pure generator a >= 2 per axis: the axis gcd names a gap
+            # line before any box is built
+            (lambda: SIMPLICIAL_SAMPLE, False),
+            (lambda: seeded_lists(29, 400), True),
+        ],
+        ids=["census d=2", "census d=3", "simplicial", "seeded"],
+    )
+    def test_matches_the_tube_route(self, lists, certifies, monkeypatch):
+        cases = [(gens, w) for gens in lists() for w in self.BUDGETS]
+        certified, real = [], gapsemigroup._certificate
+
+        def counted(gens, mult, budget):
+            certified.append(result := real(gens, mult, budget))
+            return result
+
+        monkeypatch.setattr(gapsemigroup, "_certificate", counted)
+        on = [self.answer(gens, w) for gens, w in cases]
+        monkeypatch.setattr(gapsemigroup, "_certificate", lambda *args: None)
+        off = [self.answer(gens, w) for gens, w in cases]
+        for case, a, b in zip(cases, on, off):
+            assert a == b, case
+        # the certificate's box was built
+        assert any(certified) == certifies
 
 
 class TestAperyKernelOracle:
