@@ -9,13 +9,14 @@ gap set until the closure is reached.
 from __future__ import annotations
 
 import itertools
+from operator import lt
 from typing import Iterator, Optional, Sequence, Union
 
 from . import lattice
 from .errors import HypothesisFailed, NotPI
 from .gapsemigroup import GapSemigroup, from_generators
 from .lattice import Point, _Box, _Record, _generated
-from .membership import AffineSemigroup, _window, minimalize, multiplicity
+from .membership import AffineSemigroup, _bit, _window, minimalize, multiplicity
 
 
 def _chain_sums(box: _Box, members: int, top: Sequence[int]) -> Iterator[int]:
@@ -141,20 +142,45 @@ def is_pi(sem: Union[AffineSemigroup, GapSemigroup]) -> PIStatus:
     a nonzero member for all nonzero members x, y. Checking generator pairs
     suffices: writing x as generator sums and inducting on length reduces
     every instance to a pair. When the multiplicity is not attained the
-    criterion does not apply and the result is None. Generator-form input
-    grows its membership box once, to the corner 2 max(g) - m above every
-    pair point, so the pairs, asked in grlex order, rebuild no box.
+    criterion does not apply and the result is None.
+
+    Every pair is read off one mask. Gap-form input shifts the mask of
+    {g - m} over its Hilbert basis up by each basis element h and ANDs it
+    with the gap mask: g - m + h < 4c fits the conductor box's 4c-wide
+    rows, so no shift carries into another row, and a bit past c is no
+    gap. Generator-form input grows its membership box once, to the corner
+    2 max(g) - m above every pair point, and reads m and each pair point
+    g + h - m there as the bit index(g) + index(h) - index(m): the index is
+    linear, so no point is built and no membership call is made. Only when
+    that box would pass MEMBER_BOX_BITS are the pairs asked one by one, by
+    ``is_member``, which descends past the box.
     """
-    m, attained = multiplicity(sem)
-    if not attained:
+    if isinstance(sem, GapSemigroup):
+        m, attained = multiplicity(sem)
+        if not attained:
+            return PIStatus(m, False, None)
+        box, basis = sem.box, sem.hilbert_basis
+        # every basis element lies at or above m, so index(g) - index(m) is g - m
+        above = box.mask(basis) >> box.index(m)
+        clash = any(above << i & sem.gap_mask for i in map(box.index, basis))
+        return PIStatus(m, True, not clash)
+    gens = sem.generators
+    m = tuple(map(min, zip(*gens)))
+    if lattice.is_zero(m):
         return PIStatus(m, False, None)
-    if isinstance(sem, AffineSemigroup):
-        gens = sem.generators
-        sem.cover(tuple(2 * t - v for t, v in zip(map(max, zip(*gens)), m)))
-    else:
-        gens = sem.hilbert_basis
-    for i, g in enumerate(gens):
-        for h in gens[i:]:
+    corner = tuple(2 * t - v for t, v in zip(map(max, zip(*gens)), m))
+    box, bits = sem.cover(corner)
+    if all(map(lt, corner, box.extent)):
+        i = box.index(m)
+        if not _bit(bits, i):
+            return PIStatus(m, False, None)
+        indices = list(box.indices(list(zip(*gens))))
+        pairs = (a + b - i for k, a in enumerate(indices) for b in indices[k:])
+        return PIStatus(m, True, all(_bit(bits, p) for p in pairs))
+    if m not in sem:
+        return PIStatus(m, False, None)
+    for k, g in enumerate(gens):
+        for h in gens[k:]:
             # g, h >= m componentwise, so the combination stays in N^d and
             # has positive coordinate sum; only membership can fail.
             if lattice.sub(lattice.add(g, h), m) not in sem:

@@ -45,6 +45,10 @@ from .gapsemigroup import Budget, GapSemigroup, from_gaps, from_generators
 from .lattice import TermOrder, grlex_sorted
 from .membership import AffineSemigroup
 
+# the one --json writer: every payload is a tree of lists, tuples, ints,
+# strs and bools, so the cycle check would find nothing
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+
 
 def parse_point(text: str):
     """One point: "(1,3)", "[1,3]", or a bare integer for dimension one."""
@@ -508,13 +512,7 @@ def main(argv=None) -> int:
         payload = args.handler(args)
     except SemigroupError as exc:
         if args.json:
-            print(
-                json.dumps(
-                    {"error": exc.name, "detail": str(exc)},
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-            )
+            print(_JSON.encode({"error": exc.name, "detail": str(exc)}))
         else:
             print(f"error {exc.name}: {exc}", file=sys.stderr)
         return 1
@@ -522,7 +520,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     if args.json:
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        print(_JSON.encode(payload))
     else:
         print("\n".join(_render_text(payload)))
     return 0

@@ -76,24 +76,35 @@ class GapSemigroup:
     ``from_generators`` passes the Hilbert basis as ``basis``, in
     graded-lex order, and the mask in the conductor box or in the larger
     box [0, 2m) of its certificate; the set is then a monoid by
-    construction, so no pass runs, and ``low_basis`` is the mask of the
-    basis points below c. Equality and the hash read (dimension,
+    construction, so no pass runs, and ``low_basis``, the mask of the
+    basis points below c, is built only when first read (``csg gaps``
+    never reads it). Equality and the hash read (dimension,
     conductor, gap_mask), which is canonical because the conductor fixes
     the box.
     """
 
-    __slots__ = ("dimension", "conductor", "box", "gap_mask", "low_basis", "_basis", "_gaps")
+    __slots__ = ("dimension", "conductor", "box", "gap_mask", "_low_basis", "_basis", "_gaps")
 
     def __init__(self, box: _Box, gap_mask: int, basis: Optional[tuple] = None):
         self.dimension = len(box.extent)
         self.conductor, self.box, self.gap_mask = box.fit(gap_mask)
-        # without gaps c is 0, and below(c - 1) is empty
-        below_c = self.box.below([v - 1 for v in self.conductor])
-        self._basis, self._gaps = basis, None
+        self._basis, self._gaps, self._low_basis = basis, None, None
         if basis is None:
-            self.low_basis = _closure_pass(self.box, below_c & ~self.gap_mask, self.gap_mask)
-        else:
-            self.low_basis = self.box.mask(basis) & below_c
+            members = self._below_conductor() & ~self.gap_mask
+            self._low_basis = _closure_pass(self.box, members, self.gap_mask)
+
+    def _below_conductor(self) -> int:
+        # without gaps c is 0, and below(c - 1) is empty
+        return self.box.below([v - 1 for v in self.conductor])
+
+    @property
+    def low_basis(self) -> int:
+        """The mask of the Hilbert-basis elements below c: left by the
+        closure pass of a given gap set, else cut from the given basis on
+        first read and kept."""
+        if self._low_basis is None:
+            self._low_basis = self.box.mask(self._basis) & self._below_conductor()
+        return self._low_basis
 
     @property
     def gaps(self) -> frozenset[Point]:

@@ -9,7 +9,8 @@ bits, so it grows only up to ``MEMBER_BOX_BITS``. A point past that is
 decided by descent: p is a member iff p - g is one for some generator g,
 down to the box, where the mask answers; a descent that sees more than
 ``FAR_SEARCH_POINTS`` points raises BudgetExceeded. ``minimalize`` reads
-the same kernel, one generator at a time, each in its own box. The scans
+the same kernel, over one box [0, max g] when that is the smaller, else one
+generator at a time, each in its own box. The scans
 of PI decompositions, of ``arf.prop79_check`` and of the (a, p) family
 build their one box through ``_window``, which holds the same cap but
 raises BudgetExceeded past it, so this module alone sets the window
@@ -182,9 +183,12 @@ def minimalize(generators: Iterable[Sequence[int]], dimension: Optional[int] = N
     """The unique minimal generating system of the monoid the inputs generate.
 
     The minimal system of a reduced monoid is exactly S* minus (S* + S*):
-    the inputs g that are no sum of the other inputs. Each g is tested in
-    its own box [0, g], so the cost is the sum of the generators' volumes,
-    not the volume of their coordinatewise maximum.
+    the inputs g that are no sum of the other inputs. When the box
+    [0, max g] holds no more bits than the boxes [0, g] of all the inputs
+    together, and fits MEMBER_BOX_BITS, one ``_generated`` over it keeps
+    exactly those, as the inputs are grlex-sorted. Otherwise each g is
+    tested in its own box [0, g], so the cost is the sum of the generators'
+    volumes, not the volume of their coordinatewise maximum.
     """
     gens = [tuple(g) for g in generators]
     if dimension is None:
@@ -192,7 +196,12 @@ def minimalize(generators: Iterable[Sequence[int]], dimension: Optional[int] = N
             raise ValueError("dimension required for an empty generator list")
         dimension = len(gens[0])
     gens = AffineSemigroup(dimension, gens).generators  # validates the input
+    extent = tuple(v + 1 for v in map(max, zip(*gens)))
+    size = _box_bits(extent)
     kept = []
+    if size <= MEMBER_BOX_BITS and size <= sum(_box_bits([v + 1 for v in g]) for g in gens):
+        _generated(_Box(extent), gens, kept)
+        return AffineSemigroup(dimension, kept)
     for g in gens:
         below = [h for h in gens if h != g and all(a <= b for a, b in zip(h, g))]
         if below:

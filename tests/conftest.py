@@ -8,7 +8,9 @@ normal form takes the smallest pivot, and the simplicial d = 2 oracle
 Buchsbaum tests off sets of points. The census (``frobenius_tree``) is
 built on the library's kernels and checked against known counts, and the
 Arf oracles run the library's chain sums step by step: one validated
-semigroup per derived step, and the derived stage in members form.
+semigroup per derived step, and the derived stage in members form. The PI
+verdict and the minimal generators have a membership call per pair or per
+generator (``pair_loop_is_pi``, ``per_generator_minimalize``).
 """
 
 import functools
@@ -22,10 +24,11 @@ import pytest
 from hypothesis import strategies as st
 
 from csemigroups import AffineSemigroup, GapSemigroup, from_generators
-from csemigroups.arf import _chain_sums
+from csemigroups.arf import PIStatus, _chain_sums
 from csemigroups.errors import DimensionMismatch, NotClosed, OrderNotPredecessorFinite
 from csemigroups.frobenius import frobenius_element
 from csemigroups.lattice import GRLEX, _Box, _generated, partial_leq
+from csemigroups.membership import MEMBER_BOX_BITS, multiplicity
 
 # a test that runs longer fails, named, instead of hanging the suite;
 # pytest --durations=10 shows how far below this the slowest tests stay
@@ -99,6 +102,33 @@ def count_member_calls(monkeypatch):
 
     monkeypatch.setattr(AffineSemigroup, "is_member", counted)
     return calls
+
+
+def pair_loop_is_pi(sem):
+    """The PI verdict asked pair by pair: m in S, then each g + h - m for
+    the generator pairs g <= h (the Hilbert basis in gap form), every one
+    a membership call."""
+    m, attained = multiplicity(sem)
+    if not attained:
+        return PIStatus(m, False, None)
+    gens = sem.generators if isinstance(sem, AffineSemigroup) else sem.hilbert_basis
+    for i, g in enumerate(gens):
+        for h in gens[i:]:
+            if tuple(a + b - c for a, b, c in zip(g, h, m)) not in sem:
+                return PIStatus(m, True, False)
+    return PIStatus(m, True, True)
+
+
+def per_generator_minimalize(gens, dimension):
+    """The inputs that are no sum of the other inputs below them, each asked
+    as a membership call in the semigroup of those others."""
+    gens = AffineSemigroup(dimension, gens).generators
+    kept = []
+    for g in gens:
+        below = [h for h in gens if h != g and partial_leq(h, g)]
+        if not below or g not in AffineSemigroup(dimension, below):
+            kept.append(g)
+    return AffineSemigroup(dimension, kept)
 
 
 def enumerate_box(lo, hi):
@@ -398,6 +428,31 @@ def s5():
 @pytest.fixture(scope="session")
 def s77():
     return from_generators(AffineSemigroup(2, GENS_ARF))
+
+
+@st.composite
+def generator_lists(draw):
+    """Generator lists in d = 1..3: free ones, points on one ray (no full
+    cone, like GENS_PI), and free ones with a coordinate none of them uses."""
+    d = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["free", "ray", "unused"]))
+    vector = st.tuples(*[st.integers(0, 5)] * d)
+    if kind == "ray":
+        v = draw(vector.filter(any))
+        multiples = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+        gens = [tuple(n * a for a in v) for n in multiples]
+    else:
+        gens = draw(st.lists(vector, min_size=1, max_size=6))
+        if kind == "unused":
+            j = draw(st.integers(0, d - 1))
+            gens = [g[:j] + (0,) + g[j + 1 :] for g in gens]
+        gens = [g for g in gens if any(g)] or [(1,) * d]
+    return d, gens
+
+
+# the default budget, and ones so small that most points are decided by
+# descent into a box grown only part of the way
+BOX_BUDGETS = st.sampled_from([MEMBER_BOX_BITS, 8, 64, 256])
 
 
 @st.composite

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    BOX_BUDGETS,
     GENS_PI,
     arf_violation,
     box_points,
@@ -17,10 +18,13 @@ from conftest import (
     count_member_calls,
     finite_gap_sets,
     frobenius_tree,
+    generator_lists,
     gap_universe,
     in_gap_complement,
     mask_to_points,
     members_form_stage,
+    pair_loop_is_pi,
+    per_generator_minimalize,
     per_step_arf_closure,
     per_step_derived,
 )
@@ -242,7 +246,7 @@ class TestIsPI:
         assert not status.attained and status.is_pi is None
 
     def test_generator_form_builds_one_pair_box(self, monkeypatch):
-        # one box for the multiplicity, one to the corner of all the pairs;
+        # one box, to the corner of all the pairs, which holds m too;
         # growing the box pair by pair took 11
         builds = []
         real = membership._sums
@@ -253,7 +257,19 @@ class TestIsPI:
 
         monkeypatch.setattr(membership, "_sums", counted)
         assert is_pi(AffineSemigroup(2, GENS_PI)).is_pi
-        assert len(builds) <= 2
+        assert builds == [(21, 41)]
+
+    def test_generator_form_makes_no_member_call(self, monkeypatch):
+        # m and every pair point are bits of the corner box
+        calls = count_member_calls(monkeypatch)
+        assert is_pi(AffineSemigroup(2, GENS_PI)).is_pi
+        assert calls == []
+
+    def test_corner_past_the_member_budget_asks_the_pairs(self):
+        # the corner box [0, (5001, 5001)) passes MEMBER_BOX_BITS, so m and
+        # the one pair are asked by descent, and answered
+        status = is_pi(AffineSemigroup(2, [(5000, 5000)]))
+        assert status == PIStatus((5000, 5000), True, True)
 
     def test_arf_with_multiplicity_implies_pi(self):
         # dimension one is where gap semigroups attain their multiplicity
@@ -315,12 +331,12 @@ class TestPIDecompose:
         assert pim.base.generators == ((1500, 1500),)
 
     def test_member_calls_do_not_grow_with_the_window(self, monkeypatch):
-        # 8 + Ap(<8, 7>, 8) on the diagonal: is_pi asks m and the 36
-        # generator pairs, PIMonoid asks m in the base; the window of
-        # 69 x 69 points adds no call
+        # 8 + Ap(<8, 7>, 8) on the diagonal: is_pi reads m and the 36
+        # generator pairs off one box, PIMonoid asks m in the base; the
+        # window of 69 x 69 points adds no call
         calls = count_member_calls(monkeypatch)
         pi_decompose(AffineSemigroup(2, [(g, g) for g in range(8, 58, 7)]))
-        assert len(calls) <= 8 * 9 // 2 + 2
+        assert len(calls) <= 1
 
     @pytest.mark.parametrize(
         "gens,expected",
@@ -400,6 +416,59 @@ class TestPIDecomposeOracle:
         pim = pi_decompose(gs)
         assert pim.offset == (gens[0],)
         assert first_mismatch(gs, pim, pi_window(pim.offset, gs.conductor)) is None
+
+
+RAYS = st.sampled_from([(1,), (1, 1), (1, 2)])
+
+
+def on_ray(gens, ray):
+    return AffineSemigroup(len(ray), [tuple(g * v for v in ray) for g in gens])
+
+
+class TestPIRoutes:
+    """is_pi on one mask against the pair loop of membership calls, and the
+    one-box minimalize against the per-generator route on the PI bases."""
+
+    @pytest.mark.parametrize("d,genus", [(1, 12), (2, 6), (3, 4)])
+    def test_census_gap_form(self, d, genus):
+        verdicts = set()
+        for level in frobenius_tree(d, genus):
+            for gs in level:
+                status = is_pi(gs)
+                assert status == pair_loop_is_pi(gs), gs
+                verdicts.add(status.is_pi)
+        # in d >= 2 the multiplicity, 0, is never attained
+        assert verdicts == ({True, False} if d == 1 else {None})
+
+    @settings(max_examples=100, deadline=None)
+    @given(generator_lists(), BOX_BUDGETS)
+    def test_generator_lists(self, case, budget):
+        d, gens = case
+        with mock.patch.object(membership, "MEMBER_BOX_BITS", budget):
+            assert is_pi(AffineSemigroup(d, gens)) == pair_loop_is_pi(AffineSemigroup(d, gens))
+
+    @settings(max_examples=60, deadline=None)
+    @given(numerical_pi_lists(), RAYS)
+    def test_pi_lists(self, gens, ray):
+        status = is_pi(on_ray(gens, ray))
+        assert status == pair_loop_is_pi(on_ray(gens, ray))
+        assert status.is_pi
+        m, d = status.multiplicity, len(ray)
+        base = [sub(g, m) for g in on_ray(gens, ray).generators if g != m] + [m]
+        assert minimalize(base, d) == per_generator_minimalize(base, d)
+        if d == 1 and gcd(*gens) == 1:
+            gs = from_generators([(g,) for g in gens])
+            assert is_pi(gs) == pair_loop_is_pi(gs) == PIStatus((gens[0],), True, True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(2, 40), min_size=2, max_size=6), RAYS)
+    def test_non_pi_lists(self, gens, ray):
+        expected = pair_loop_is_pi(on_ray(gens, ray))
+        assume(expected.is_pi is False)
+        assert is_pi(on_ray(gens, ray)) == expected
+        if len(ray) == 1 and gcd(*gens) == 1:
+            gs = from_generators([(g,) for g in gens])
+            assert is_pi(gs) == pair_loop_is_pi(gs) == expected
 
 
 class TestStepOracles:

@@ -5,10 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ALL_PAPER_GENS, GENS_PI, GENS_S2, GENS_S5, GENS_SAP31, closure_in_box, box_points
+from conftest import (
+    ALL_PAPER_GENS,
+    BOX_BUDGETS,
+    GENS_PI,
+    GENS_S2,
+    GENS_S5,
+    GENS_SAP31,
+    box_points,
+    closure_in_box,
+    generator_lists,
+    per_generator_minimalize,
+)
 from csemigroups import membership
 from csemigroups.errors import BudgetExceeded, DimensionMismatch
-from csemigroups.lattice import grlex_sorted, zero
+from csemigroups.lattice import _Box, grlex_sorted, zero
 from csemigroups.membership import MEMBER_BOX_BITS, AffineSemigroup, minimalize, multiplicity
 
 
@@ -141,6 +152,21 @@ class TestIsMember:
             assert expected is None
 
 
+def count_boxes(monkeypatch):
+    """Record the extent of every box the membership module builds."""
+    built = []
+
+    class Counted(_Box):
+        __slots__ = ()
+
+        def __init__(self, extent):
+            built.append(tuple(extent))
+            super().__init__(extent)
+
+    monkeypatch.setattr(membership, "_Box", Counted)
+    return built
+
+
 class TestMinimalize:
     def test_drops_decomposable(self):
         sem = minimalize([(1, 0), (2, 0), (0, 1)])
@@ -168,6 +194,39 @@ class TestMinimalize:
         gens = [(3000, 0, 0), (0, 3000, 0), (0, 0, 3000), (1, 1, 1), (3001, 1, 1)]
         assert set(minimalize(gens).generators) == set(gens[:4])
 
+    @pytest.mark.parametrize(
+        "gens,extent",
+        [
+            # [0, max g] passes MEMBER_BOX_BITS
+            ([(3000, 0, 0), (0, 3000, 0), (0, 0, 3000), (1, 1, 1), (3001, 1, 1)], (3002, 2, 2)),
+            # [0, max g] fits, in 4e6 bits, but the boxes [0, g] take 16e3
+            ([(1000, 0), (0, 1000), (1, 1), (1001, 1)], (1002, 2)),
+        ],
+    )
+    def test_sparse_list_builds_a_box_per_generator(self, monkeypatch, gens, extent):
+        minimalize(gens)
+        built = count_boxes(monkeypatch)
+        assert set(minimalize(gens).generators) == set(gens[:-1])
+        # only the last generator has inputs below it
+        assert built == [extent]
+
+    def test_pi_base_of_the_diagonal_list_builds_one_box(self, monkeypatch):
+        # the base pi_decompose hands over for (8,8);(15,15);...;(57,57):
+        # each g - m, and m
+        m = (8, 8)
+        base = [(g - 8, g - 8) for g in range(15, 58, 7)] + [m]
+        minimalize(base)
+        built = count_boxes(monkeypatch)
+        assert minimalize(base).generators == ((7, 7), (8, 8))
+        assert built == [(50, 50)]
+
+    @settings(max_examples=80, deadline=None)
+    @given(generator_lists(), BOX_BUDGETS)
+    def test_one_box_matches_the_per_generator_route(self, case, budget):
+        d, gens = case
+        with mock.patch.object(membership, "MEMBER_BOX_BITS", budget):
+            assert minimalize(gens, d) == per_generator_minimalize(gens, d)
+
     def test_order_independent(self):
         gens = [(4,), (6,), (9,), (10,), (13,), (15,)]
         rng = random.Random(5)
@@ -186,31 +245,6 @@ class TestMinimalize:
                     continue
                 rest = tuple(a - b for a, b in zip(g, x))
                 assert not (sem.is_member(x) and sem.is_member(rest)), (g, x)
-
-
-@st.composite
-def generator_lists(draw):
-    """Generator lists in d = 1..3: free ones, points on one ray (no full
-    cone, like GENS_PI), and free ones with a coordinate none of them uses."""
-    d = draw(st.integers(1, 3))
-    kind = draw(st.sampled_from(["free", "ray", "unused"]))
-    vector = st.tuples(*[st.integers(0, 5)] * d)
-    if kind == "ray":
-        v = draw(vector.filter(any))
-        multiples = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
-        gens = [tuple(n * a for a in v) for n in multiples]
-    else:
-        gens = draw(st.lists(vector, min_size=1, max_size=6))
-        if kind == "unused":
-            j = draw(st.integers(0, d - 1))
-            gens = [g[:j] + (0,) + g[j + 1 :] for g in gens]
-        gens = [g for g in gens if any(g)] or [(1,) * d]
-    return d, gens
-
-
-# the default budget, and ones so small that most points are decided by
-# descent into a box grown only part of the way
-BOX_BUDGETS = st.sampled_from([MEMBER_BOX_BITS, 8, 64, 256])
 
 
 class TestRandomizedOracle:
