@@ -9,8 +9,9 @@ bits, so it grows only up to ``MEMBER_BOX_BITS``. A point past that is
 decided by descent: p is a member iff p - g is one for some generator g,
 down to the box, where the mask answers; a descent that sees more than
 ``FAR_SEARCH_POINTS`` points raises BudgetExceeded. ``minimalize`` reads
-the same kernel, over one box [0, max g] when that is the smaller, else one
-generator at a time, each in its own box. The scans
+the same kernel, over one box [0, max g] when that is the smaller, else it
+tests each generator against the inputs below it, in the box that
+membership grows for it (``_grown``). The scans
 of PI decompositions, of ``arf.prop79_check`` and of the (a, p) family
 build their one box through ``_window``, which holds the same cap but
 raises BudgetExceeded past it, so this module alone sets the window
@@ -97,14 +98,8 @@ class AffineSemigroup:
         """The cached (box, bits) pair, first grown to hold p if the budget allows."""
         if len(p) != self.dimension:
             raise DimensionMismatch(f"point {tuple(p)} in dimension {self.dimension}")
-        box, bits = self._cache
-        if not all(map(lt, p, box.extent)):
-            extent = tuple(max(v + 1, e) for v, e in zip(p, box.extent))
-            if _box_bits(extent) <= MEMBER_BOX_BITS:
-                box = _Box(extent)
-                bits = _sums(box, self.generators)
-                self._cache = (box, bits)
-        return box, bits
+        self._cache = pair = _grown(self.generators, p, *self._cache)
+        return pair
 
     def __contains__(self, p) -> bool:
         return self.is_member(p)
@@ -124,6 +119,17 @@ def _unit(d: int) -> tuple[_Box, bytes]:
 def _box_bits(extent: Sequence[int]) -> int:
     """About the bits of the box [0, extent) and of the shifts that build it."""
     return prod(2 * e for e in extent)
+
+
+def _grown(gens: Sequence[Point], p: Sequence[int], box: _Box, bits: bytes) -> tuple[_Box, bytes]:
+    """(box, bits), the sums of gens in box, grown to hold p unless that box
+    would take more than MEMBER_BOX_BITS bits."""
+    if not all(map(lt, p, box.extent)):
+        extent = tuple(max(v + 1, e) for v, e in zip(p, box.extent))
+        if _box_bits(extent) <= MEMBER_BOX_BITS:
+            box = _Box(extent)
+            bits = _sums(box, gens)
+    return box, bits
 
 
 def _window(extent: Sequence[int], name: str) -> _Box:
@@ -187,8 +193,9 @@ def minimalize(generators: Iterable[Sequence[int]], dimension: Optional[int] = N
     [0, max g] holds no more bits than the boxes [0, g] of all the inputs
     together, and fits MEMBER_BOX_BITS, one ``_generated`` over it keeps
     exactly those, as the inputs are grlex-sorted. Otherwise each g is
-    tested in its own box [0, g], so the cost is the sum of the generators'
-    volumes, not the volume of their coordinatewise maximum.
+    tested against the inputs below it in the box that membership grows to
+    hold it, [0, g] within MEMBER_BOX_BITS, so the cost is the sum of the
+    generators' volumes, not the volume of their coordinatewise maximum.
     """
     gens = [tuple(g) for g in generators]
     if dimension is None:
@@ -204,12 +211,8 @@ def minimalize(generators: Iterable[Sequence[int]], dimension: Optional[int] = N
         return AffineSemigroup(dimension, kept)
     for g in gens:
         below = [h for h in gens if h != g and all(a <= b for a, b in zip(h, g))]
-        if below:
-            extent = tuple(v + 1 for v in g)
-            box = _Box(extent) if _box_bits(extent) <= MEMBER_BOX_BITS else _unit(dimension)[0]
-            if _member(below, g, box, _sums(box, below)):
-                continue
-        kept.append(g)
+        if not below or not _member(below, g, *_grown(below, g, *_unit(dimension))):
+            kept.append(g)
     return AffineSemigroup(dimension, kept)
 
 

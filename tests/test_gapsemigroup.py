@@ -476,14 +476,14 @@ class TestFromGenerators:
             # D_d(k): N^d minus every point of degree below k
             ([p for p in box_points((13, 13)) if 7 <= sum(p) <= 13], 1, 27),
             ([p for p in box_points((5, 5, 5)) if 3 <= sum(p) <= 5], 1, 9),
-            ([(4,), (6,), (9,)], 3, 6),
+            ([(4,), (6,), (9,)], 4, 6),
         ],
     )
     def test_one_build_per_tube(self, gens, builds, genus, monkeypatch):
         # the mask of [0, 2m) certifies every axis of D_2(7) and D_3(3), so
         # it is their one build. No face tube is built: the slice tests run
-        # only to name an infinite slice. <4, 6, 9> lacks 5 and 7 below
-        # 2m, so it certifies nothing and builds no [0, 2m): its tube
+        # only to name an infinite slice. <4, 6, 9> builds [0, 8) too, but
+        # its gaps 5 and 7 lie past m, so it certifies nothing: its tube
         # needs 25 > 4m points and takes two, then the conductor box one
         calls = self.count_builds(monkeypatch)
         assert from_generators(gens).genus == genus
@@ -495,12 +495,12 @@ class TestFromGenerators:
             # s2: [0, 2m) certifies axis 0 only; the tube along axis 1
             # doubles from 4 to 16 rows, then the conductor box
             (GENS_S2, None, 5, [1]),
-            # every axis holds m..2m-1, but neither (3, 1) nor (1, 3), which
-            # only a generator can be, is listed: no [0, 2m) is built, and
-            # c = (5, 5) > m. Two boxes per tube, then the conductor box
-            ([(3, 0), (4, 0), (5, 0), (0, 3), (0, 4), (0, 5), (1, 1)], None, 5, [0, 1]),
-            # axis 0 holds (3, 0) and (2, 1), so [0, 4) x [0, 4) is built,
-            # but the gaps (3, 1) and (1, 3) leave both axes open: one build
+            # [0, 6) x [0, 6) is built, but its gaps (3, 1) and (1, 3) leave
+            # both axes open (c = (5, 5) > m): one build more than the two
+            # boxes per tube and the conductor box
+            ([(3, 0), (4, 0), (5, 0), (0, 3), (0, 4), (0, 5), (1, 1)], None, 6, [0, 1]),
+            # [0, 4) x [0, 4) is built, but the gaps (3, 1) and (1, 3)
+            # leave both axes open: one build
             # more than the four tube boxes and the conductor box
             ([(0, 2), (2, 0), (0, 3), (1, 2), (2, 1), (3, 0)], None, 6, [0, 1]),
             # D_2(7) one point below 4 prod(m): no [0, 2m), the tube route
@@ -726,7 +726,7 @@ class TestAxisMultiples:
 def seeded_lists(seed, count):
     """Full-cone lists in d = 1..3, most with infinitely many gaps: per axis
     a least pure generator m in 1..4 and either the whole run m..2m-1 (so
-    ``_certificate`` may build its box) or m and a few pure multiples, plus
+    ``_certificate`` may certify that axis) or m and a few pure multiples, plus
     up to three mixed points below 5."""
     rng = random.Random(seed)
     lists = []
@@ -784,6 +784,21 @@ class TestCertificate:
             assert a == b, case
         # the certificate's box was built
         assert any(certified) == certifies
+
+    def test_box_exactly_when_the_budget_allows(self):
+        # the generators do not decide whether B is built: only m and the
+        # budget do, and B is then [0, 2m)
+        census = [gs.hilbert_basis for d, g in ((2, 6), (3, 4)) for level in frobenius_tree(d, g)
+                  for gs in level]
+        for gens in census + seeded_lists(29, 400) + [[(4,), (6,), (9,)]]:
+            d = len(gens[0])
+            mult, _ = _axis_multiples(gens, d)
+            for w in self.BUDGETS:
+                certificate = gapsemigroup._certificate(gens, mult, Budget(w))
+                fits = max(4, 2**d) * math.prod(mult) <= w
+                assert (certificate is not None) == fits, (gens, w)
+                if fits:
+                    assert certificate[0].extent == tuple(2 * m for m in mult)
 
 
 class TestAperyKernelOracle:
