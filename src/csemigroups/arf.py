@@ -161,7 +161,7 @@ def is_pi(sem: Union[AffineSemigroup, GapSemigroup]) -> PIStatus:
             return PIStatus(m, False, None)
         box, basis = sem.box, sem.hilbert_basis
         # every basis element lies at or above m, so index(g) - index(m) is g - m
-        above = box.mask(basis) >> box.index(m)
+        above = box.mask(list(zip(*basis))) >> box.index(m)
         clash = any(above << i & sem.gap_mask for i in map(box.index, basis))
         return PIStatus(m, True, not clash)
     gens = sem.generators

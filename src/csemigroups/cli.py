@@ -41,7 +41,7 @@ from .frobenius import (
     omega_extra,
     pseudo_frobenius,
 )
-from .gapsemigroup import Budget, GapSemigroup, from_gaps, from_generators
+from .gapsemigroup import Budget, GapSemigroup, _columns, _from_columns, from_generators
 from .lattice import TermOrder, grlex_sorted
 from .membership import AffineSemigroup
 
@@ -72,10 +72,11 @@ _CANONICAL = str.maketrans("", "", "0123456789-(),; \t\n\r")
 _AS_JSON = str.maketrans("();", "[],")
 
 
-def _bulk_points(text: str):
-    """The points of a canonical list, read by one ``json.loads``; None for
-    any other text and for the canonical lists that JSON refuses (a leading
-    zero, a form feed, an integer past the digit limit).
+def _bulk_items(text: str):
+    """The items of a canonical list, read by one ``json.loads``: integers
+    in dimension one, else lists of one length; None for any other text
+    and for the canonical lists that JSON refuses (a leading zero, a form
+    feed, an integer past the digit limit).
 
     A canonical list is ";"-separated chunks, each a parenthesized tuple of
     integers or, in dimension one, a bare integer, with whitespace around
@@ -97,11 +98,17 @@ def _bulk_points(text: str):
     if len(items) != n:
         return None
     if "(" not in text:
-        return list(zip(items))
+        return items
     groups = text.count("(") == n == "".join(text.split()).count(");(") + 1
     if groups and set(map(type, items)) == {list} and len(set(map(len, items))) == 1 <= len(items[0]):
-        return list(map(tuple, items))
-    return None
+        return items
+
+
+def _bulk_points(text: str):
+    """The points of a canonical list (``_bulk_items``) as tuples; None for
+    any other text."""
+    if (items := _bulk_items(text)) is not None:
+        return list(zip(items) if type(items[0]) is int else map(tuple, items))
 
 
 def parse_point_list(text: str):
@@ -124,8 +131,22 @@ def parse_point_list(text: str):
     return points
 
 
+def _gap_columns(text: str):
+    """The coordinate columns of a --gaps list, one per dimension.
+
+    A canonical list's items go on as the columns, so no point tuple is
+    made: in dimension one the array itself is the one column, else its
+    lists are zipped once. Any other text is read by ``parse_point_list``,
+    which refuses it in bulk again and reads it chunk by chunk.
+    """
+    items = _bulk_items(text)
+    if items is None:
+        return list(zip(*parse_point_list(text)))
+    return [items] if type(items[0]) is int else list(zip(*items))
+
+
 def _load_file(path: str, kinds=("gens", "gaps")):
-    """(kind, points, d) from a JSON file.
+    """(kind, points, d) from a JSON file, the points as its JSON lists.
 
     The file must hold an object with an integer "d" and, under the first of
     ``kinds`` it has, a list of integer points; anything else is a
@@ -146,29 +167,38 @@ def _load_file(path: str, kinds=("gens", "gaps")):
                 or not set(map(type, itertools.chain.from_iterable(pts))) <= {int}
             ):
                 raise ValueError(f"{path}: '{kind}' must be a list of integer points")
-            return kind, list(map(tuple, pts)), data["d"]
+            return kind, pts, data["d"]
     raise ValueError(f"{path}: expected a " + " or ".join(f"'{k}'" for k in kinds) + " key")
 
 
 def _semigroup(args):
     """The input as given, from its one source (--gens, --gaps or --file):
     an AffineSemigroup from generators, a validated GapSemigroup from gaps;
-    no gap set is built from generators."""
-    if args.gens is None and args.gaps is None:
+    no gap set is built from generators.
+
+    Gaps, inline or from a file, reach ``_from_columns`` as coordinate
+    columns under --budget, with no point tuple made: a file's lists have
+    their lengths checked against "d" and are zipped once (``_columns``).
+    """
+    if args.gens is not None:
+        pts = parse_point_list(args.gens)
+        return AffineSemigroup(len(pts[0]), pts)
+    # no --budget passes None, the library's default budget
+    budget = args.budget and Budget(args.budget)
+    if args.gaps is None:
         kind, pts, d = _load_file(args.file)
-    else:
-        kind = "gaps" if args.gens is None else "gens"
-        pts = parse_point_list(getattr(args, kind))
-        d = len(pts[0])
-    return AffineSemigroup(d, pts) if kind == "gens" else from_gaps(d, pts)
+        if kind == "gens":
+            return AffineSemigroup(d, pts)
+        return _from_columns(d, _columns(d, pts), budget)
+    columns = _gap_columns(args.gaps)
+    return _from_columns(len(columns), columns, budget)
 
 
 def _gap_semigroup(args) -> GapSemigroup:
     """The input as a GapSemigroup; generators are scanned under --budget."""
     sem = _semigroup(args)
     if isinstance(sem, AffineSemigroup):
-        budget = Budget() if args.budget is None else Budget(max_work=args.budget)
-        return from_generators(sem, budget=budget)
+        return from_generators(sem, budget=args.budget and Budget(args.budget))
     return sem
 
 

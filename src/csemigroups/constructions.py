@@ -204,7 +204,7 @@ def apery_sap_window(a: int, p: int, window: Sequence[int]) -> AperyWindowReport
         for alpha in range(q)
         for alpha2 in range(q - alpha)
     ]
-    formula_mask = box.mask(formula)
+    formula_mask = box.mask(list(zip(*formula)))
     scan = ap & box.below(window)
     return AperyWindowReport(
         tuple(grlex_sorted(formula)),

@@ -23,9 +23,10 @@ m into [0, m), give c_i there. Only the axes it does not certify build a
 tube; when it certifies all, that one mask gives the gaps and the Hilbert
 basis. It is tried whenever each tube it saves would pass its first
 box, so no answer, error or budget changes.
-A given gap set's mask moves into the conductor box, where one closure
-pass over [0, c) validates complement closure and finds the basis elements
-below c; the whole basis takes a pass over [0, 2c) on first read.
+A given gap set is written from its coordinate columns straight into the
+conductor box, under the budget, where one closure pass over [0, c)
+validates complement closure and finds the basis elements below c; the
+whole basis takes a pass over [0, 2c) on first read.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ from .membership import AffineSemigroup
 
 
 class Budget(_Record):
-    """The limit on every box that ``from_generators`` builds.
+    """The limit on every box that ``from_generators`` builds, and on the
+    conductor box of ``from_gaps``.
 
     ``max_work`` caps a box's point count, the product of its extents.
     """
@@ -102,7 +104,7 @@ class GapSemigroup:
         closure pass of a given gap set, else cut from the given basis on
         first read and kept."""
         if self._low_basis is None:
-            self._low_basis = self.box.mask(self._basis) & self._below_conductor()
+            self._low_basis = self.box.mask(list(zip(*self._basis))) & self._below_conductor()
         return self._low_basis
 
     @property
@@ -158,27 +160,60 @@ class GapSemigroup:
         return {"d": self.dimension, "gaps": list(map(list, gaps))}
 
 
-def from_gaps(dimension: int, gaps: Iterable[Sequence[int]]) -> GapSemigroup:
-    """Build the semigroup N^d minus the given gaps, validating closure.
+def _name_bad(dimension: int, points: Iterable[Point]):
+    """Raise DimensionMismatch or NotNatural for the first bad point, in
+    the order of the set of the points."""
+    for g in frozenset(points):
+        if len(g) != dimension:
+            raise DimensionMismatch(f"gap {g} in dimension {dimension}")
+        if min(g) < 0:
+            raise NotNatural(g)
 
-    The mask is written from the points given straight into the conductor
-    box, and the gap points are decoded from it only when read. Dimension
-    and sign are checked on the lengths and the coordinate columns; only
-    when a check fails are the points made a set and walked one by one, in
-    the set's order, to name the first bad one.
-    """
+
+def _columns(dimension: int, gaps: Iterable[Sequence[int]]) -> list:
+    """The coordinate columns of the given gaps, each a sequence of
+    ``dimension`` coordinates; ValueError below dimension 1, else the
+    first bad point named (``_name_bad``) when some length is not the
+    dimension."""
     if dimension < 1:
         raise ValueError("dimension must be at least 1")
     points = list(gaps)
-    columns = list(zip(*points))
-    if not set(map(len, points)) <= {dimension} or any(min(col) < 0 for col in columns):
-        for g in frozenset(map(tuple, points)):
-            if len(g) != dimension:
-                raise DimensionMismatch(f"gap {g} in dimension {dimension}")
-            if any(v < 0 for v in g):
-                raise NotNatural(g)
-    box = _Box([2 + 2 * max(col) for col in columns] if points else [2] * dimension)
-    return GapSemigroup(box, box.mask(points))
+    if not set(map(len, points)) <= {dimension}:
+        _name_bad(dimension, map(tuple, points))
+    return list(zip(*points))
+
+
+def _from_columns(dimension: int, columns: Sequence, budget: Optional[Budget] = None) -> GapSemigroup:
+    """The semigroup N^d minus the gaps given by their coordinate columns,
+    ``dimension`` of them or none, validating closure.
+
+    The sign check and the box read the columns, and the mask is written
+    from them straight into the conductor box [0, 2c), c at least 1; no
+    point is built unless a coordinate is negative, and then the first bad
+    point of the set of the points is named, as ``from_gaps`` names it.
+    BudgetExceeded, before any mask is built, when the conductor box holds
+    more than ``budget.max_work`` points (``DEFAULT_BUDGET`` if None).
+    """
+    if any(min(col) < 0 for col in columns):
+        _name_bad(dimension, zip(*columns))
+    extent = [2 + 2 * max(col) for col in columns] or [2] * dimension
+    if prod(extent) > (budget or DEFAULT_BUDGET).max_work:
+        raise BudgetExceeded(f"the conductor box {tuple(extent)} passes the budget")
+    box = _Box(extent)
+    return GapSemigroup(box, box.mask(columns))
+
+
+def from_gaps(dimension: int, gaps: Iterable[Sequence[int]], budget: Optional[Budget] = None) -> GapSemigroup:
+    """Build the semigroup N^d minus the given gaps, validating closure.
+
+    The lengths are checked against the dimension (``_columns``), and the
+    coordinate columns go to ``_from_columns``, the one construction from
+    gaps: the mask is written from the columns into the conductor box, and
+    the gap points are decoded from it only when read. Raises
+    BudgetExceeded when the conductor box [0, 2c), c at least 1, holds
+    more than ``budget.max_work`` points (``DEFAULT_BUDGET`` if None).
+    """
+    return _from_columns(dimension, _columns(dimension, gaps), budget)
 
 
 # ---------------------------------------------------------------------------

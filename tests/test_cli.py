@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 from conftest import box_points, finite_gap_sets
 from csemigroups import cli
 from csemigroups.cli import main, parse_point, parse_point_list
+from csemigroups.errors import DimensionMismatch, NotNatural
 from csemigroups.frobenius import apery, omega_extra, pseudo_frobenius
-from csemigroups.lattice import TermOrder, grlex_sorted
+from csemigroups.gapsemigroup import GapSemigroup, from_gaps
+from csemigroups.lattice import TermOrder, _Box, grlex_sorted
 from csemigroups.membership import AffineSemigroup
 
 S2 = "(0,1);(3,0);(4,0);(1,4);(5,0);(2,7)"
@@ -491,6 +493,127 @@ class TestErrors:
         code, data = run_json(capsys, "frobenius", "--gens", "(1,0);(0,1)")
         assert code == 1
         assert data["error"] == "EmptyGapSet"
+
+    @pytest.mark.parametrize("argv, detail", [
+        # (30, 30) answers NotClosed under a budget of 3 844 points or more
+        (["--budget", "1000", "gaps", "--gaps", "(30,30)"], "(62, 62)"),
+        # 1.6e9 points under the default budget: no mask is built
+        (["gaps", "--gaps", "(20000,20000)"], "(40002, 40002)"),
+        (["--budget", "15", "member", "--gaps", "(1,0);(1,1)", "--point", "(1,1)"], "(4, 4)"),
+        (["--budget", "15", "pi", "check", "--gaps", "(1,0);(1,1)"], "(4, 4)"),
+    ], ids=["small-budget", "default-budget", "member", "pi"])
+    def test_gap_input_honours_the_budget(self, capsys, argv, detail):
+        code, out = run(capsys, "--json", *argv)
+        assert code == 1
+        detail = f"the conductor box {detail} passes the budget"
+        assert out == json.dumps({"detail": detail, "error": "BudgetExceeded"}, separators=(",", ":")) + "\n"
+
+    def test_gap_budget_counts_the_conductor_box(self, capsys, tmp_path):
+        f = tmp_path / "gs.json"
+        f.write_text(json.dumps({"d": 2, "gaps": [[1, 0], [1, 1]]}))
+        for source in (["--gaps", "(1,0);(1,1)"], ["--file", str(f)]):
+            # the conductor box [0, 4) x [0, 4) holds 16 points
+            assert run_json(capsys, "--budget", "15", "gaps", *source)[1]["error"] == "BudgetExceeded"
+            assert run_json(capsys, "--budget", "16", "gaps", *source)[1]["genus"] == 2
+
+
+def _input(**source):
+    """The namespace ``cli._semigroup`` reads, with one input source."""
+    return argparse.Namespace(**{"gens": None, "gaps": None, "file": None, "budget": None, **source})
+
+
+def _per_point_gap_set(d, points):
+    """``from_gaps`` point by point: the set of the points walked in its
+    order to name a bad one, then one bit set per point in the conductor
+    box."""
+    if d < 1:
+        raise ValueError("dimension must be at least 1")
+    for g in frozenset(map(tuple, points)):
+        if len(g) != d:
+            raise DimensionMismatch(f"gap {g} in dimension {d}")
+        if any(v < 0 for v in g):
+            raise NotNatural(g)
+    box = _Box([2 + 2 * max(col) for col in zip(*points)] or [2] * d)
+    mask = 0
+    for p in points:
+        mask |= 1 << box.index(p)
+    return GapSemigroup(box, mask)
+
+
+def _built(build, *args):
+    """(conductor, gap_mask, low_basis) of what ``build`` returns, or the
+    class and text of what it raises."""
+    try:
+        gs = build(*args)
+    except Exception as exc:  # the same class and text, whatever it is
+        return type(exc), str(exc)
+    return gs.conductor, gs.gap_mask, gs.low_basis
+
+
+@st.composite
+def gap_lists(draw):
+    """(d, gaps as lists): a valid gap set, or points of length d mixed with
+    ones of any length and sign, and the empty list; with duplicates, in a
+    drawn order."""
+    if draw(st.booleans()):
+        gs = draw(finite_gap_sets())
+        d, gaps = gs.dimension, [list(g) for g in gs.gaps]
+    else:
+        d = draw(st.integers(1, 3))
+        point = st.one_of(
+            st.lists(st.integers(0, 4), min_size=d, max_size=d),
+            st.lists(st.integers(0, 4), min_size=d, max_size=d),
+            st.lists(st.integers(-2, 4), max_size=4),
+        )
+        gaps = draw(st.lists(point, max_size=8))
+    if gaps:
+        gaps += draw(st.lists(st.sampled_from(gaps), max_size=3))
+    return d, draw(st.permutations(gaps))
+
+
+def _canonical_text(gaps, bare):
+    if bare:
+        return ";".join(str(g) for g, in gaps)
+    return ";".join("(" + ",".join(map(str, g)) + ")" for g in gaps)
+
+
+class TestGapColumns:
+    """Gap input reaches the mask as coordinate columns, inline and from a
+    file, and builds what a point-by-point construction builds."""
+
+    def test_columns(self):
+        assert cli._gap_columns("1;2;5") == [[1, 2, 5]]
+        assert cli._gap_columns("(1,0);(1,1)") == [(1, 1), (0, 1)]
+        assert cli._gap_columns("+1; 2") == [(1, 2)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(gap_lists())
+    def test_routes_match_the_per_point_build(self, tmp_path_factory, drawn):
+        d, gaps = drawn
+        expected = _built(_per_point_gap_set, d, gaps)
+        assert _built(from_gaps, d, [tuple(g) for g in gaps]) == expected
+        assert _built(from_gaps, d, gaps) == expected
+        path = tmp_path_factory.getbasetemp() / "gap-columns.json"
+        path.write_text(json.dumps({"d": d, "gaps": gaps}))
+        assert _built(cli._semigroup, _input(file=str(path))) == expected
+        if gaps and {len(g) for g in gaps} == {d}:
+            for bare in {False, d == 1}:
+                assert _built(cli._semigroup, _input(gaps=_canonical_text(gaps, bare))) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(gap_lists(), st.sampled_from(["gaps", "pf", "wilf", "buchsbaum", "arf check"]), st.booleans())
+    def test_file_and_inline_print_the_same(self, tmp_path_factory, drawn, command, as_json):
+        d, gaps = drawn
+        assume(gaps and {len(g) for g in gaps} == {d})
+        path = tmp_path_factory.getbasetemp() / "gap-print.json"
+        path.write_text(json.dumps({"d": d, "gaps": gaps}))
+        printed = []
+        for source in (["--gaps", _canonical_text(gaps, False)], ["--file", str(path)]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["--json"] * as_json + command.split() + source)
+            printed.append((code, out.getvalue(), err.getvalue()))
+        assert printed[0] == printed[1]
 
 
 class TestTextMode:

@@ -132,6 +132,29 @@ class TestFromGaps:
         else:
             assert expected is None
 
+    @settings(max_examples=100, deadline=None)
+    @given(finite_gap_sets())
+    def test_budget_bounds_the_conductor_box(self, gs):
+        # BudgetExceeded exactly when [0, 2c), c at least 1, passes max_work
+        points = math.prod(2 * max(c, 1) for c in gs.conductor)
+        gaps = sorted(gs.gaps)
+        assert from_gaps(gs.dimension, gaps) == gs
+        for max_work in sorted({1, points - 1, points, points + 1, 10**7} - {0}):
+            if points > max_work:
+                with pytest.raises(BudgetExceeded):
+                    from_gaps(gs.dimension, gaps, Budget(max_work))
+            else:
+                assert from_gaps(gs.dimension, gaps, Budget(max_work)) == gs
+
+    def test_budget_after_the_sign_before_the_closure(self):
+        with pytest.raises(NotNatural):
+            from_gaps(2, [(-1, 40)], Budget(1))
+        # (1, 1) is not closed; its conductor box holds 16 points
+        with pytest.raises(BudgetExceeded):
+            from_gaps(2, [(1, 1)], Budget(15))
+        with pytest.raises(NotClosed):
+            from_gaps(2, [(1, 1)], Budget(16))
+
     def test_zero_gap_rejected(self):
         with pytest.raises(NotClosed):
             from_gaps(2, [(0, 0), (0, 1)])
@@ -240,7 +263,7 @@ class TestClosurePass:
     @pytest.mark.parametrize("extent", [(6,), (2, 4), (4, 2, 2)])
     def test_the_dimension_is_the_box_s(self, extent):
         box = _Box(extent)
-        for mask in (0, box.mask([(1,) + (0,) * (len(extent) - 1)])):
+        for mask in (0, box.mask([[1]] + [[0]] * (len(extent) - 1))):
             assert GapSemigroup(box, mask).dimension == len(box.extent) == len(extent)
 
     @pytest.mark.parametrize("bound", [(3, 3), (1, 1, 1), (10,)])

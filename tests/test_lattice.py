@@ -317,7 +317,7 @@ class TestBox:
         for extent in itertools.product(range(1, 5), repeat=d):
             box = _Box(extent)
             every = itertools.product(*(range(e) for e in extent))
-            assert box.full == box.mask(every), extent
+            assert box.full == box.mask(list(zip(*every))), extent
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_below_is_the_down_set(self, d):
@@ -325,18 +325,18 @@ class TestBox:
             box = _Box(extent)
             for p in itertools.product(*(range(e) for e in extent)):
                 down = itertools.product(*(range(v + 1) for v in p))
-                assert box.below(p) == box.mask(down), (extent, p)
+                assert box.below(p) == box.mask(list(zip(*down))), (extent, p)
         # the conductor of no gaps is 0, and the box below it is empty
         assert _Box((2,) * d).below((-1,) * d) == 0
 
     @staticmethod
     def _check_fit(extent, points):
-        c, box, mask = _Box(extent).fit(_Box(extent).mask(points))
+        c, box, mask = _Box(extent).fit(_Box(extent).mask(list(zip(*points))))
         d = len(extent)
         expected = tuple(1 + max(p[i] for p in points) for i in range(d)) if points else (0,) * d
         assert c == expected
         assert box.extent == tuple(2 * max(v, 1) for v in expected)
-        assert mask == box.mask(points)
+        assert mask == box.mask(list(zip(*points)))
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -416,11 +416,11 @@ class TestGenerated:
         gens = data.draw(st.permutations(gens))
         box = _Box(extent)
         members = closure_in_box(gens, [e - 1 for e in extent])
-        assert _generated(box, gens) == box.mask(members)
+        assert _generated(box, gens) == box.mask(list(zip(*members)))
         # in grlex order the generators that shift are the minimal ones
         # inside the box: no sum of the other generators
         listed, kept = grlex_sorted(set(gens)), []
-        assert _generated(box, listed, kept) == box.mask(members)
+        assert _generated(box, listed, kept) == box.mask(list(zip(*members)))
         assert kept == [
             g
             for g in listed
@@ -454,7 +454,7 @@ class TestGenerated:
     )
     def test_edge_cases_match_closure(self, extent, gens):
         box = _Box(extent)
-        assert _generated(box, gens) == box.mask(closure_in_box(gens, [e - 1 for e in extent]))
+        assert _generated(box, gens) == box.mask(list(zip(*closure_in_box(gens, [e - 1 for e in extent]))))
 
     @pytest.mark.parametrize(
         "extent,gens,extra",

@@ -70,7 +70,7 @@ def test_buchsbaum_iff_every_gap_is_pseudo_frobenius(d, semigroups, buchsbaum):
     verdicts = [buchsbaum_report(gs).is_buchsbaum for gs in cases]
     assert (len(cases), sum(verdicts)) == (semigroups, buchsbaum)
     for gs, verdict in zip(cases, verdicts):
-        assert verdict == (gs.gap_mask == gs.box.mask(pseudo_frobenius(gs))), gs
+        assert verdict == (gs.gap_mask == gs.box.mask(list(zip(*pseudo_frobenius(gs))))), gs
 
 
 @pytest.mark.parametrize("d,semigroups", [(2, 951), (3, 377)])
