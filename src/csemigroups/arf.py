@@ -77,14 +77,16 @@ def arf_closure(gs: GapSemigroup) -> tuple[GapSemigroup, int]:
     genus(gs) steps occur. The steps run on the gap mask alone, each moved
     into its conductor box by ``_Box.fit``; intermediate steps are not
     rebuilt as semigroups or revalidated, and the closure pass validates
-    the fixpoint once. Each step bounds its shifts by its own gaps' top.
+    the fixpoint once. An Arf input takes no step and is returned itself,
+    with no pass: it was validated when it was built. Each step bounds its
+    shifts by its own gaps' top.
     """
     box, gaps = gs.box, gs.gap_mask
     steps = 0
     while (left := _derived(box, gaps)) != gaps:
         _, box, gaps = box.fit(left)
         steps += 1
-    return GapSemigroup(box, gaps), steps
+    return (GapSemigroup(box, gaps) if steps else gs), steps
 
 
 class PIMonoid(_Record):

@@ -41,7 +41,7 @@ from .frobenius import (
     omega_extra,
     pseudo_frobenius,
 )
-from .gapsemigroup import Budget, GapSemigroup, _columns, _from_columns, from_generators
+from .gapsemigroup import Budget, GapSemigroup, _from_columns, from_gaps, from_generators
 from .lattice import TermOrder, grlex_sorted
 from .membership import AffineSemigroup
 
@@ -104,24 +104,16 @@ def _bulk_items(text: str):
         return items
 
 
-def _bulk_points(text: str):
-    """The points of a canonical list (``_bulk_items``) as tuples; None for
-    any other text."""
-    if (items := _bulk_items(text)) is not None:
-        return list(zip(items) if type(items[0]) is int else map(tuple, items))
-
-
 def parse_point_list(text: str):
     """Semicolon-separated points, e.g. "(0,1);(3,0)" or "4;6;9".
 
-    A canonical list is read in bulk (``_bulk_points``). Any other text
-    goes chunk by chunk through ``parse_point``, which reads a canonical
-    list the same way and also takes the lenient forms ("+5", blank parts,
-    JSON chunks) and names what is wrong.
+    A canonical list is read in bulk (``_bulk_items``) and its items made
+    tuples. Any other text goes chunk by chunk through ``parse_point``,
+    which reads a canonical list the same way and also takes the lenient
+    forms ("+5", blank parts, JSON chunks) and names what is wrong.
     """
-    points = _bulk_points(text)
-    if points is not None:
-        return points
+    if (items := _bulk_items(text)) is not None:
+        return list(zip(items) if type(items[0]) is int else map(tuple, items))
     points = [parse_point(chunk) for chunk in text.split(";") if chunk.strip()]
     if not points:
         raise ValueError("empty point list")
@@ -176,9 +168,10 @@ def _semigroup(args):
     an AffineSemigroup from generators, a validated GapSemigroup from gaps;
     no gap set is built from generators.
 
-    Gaps, inline or from a file, reach ``_from_columns`` as coordinate
-    columns under --budget, with no point tuple made: a file's lists have
-    their lengths checked against "d" and are zipped once (``_columns``).
+    Gaps are built under --budget with no point tuple made: inline ones
+    reach ``_from_columns`` as coordinate columns, and a file's lists go
+    to ``from_gaps``, which checks their lengths against "d" and zips
+    them once.
     """
     if args.gens is not None:
         pts = parse_point_list(args.gens)
@@ -189,7 +182,7 @@ def _semigroup(args):
         kind, pts, d = _load_file(args.file)
         if kind == "gens":
             return AffineSemigroup(d, pts)
-        return _from_columns(d, _columns(d, pts), budget)
+        return from_gaps(d, pts, budget)
     columns = _gap_columns(args.gaps)
     return _from_columns(len(columns), columns, budget)
 

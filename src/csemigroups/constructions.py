@@ -254,7 +254,8 @@ def family_saps(a: int, p: int, numerical_gens: Sequence[int]) -> SapsFamily:
             f"glued family has embedding dimension {len(glued.generators)},"
             f" expected {len(ngens) + 4}"
         )
-    nu = len(pseudo_frobenius(from_generators([(n,) for n in ngens])))
+    # the minimality check above shows that minimal holds exactly ngens
+    nu = len(pseudo_frobenius(from_generators(minimal)))
     return SapsFamily(glued, nu * (q - 1), mu, nu, s)
 
 

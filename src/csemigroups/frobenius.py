@@ -84,20 +84,26 @@ def cover_witness(gs: GapSemigroup, x: Sequence[int]) -> Optional[Point]:
 
 
 def omega_extra(gs: GapSemigroup, order: TermOrder = GRLEX) -> tuple[Point, ...]:
-    """The non-member part of the ideal {z : F - z not in S}.
+    """The non-member part of the ideal {z : F - z not in S}, F the
+    Frobenius element under ``order`` (``_omega_extra``)."""
+    return _omega_extra(gs, frobenius_element(gs, order))
 
-    Every member z belongs to that ideal (else F would be a member), so the
-    ideal is S plus exactly these gaps; points with F - z outside N^d count
-    as F - z not in S. On the mask: for g <= F, index(F - g) = index(F) -
-    index(g), so reversing the member bits at or below index(F) puts the
-    bit of F - g at index(g). Those g are the gaps that leave; every other
-    gap is in the output. A gap g not below F reads a clear bit there: at
-    the last axis j with g_j > F_j the difference of the indices borrows,
-    so its coordinate j is F_j - g_j + 4c_j, in the row's padding
-    (3c_j, 4c_j) past the box [0, 2c), where no member bit is set, or the
-    difference is negative and past the reversed bits.
+
+def _omega_extra(gs: GapSemigroup, F: Point) -> tuple[Point, ...]:
+    """The gaps z with F - z not in S, F the Frobenius element the caller
+    has worked out.
+
+    Every member z belongs to the ideal {z : F - z not in S} (else F would
+    be a member), so the ideal is S plus exactly these gaps; points with
+    F - z outside N^d count as F - z not in S. On the mask: for g <= F,
+    index(F - g) = index(F) - index(g), so reversing the member bits at or
+    below index(F) puts the bit of F - g at index(g). Those g are the gaps
+    that leave; every other gap is in the output. A gap g not below F reads
+    a clear bit there: at the last axis j with g_j > F_j the difference of
+    the indices borrows, so its coordinate j is F_j - g_j + 4c_j, in the
+    row's padding (3c_j, 4c_j) past the box [0, 2c), where no member bit is
+    set, or the difference is negative and past the reversed bits.
     """
-    F = frobenius_element(gs, order)
     box, gaps = gs.box, gs.gap_mask
     n = box.index(F) + 1
     members = box.full & ~gaps & ((1 << n) - 1)
@@ -132,7 +138,8 @@ def classify(gs: GapSemigroup, order: TermOrder = GRLEX) -> FrobeniusReport:
     symmetric: PF = {F}. pseudo-symmetric: PF = {F, F/2} with F/2 a lattice
     point. almost symmetric: PF' nonempty and closed under g -> F - g.
     irreducible: symmetric or pseudo-symmetric. The symmetric case has empty
-    PF', so it is deliberately not counted as almost symmetric.
+    PF', so it is deliberately not counted as almost symmetric. F is worked
+    out once and read by the Frobenius ideal's extra gaps too.
     """
     pf = pseudo_frobenius(gs)
     F = frobenius_element(gs, order)
@@ -143,7 +150,7 @@ def classify(gs: GapSemigroup, order: TermOrder = GRLEX) -> FrobeniusReport:
     pseudo_symmetric = half is not None and set(pf) == {F, half}
     almost = bool(pf_prime) and all(lattice.sub(F, g) in prime_set for g in pf_prime)
     return FrobeniusReport(
-        pf, len(pf), F, pf_prime, omega_extra(gs, order),
+        pf, len(pf), F, pf_prime, _omega_extra(gs, F),
         symmetric, pseudo_symmetric, almost, symmetric or pseudo_symmetric,
         all(lattice.partial_leq(f, F) for f in pf_prime),
     )

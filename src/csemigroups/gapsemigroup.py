@@ -48,10 +48,13 @@ from .membership import AffineSemigroup
 
 
 class Budget(_Record):
-    """The limit on every box that ``from_generators`` builds, and on the
-    conductor box of ``from_gaps``.
+    """The limit on the boxes that ``from_generators`` checks, its tubes
+    and its gap box [0, c + m - 1), and on the conductor box of
+    ``from_gaps``.
 
-    ``max_work`` caps a box's point count, the product of its extents.
+    ``max_work`` caps a checked box's point count, the product of its
+    extents. ``from_generators`` builds its mask over the conductor box
+    [0, 2c), which it does not check (see there).
     """
 
     _fields = ("max_work",)
@@ -170,19 +173,6 @@ def _name_bad(dimension: int, points: Iterable[Point]):
             raise NotNatural(g)
 
 
-def _columns(dimension: int, gaps: Iterable[Sequence[int]]) -> list:
-    """The coordinate columns of the given gaps, each a sequence of
-    ``dimension`` coordinates; ValueError below dimension 1, else the
-    first bad point named (``_name_bad``) when some length is not the
-    dimension."""
-    if dimension < 1:
-        raise ValueError("dimension must be at least 1")
-    points = list(gaps)
-    if not set(map(len, points)) <= {dimension}:
-        _name_bad(dimension, map(tuple, points))
-    return list(zip(*points))
-
-
 def _from_columns(dimension: int, columns: Sequence, budget: Optional[Budget] = None) -> GapSemigroup:
     """The semigroup N^d minus the gaps given by their coordinate columns,
     ``dimension`` of them or none, validating closure.
@@ -206,14 +196,21 @@ def _from_columns(dimension: int, columns: Sequence, budget: Optional[Budget] = 
 def from_gaps(dimension: int, gaps: Iterable[Sequence[int]], budget: Optional[Budget] = None) -> GapSemigroup:
     """Build the semigroup N^d minus the given gaps, validating closure.
 
-    The lengths are checked against the dimension (``_columns``), and the
-    coordinate columns go to ``_from_columns``, the one construction from
-    gaps: the mask is written from the columns into the conductor box, and
-    the gap points are decoded from it only when read. Raises
-    BudgetExceeded when the conductor box [0, 2c), c at least 1, holds
-    more than ``budget.max_work`` points (``DEFAULT_BUDGET`` if None).
+    ValueError below dimension 1. The lengths are checked against the
+    dimension, the first bad point named (``_name_bad``) when one differs,
+    and the gaps are zipped once into coordinate columns for
+    ``_from_columns``: the mask is written from the columns into the
+    conductor box, and the gap points are decoded from it only when read.
+    Raises BudgetExceeded when the conductor box [0, 2c), c at least 1,
+    holds more than ``budget.max_work`` points (``DEFAULT_BUDGET`` if
+    None).
     """
-    return _from_columns(dimension, _columns(dimension, gaps), budget)
+    if dimension < 1:
+        raise ValueError("dimension must be at least 1")
+    points = list(gaps)
+    if not set(map(len, points)) <= {dimension}:
+        _name_bad(dimension, map(tuple, points))
+    return _from_columns(dimension, list(zip(*points)), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +414,13 @@ def from_generators(
     (``_Box.top(mask)[i]``). A gap stays a gap when its other coordinates
     are reduced mod m_j, so its largest x_i is reached in tube i; there, a
     class line's gaps are rho, ..., w - m_i e_i, w its Ap point. The
-    budget bounds the gap box [0, top - 1), which holds every gap, and
-    names it when it passes.
+    budget is checked on the gap box [0, top - 1), which holds every gap,
+    and names it when it passes. That box is never built: the mask below
+    is built over the conductor box [0, 2c), which the budget does not
+    check. 2c_i = 2(top_i - m_i) nears twice top_i - 1 when m_i is small
+    against c_i, so the built box can hold up to 2^d times ``max_work``
+    points: (40,0);(0,40);(41,0);(0,41);(1,40);(40,1) under a budget of
+    9 979 281, the size of its gap box, builds 38 937 600.
 
     Before the tubes, one ``_generated`` mask of B = [0, 2m) can prove the
     conductor (``_certificate``). Axis i certifies when no non-member of B
@@ -445,7 +447,7 @@ def from_generators(
     basis element lies in [0, 2c) (one with s_i >= 2c_i splits off
     c_i e_i), and a generator is not minimal iff it is a sum of smaller
     ones. No point is decoded until ``gaps`` is read. Raises
-    BudgetExceeded when a box would pass the limits of ``budget``.
+    BudgetExceeded when a tube or the gap box would pass ``budget``.
     """
     if not isinstance(source, AffineSemigroup):
         gens = [tuple(g) for g in source]

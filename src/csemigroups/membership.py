@@ -196,24 +196,27 @@ def minimalize(generators: Iterable[Sequence[int]], dimension: Optional[int] = N
     tested against the inputs below it in the box that membership grows to
     hold it, [0, g] within MEMBER_BOX_BITS, so the cost is the sum of the
     generators' volumes, not the volume of their coordinatewise maximum.
+    When every input is kept, the semigroup built to validate them is the
+    one returned.
     """
     gens = [tuple(g) for g in generators]
     if dimension is None:
         if not gens:
             raise ValueError("dimension required for an empty generator list")
         dimension = len(gens[0])
-    gens = AffineSemigroup(dimension, gens).generators  # validates the input
+    sem = AffineSemigroup(dimension, gens)  # validates the input
+    gens = sem.generators
     extent = tuple(v + 1 for v in map(max, zip(*gens)))
     size = _box_bits(extent)
     kept = []
     if size <= MEMBER_BOX_BITS and size <= sum(_box_bits([v + 1 for v in g]) for g in gens):
         _generated(_Box(extent), gens, kept)
-        return AffineSemigroup(dimension, kept)
-    for g in gens:
-        below = [h for h in gens if h != g and all(a <= b for a, b in zip(h, g))]
-        if not below or not _member(below, g, *_grown(below, g, *_unit(dimension))):
-            kept.append(g)
-    return AffineSemigroup(dimension, kept)
+    else:
+        for g in gens:
+            below = [h for h in gens if h != g and all(a <= b for a, b in zip(h, g))]
+            if not below or not _member(below, g, *_grown(below, g, *_unit(dimension))):
+                kept.append(g)
+    return sem if len(kept) == len(gens) else AffineSemigroup(dimension, kept)
 
 
 def multiplicity(sem) -> tuple[Point, bool]:

@@ -104,6 +104,19 @@ def count_member_calls(monkeypatch):
     return calls
 
 
+def count_constructions(monkeypatch):
+    """Record the dimension of every AffineSemigroup constructed."""
+    calls = []
+    real = AffineSemigroup.__init__
+
+    def counted(self, dimension, generators):
+        calls.append(dimension)
+        real(self, dimension, generators)
+
+    monkeypatch.setattr(AffineSemigroup, "__init__", counted)
+    return calls
+
+
 def pair_loop_is_pi(sem):
     """The PI verdict asked pair by pair: m in S, then each g + h - m for
     the generator pairs g <= h (the Hilbert basis in gap form), every one

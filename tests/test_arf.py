@@ -28,7 +28,7 @@ from conftest import (
     per_step_arf_closure,
     per_step_derived,
 )
-from csemigroups import arf, membership
+from csemigroups import arf, gapsemigroup, membership
 from csemigroups.arf import (
     PIMonoid,
     PIStatus,
@@ -81,6 +81,20 @@ class TestClosure:
         gs = from_gaps(2, [(1, 0), (1, 1)])
         closure, steps = arf_closure(gs)
         assert steps == 0 and closure == gs
+
+    def test_arf_input_returned_without_a_pass(self, monkeypatch):
+        gs = from_gaps(1, [(1,), (2,), (3,), (5,), (7,)])
+        passes = []
+        real = gapsemigroup._closure_pass
+
+        def counted(box, members, gaps):
+            passes.append(box.extent)
+            return real(box, members, gaps)
+
+        monkeypatch.setattr(gapsemigroup, "_closure_pass", counted)
+        closure, steps = arf_closure(gs)
+        assert closure is gs and steps == 0
+        assert passes == []
 
     def test_idempotent(self, s2, s77):
         for gs in (s2, s77):

@@ -19,7 +19,7 @@ from csemigroups import cli
 from csemigroups.cli import main, parse_point, parse_point_list
 from csemigroups.errors import DimensionMismatch, NotNatural
 from csemigroups.frobenius import apery, omega_extra, pseudo_frobenius
-from csemigroups.gapsemigroup import GapSemigroup, from_gaps
+from csemigroups.gapsemigroup import Budget, GapSemigroup, from_gaps
 from csemigroups.lattice import TermOrder, _Box, grlex_sorted
 from csemigroups.membership import AffineSemigroup
 
@@ -65,7 +65,8 @@ class TestParsing:
     def test_bulk_read_matches_per_chunk_parser(self, data):
         # a canonical list in JSON's whitespace takes the one json.loads
         text = data.draw(canonical_list_texts())
-        assert cli._bulk_points(text) == _per_chunk_point_list(text)
+        assert cli._bulk_items(text) is not None
+        assert parse_point_list(text) == _per_chunk_point_list(text)
 
     @pytest.mark.parametrize("text, expected", [
         ("1,2;3,4", [(1, 2), (3, 4)]),
@@ -336,6 +337,20 @@ class TestGoldenOutputs:
         code, data = run_json(capsys, "frobenius", "--file", str(f))
         assert code == 0
         assert data["frobenius"] == [1, 1]
+
+    def test_file_gaps_go_through_from_gaps(self, capsys, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(d, gaps, budget=None):
+            calls.append((d, gaps, budget))
+            return from_gaps(d, gaps, budget)
+
+        monkeypatch.setattr(cli, "from_gaps", counted)
+        f = tmp_path / "gs.json"
+        f.write_text(json.dumps({"d": 2, "gaps": [[1, 0], [1, 1]]}))
+        code, data = run_json(capsys, "--budget", "100", "pf", "--file", str(f))
+        assert code == 0 and data["pf"] == [[1, 1]]
+        assert calls == [(2, [[1, 0], [1, 1]], Budget(100))]
 
 
 class TestDeterminism:

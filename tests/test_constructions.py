@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import count_member_calls, enumerate_box
+from conftest import count_constructions, count_member_calls, enumerate_box
 from csemigroups import lattice
 from csemigroups.arf import is_pi
 from csemigroups.constructions import (
@@ -287,6 +287,12 @@ class TestFamilySaps:
         with pytest.raises(NotAGluing) as err:
             family_saps(3, 1, [3, 4, 5])
         assert err.value.reason == "LatticeGeneratorMismatch"
+
+    def test_numerical_factor_built_once(self, monkeypatch):
+        # minimalize's semigroup is the factor that the PF count reads
+        built = count_constructions(monkeypatch)
+        assert family_saps(3, 2, [3, 4, 5]).nu == 2
+        assert built.count(1) == 1
 
     def test_gcd_validated(self):
         with pytest.raises(BadParams):

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import box_points, census_windows, finite_gap_sets, in_gap_complement
+from csemigroups import frobenius
 from csemigroups.errors import (
     DimensionMismatch,
     EmptyGapSet,
@@ -155,6 +156,20 @@ class TestOmega:
 
 
 class TestClassify:
+    def test_frobenius_element_worked_out_once(self, s5, monkeypatch):
+        calls = []
+        real = frobenius.frobenius_element
+
+        def counted(gs, order=GRLEX):
+            calls.append(order)
+            return real(gs, order)
+
+        monkeypatch.setattr(frobenius, "frobenius_element", counted)
+        order = TermOrder("lex")
+        report = classify(s5, order)
+        assert calls == [order]
+        assert report.omega_extra == omega_extra(s5, order)
+
     def test_pseudo_symmetric_example(self, s4):
         report = classify(s4, GRLEX)
         assert report.pseudo_symmetric and report.almost_symmetric

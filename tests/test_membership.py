@@ -14,6 +14,7 @@ from conftest import (
     GENS_SAP31,
     box_points,
     closure_in_box,
+    count_constructions,
     generator_lists,
     per_generator_minimalize,
 )
@@ -226,6 +227,24 @@ class TestMinimalize:
         d, gens = case
         with mock.patch.object(membership, "MEMBER_BOX_BITS", budget):
             assert minimalize(gens, d) == per_generator_minimalize(gens, d)
+
+    @pytest.mark.parametrize(
+        "gens, kept",
+        [
+            # one box over [0, max g]
+            ([(3,), (5,), (7,)], [(3,), (5,), (7,)]),
+            ([(3,), (5,), (6,), (8,)], [(3,), (5,)]),
+            # a box per generator: [0, max g] is the larger
+            ([(10, 0), (0, 10), (1, 1)], [(10, 0), (0, 10), (1, 1)]),
+            ([(10, 0), (0, 10), (1, 1), (2, 2)], [(10, 0), (0, 10), (1, 1)]),
+        ],
+    )
+    def test_builds_a_second_semigroup_only_when_dropping(self, monkeypatch, gens, kept):
+        built = count_constructions(monkeypatch)
+        sem = minimalize(gens)
+        # the validated input, and a second semigroup only for a smaller list
+        assert built == [len(gens[0])] * (1 if kept == gens else 2)
+        assert sem == AffineSemigroup(len(gens[0]), kept)
 
     def test_order_independent(self):
         gens = [(4,), (6,), (9,), (10,), (13,), (15,)]
